@@ -29,10 +29,8 @@ from .geometry import (
     Sphere,
     body2d,
     body3d,
-    contains_point_circle,
     contains_point_rect,
     relative_center,
-    rotation_matrix,
 )
 from .penalty import (
     BodyWrench,

@@ -52,7 +52,6 @@ def _build_parser() -> _Parser:
     sim.add_argument("--out", default=None, help="trajectory output path")
     sim.add_argument("--format", choices=("csv", "json"), default="csv")
     sim.add_argument("--plot", default=None, help="SVG output path (2D only)")
-    sim.add_argument("--seed", type=int, default=0)
 
     bench = sub.add_parser("bench", help="timing report over scenarios and backends")
     bench.add_argument("--repeat", type=int, default=10)
@@ -90,7 +89,6 @@ def _cmd_simulate(args) -> int:
         duration=args.duration,
         backend=Backend(args.backend),
         solver=SolverSettings(**solver_kwargs),
-        seed=args.seed,
     )
     trajectory = run_scenario(args.scenario, config, overrides)
 

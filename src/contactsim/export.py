@@ -5,14 +5,13 @@ The CSV sample schema is fixed:
 it with z = 0, the quaternion of the rotation about the out-of-plane axis
 and the angular speed in wz.  Contact events go to a sibling file
 ``<path>.events.csv`` with columns ``t,pair,phi,rho,Fn,Ft,saturated``.
-Float fields use shortest round-trip formatting, so identical runs export
-byte-identical files.
+Every field is the ``repr`` of its value: shortest round-trip text for
+floats, plain digits for ints.  Identical runs export byte-identical files.
 """
 from __future__ import annotations
 
 import json
 import math
-from typing import List
 
 from .errors import ContactSimError
 from .geometry import BodyState, Circle, Rectangle
@@ -56,25 +55,21 @@ def _event_row(event) -> dict:
     }
 
 
-def _format(value) -> str:
-    return repr(value) if isinstance(value, float) else str(value)
-
-
 def export_trajectory(trajectory: Trajectory, fmt: str, path: str) -> None:
     """Write a trajectory to ``path`` as csv (plus events sibling) or json."""
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
-    samples = [
-        _sample_row(t, body_id, state)
-        for t, states in trajectory.samples
-        for body_id, state in enumerate(states)
-    ]
-    events = [_event_row(event) for event in trajectory.events]
     try:
         if fmt == "csv":
-            _write_csv(path, SAMPLE_COLUMNS, samples)
-            _write_csv(path + ".events.csv", EVENT_COLUMNS, events)
+            _write_text(path, _samples_csv(trajectory.samples))
+            _write_text(path + ".events.csv", _events_csv(trajectory.events))
         else:
+            samples = [
+                _sample_row(t, body_id, state)
+                for t, states in trajectory.samples
+                for body_id, state in enumerate(states)
+            ]
+            events = [_event_row(event) for event in trajectory.events]
             with open(path, "w", encoding="utf-8") as handle:
                 json.dump({"samples": samples, "events": events}, handle)
                 handle.write("\n")
@@ -82,11 +77,42 @@ def export_trajectory(trajectory: Trajectory, fmt: str, path: str) -> None:
         raise ContactSimError(f"failed to write {path}: {exc}") from exc
 
 
-def _write_csv(path: str, columns, rows: List[dict]) -> None:
+def _samples_csv(samples) -> str:
+    """Sample CSV text: the values of ``_sample_row``, in ``SAMPLE_COLUMNS`` order."""
+    lines = [",".join(SAMPLE_COLUMNS) + "\n"]
+    append = lines.append
+    cos, sin = math.cos, math.sin
+    for t, states in samples:
+        prefix = f"{t!r},"
+        for body_id, state in enumerate(states):
+            p = state.position
+            v = state.velocity
+            if len(p) == 2:
+                half = 0.5 * state.orientation
+                append(f"{prefix}{body_id},{p[0]!r},{p[1]!r},0.0,{cos(half)!r},0.0,0.0,"
+                       f"{sin(half)!r},{v[0]!r},{v[1]!r},0.0,0.0,0.0,"
+                       f"{state.angular_velocity!r}\n")
+            else:
+                q = state.orientation
+                w = state.angular_velocity
+                append(f"{prefix}{body_id},{p[0]!r},{p[1]!r},{p[2]!r},{q[0]!r},{q[1]!r},"
+                       f"{q[2]!r},{q[3]!r},{v[0]!r},{v[1]!r},{v[2]!r},{w[0]!r},"
+                       f"{w[1]!r},{w[2]!r}\n")
+    return "".join(lines)
+
+
+def _events_csv(events) -> str:
+    """Event CSV text: the values of ``_event_row``, in ``EVENT_COLUMNS`` order."""
+    lines = [",".join(EVENT_COLUMNS) + "\n"]
+    lines.extend(f"{e.t!r},{e.pair[0]}-{e.pair[1]},{e.phi!r},{e.rho!r},"
+                 f"{e.f_normal!r},{e.f_tangent!r},{int(e.saturated)}\n"
+                 for e in events)
+    return "".join(lines)
+
+
+def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(",".join(columns) + "\n")
-        for row in rows:
-            handle.write(",".join(_format(row[c]) for c in columns) + "\n")
+        handle.write(text)
 
 
 def load_trajectory_json(path: str):

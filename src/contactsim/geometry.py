@@ -36,10 +36,6 @@ def scale(a: Vec, s: float) -> Vec:
     return tuple(x * s for x in a)
 
 
-def dot(a: Vec, b: Vec) -> float:
-    return sum(x * y for x, y in zip(a, b))
-
-
 def norm(a: Vec) -> float:
     return math.sqrt(sum(x * x for x in a))
 
@@ -68,24 +64,8 @@ def cross3(a: Vec3, b: Vec3) -> Vec3:
     )
 
 
-def cross2(a: Vec2, b: Vec2) -> float:
-    """Out-of-plane component of the planar cross product."""
-    return a[0] * b[1] - a[1] * b[0]
-
-
 # ---------------------------------------------------------------------------
 # planar rotations
-
-def rotation_matrix(theta: float) -> Mat3:
-    """3x3 body-from-world rotation for a planar orientation angle.
-
-    Row layout: (cos, sin, 0), (-sin, cos, 0), (0, 0, 1).  Applying it to a
-    world vector yields that vector's coordinates in the rotated frame.
-    """
-    c = math.cos(theta)
-    s = math.sin(theta)
-    return ((c, s, 0.0), (-s, c, 0.0), (0.0, 0.0, 1.0))
-
 
 def rot2_apply(theta: float, v: Vec2) -> Vec2:
     """Body-frame coordinates of a world vector (2D fast path)."""
@@ -194,10 +174,6 @@ def contains_point_rect(p: Vec2, c1: float, c2: float) -> bool:
     return abs(p[0]) <= c1 and abs(p[1]) <= c2
 
 
-def contains_point_circle(p: Vec, center: Vec, radius: float) -> bool:
-    return distance(p, center) <= radius
-
-
 # ---------------------------------------------------------------------------
 # shapes
 
@@ -262,6 +238,10 @@ class BodyState:
     3D bodies use a unit quaternion (w, x, y, z), a 3-vector angular velocity
     and a 3x3 inertia tensor given as nested tuples.  Static bodies are
     treated as having infinite mass and inertia by the integrator.
+
+    The invariants are checked when a state is constructed; the integrator
+    derives each step's states through ``_successor``, which keeps them
+    without checking again.
     """
 
     position: Vec
@@ -288,6 +268,29 @@ class BodyState:
     @property
     def dim(self) -> int:
         return len(self.position)
+
+    def _successor(self, position: Vec, orientation: Union[float, Quat],
+                   velocity: Vec, angular_velocity: Union[float, Vec3]
+                   ) -> "BodyState":
+        """A state with new pose and velocities and this state's constants.
+
+        Skips ``__post_init__``: the caller guarantees that the dimensions
+        match this state's and that a 3D orientation is a unit quaternion
+        (``quat_normalize`` output), so the invariants hold by construction.
+        """
+        state = object.__new__(BodyState)
+        # object.__setattr__ as in the generated __init__; writing to
+        # state.__dict__ instead would give every state a dict object of its
+        # own, which costs memory and garbage-collector work
+        set_field = object.__setattr__
+        set_field(state, "position", position)
+        set_field(state, "orientation", orientation)
+        set_field(state, "velocity", velocity)
+        set_field(state, "angular_velocity", angular_velocity)
+        set_field(state, "mass", self.mass)
+        set_field(state, "inertia", self.inertia)
+        set_field(state, "static", self.static)
+        return state
 
 
 def body2d(position: Vec2, angle: float = 0.0, velocity: Vec2 = (0.0, 0.0),

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
-from .geometry import Vec, Vec3, cross2, cross3, dot
+from .geometry import Vec, Vec3, cross3
 
 
 @dataclass(frozen=True)
@@ -35,6 +35,10 @@ class MaterialParams:
     v_scale: float = 0.01
 
     def __post_init__(self):
+        for name in ("stiffness", "damping", "friction", "v_scale"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.stiffness > 0.0:
             raise ValueError("stiffness must be positive")
         if self.damping < 0.0:
@@ -61,13 +65,6 @@ class BodyWrench:
     moment: Union[float, Vec3]
 
 
-def _omega_cross(angular_velocity: Union[float, Vec3], r: Vec) -> Vec:
-    if isinstance(angular_velocity, tuple):
-        return cross3(angular_velocity, r)
-    w = angular_velocity
-    return (-w * r[1], w * r[0])
-
-
 def relative_velocity_at_contact(state_a, anchor_a: Vec, state_b, anchor_b: Vec,
                                  normal: Vec, tangent: Vec) -> ContactKinematics:
     """Velocity of B's contact point relative to A's, in the contact basis.
@@ -78,10 +75,23 @@ def relative_velocity_at_contact(state_a, anchor_a: Vec, state_b, anchor_b: Vec,
     """
     va = state_a.velocity
     vb = state_b.velocity
-    spin_a = _omega_cross(state_a.angular_velocity, anchor_a)
-    spin_b = _omega_cross(state_b.angular_velocity, anchor_b)
-    v_rel = tuple((vb[i] + spin_b[i]) - (va[i] + spin_a[i]) for i in range(len(va)))
-    return ContactKinematics(dot(v_rel, normal), dot(v_rel, tangent))
+    wa = state_a.angular_velocity
+    wb = state_b.angular_velocity
+    # each point moves with v + omega x r; the projections add onto 0.0, so
+    # a zero projection is +0.0, never -0.0
+    if len(va) == 2:
+        rx = (vb[0] + -wb * anchor_b[1]) - (va[0] + -wa * anchor_a[1])
+        ry = (vb[1] + wb * anchor_b[0]) - (va[1] + wa * anchor_a[0])
+        return ContactKinematics(0.0 + rx * normal[0] + ry * normal[1],
+                                 0.0 + rx * tangent[0] + ry * tangent[1])
+    spin_a = cross3(wa, anchor_a)
+    spin_b = cross3(wb, anchor_b)
+    rx = (vb[0] + spin_b[0]) - (va[0] + spin_a[0])
+    ry = (vb[1] + spin_b[1]) - (va[1] + spin_a[1])
+    rz = (vb[2] + spin_b[2]) - (va[2] + spin_a[2])
+    return ContactKinematics(
+        0.0 + rx * normal[0] + ry * normal[1] + rz * normal[2],
+        0.0 + rx * tangent[0] + ry * tangent[1] + rz * tangent[2])
 
 
 def contact_force(rho: float, kin: ContactKinematics,
@@ -110,12 +120,15 @@ def wrench_on_bodies(f_n: float, f_t: float, normal: Vec, tangent: Vec,
     bodies apart), body A its exact negation; moments are the cross products
     of each anchor with the force acting on that body.
     """
-    force_b = tuple(f_n * n + f_t * t for n, t in zip(normal, tangent))
-    force_a = tuple(-c for c in force_b)
-    if len(force_b) == 2:
-        moment_b = cross2(anchor_b, force_b)
-        moment_a = cross2(anchor_a, force_a)
-    else:
-        moment_b = cross3(anchor_b, force_b)
-        moment_a = cross3(anchor_a, force_a)
-    return BodyWrench(force_a, moment_a), BodyWrench(force_b, moment_b)
+    if len(normal) == 2:
+        fx = f_n * normal[0] + f_t * tangent[0]
+        fy = f_n * normal[1] + f_t * tangent[1]
+        ax, ay = -fx, -fy
+        return (BodyWrench((ax, ay), anchor_a[0] * ay - anchor_a[1] * ax),
+                BodyWrench((fx, fy), anchor_b[0] * fy - anchor_b[1] * fx))
+    force_b = (f_n * normal[0] + f_t * tangent[0],
+               f_n * normal[1] + f_t * tangent[1],
+               f_n * normal[2] + f_t * tangent[2])
+    force_a = (-force_b[0], -force_b[1], -force_b[2])
+    return (BodyWrench(force_a, cross3(anchor_a, force_a)),
+            BodyWrench(force_b, cross3(anchor_b, force_b)))

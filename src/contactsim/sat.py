@@ -4,7 +4,8 @@ Supports the four shape pairings of the engine: rectangle-circle,
 circle-circle, rectangle-rectangle (2D) and cuboid-sphere (3D).  All
 rectangle-circle quantities are computed in the rectangle's body frame; the
 returned ContactInfo additionally carries world-frame anchors and directions
-for the resolver.
+for the resolver.  Signs follow sgn(0) = +1 (``1.0 if x >= 0.0 else -1.0``),
+which keeps the case tables and support tie-breaks total.
 """
 from __future__ import annotations
 
@@ -26,25 +27,17 @@ from .geometry import (
     add,
     cross3,
     distance,
-    dot,
+    mat3_t_vec,
+    mat3_vec,
     normalize,
     perp,
-    quat_rotate,
-    quat_rotate_inv,
-    relative_center,
-    rot2_apply,
-    rot2_apply_t,
+    quat_to_matrix,
     scale,
     sub,
 )
 
 # Tolerance for the diagonal tie between the two inside-region depth gaps.
 EPS_TIE = 1e-12
-
-
-def _sgn(x: float) -> float:
-    """Sign with sgn(0) = +1, making the region case tables total."""
-    return 1.0 if x >= 0.0 else -1.0
 
 
 class Region(Enum):
@@ -89,15 +82,33 @@ def region_classify(q: Vec2, c1: float, c2: float) -> RegionClass:
     return RegionClass(alpha, beta, region)
 
 
+def _rect_case(q0: float, q1: float, c1: float, c2: float) -> tuple[Vec2, Vec2]:
+    """Closest rectangle boundary point to (q0, q1) and the raw outward normal.
+
+    Follows the region case table of ``region_classify`` branch by branch;
+    the raw normal is unnormalized in the corner and diagonal cases.
+    """
+    alpha = abs(q0) - c1
+    beta = abs(q1) - c2
+    sx = 1.0 if q0 >= 0.0 else -1.0
+    sy = 1.0 if q1 >= 0.0 else -1.0
+    if alpha >= 0.0 and beta >= 0.0:  # corner outside
+        corner = (sx * c1, sy * c2)
+        return corner, corner
+    if alpha < 0.0 and beta >= 0.0:  # top/bottom outside
+        return (q0, sy * c2), (0.0, sy)
+    if alpha >= 0.0 and beta < 0.0:  # left/right outside
+        return (sx * c1, q1), (sx, 0.0)
+    if abs(alpha - beta) < EPS_TIE:  # inside, on the diagonal
+        return (sx * c1, sy * c2), (sx, sy)
+    if alpha > beta:  # inside, nearer the left/right edges
+        return (sx * c1, q1), (sx, 0.0)
+    return (q0, sy * c2), (0.0, sy)  # inside, nearer the top/bottom edges
+
+
 def rect_mdp(q: Vec2, c1: float, c2: float) -> Vec2:
     """Boundary point of the rectangle closest to q, per the region case table."""
-    region = region_classify(q, c1, c2).region
-    if region in (Region.CORNER_OUTSIDE, Region.INSIDE_DIAGONAL):
-        return (_sgn(q[0]) * c1, _sgn(q[1]) * c2)
-    if region in (Region.TOP_BOTTOM_OUTSIDE, Region.INSIDE_NEAR_TB):
-        return (q[0], _sgn(q[1]) * c2)
-    # left/right outside, or inside nearer the left/right edges
-    return (_sgn(q[0]) * c1, q[1])
+    return _rect_case(q[0], q[1], c1, c2)[0]
 
 
 def circle_mdp(p_tilde: Vec2, q: Vec2, radius: float) -> Vec2:
@@ -130,16 +141,7 @@ def rect_circle_normal(q: Vec2, c1: float, c2: float) -> tuple[Vec2, Vec2]:
     normalized before use; the tangent is the +90 degree rotation of the
     normal (out-of-plane axis cross normal).
     """
-    region = region_classify(q, c1, c2).region
-    if region == Region.CORNER_OUTSIDE:
-        raw = (_sgn(q[0]) * c1, _sgn(q[1]) * c2)
-    elif region in (Region.TOP_BOTTOM_OUTSIDE, Region.INSIDE_NEAR_TB):
-        raw = (0.0, _sgn(q[1]))
-    elif region in (Region.LEFT_RIGHT_OUTSIDE, Region.INSIDE_NEAR_LR):
-        raw = (_sgn(q[0]), 0.0)
-    else:
-        raw = (_sgn(q[0]), _sgn(q[1]))
-    n = normalize(raw)
+    n = normalize(_rect_case(q[0], q[1], c1, c2)[1])
     return n, perp(n)
 
 
@@ -149,32 +151,44 @@ def detect_rect_circle(state_a: BodyState, rect: Rectangle,
     c1, c2 = rect.half_length, rect.half_width
     radius = circle.radius
     theta = state_a.orientation
-    q = relative_center(state_a.position, theta, state_b.position)
+    c = math.cos(theta)
+    s = math.sin(theta)
+    pa = state_a.position
+    pb = state_b.position
+    rx = pb[0] - pa[0]
+    ry = pb[1] - pa[1]
+    q0 = c * rx + s * ry  # circle center in the rectangle frame
+    q1 = -s * rx + c * ry
 
-    p_tilde = rect_mdp(q, c1, c2)
-    n_local, t_local = rect_circle_normal(q, c1, c2)
+    p_tilde, raw = _rect_case(q0, q1, c1, c2)
+    nx, ny = normalize(raw)
 
-    d = distance(p_tilde, q)
+    px, py = p_tilde
+    dx = px - q0
+    dy = py - q1
+    d = math.sqrt(dx * dx + dy * dy)
     if d < EPS_DEGENERATE:
         # center on the rectangle boundary: fall back to the case-table normal
-        u = n_local
+        ux, uy = nx, ny
     else:
-        u = scale(sub(p_tilde, q), 1.0 / d)
+        inv_d = 1.0 / d
+        ux, uy = dx * inv_d, dy * inv_d
     phi = d - radius
     rho = 0.0 if phi > 0.0 else -phi
-    q_tilde = add(q, scale(u, radius))
-    q_m = scale(u, radius)
+    mx = ux * radius  # center-to-contact offset of the circle
+    my = uy * radius
+    tx, ty = -ny, nx
 
     return ContactInfo(
         colliding=rho > 0.0,
         phi=phi,
         rho=rho,
         p_tilde=p_tilde,
-        q_tilde=q_tilde,
-        anchor_a=rot2_apply_t(theta, p_tilde),
-        anchor_b=rot2_apply_t(theta, q_m),
-        normal=rot2_apply_t(theta, n_local),
-        tangent=rot2_apply_t(theta, t_local),
+        q_tilde=(q0 + mx, q1 + my),
+        anchor_a=(c * px - s * py, s * px + c * py),
+        anchor_b=(c * mx - s * my, s * mx + c * my),
+        normal=(c * nx - s * ny, s * nx + c * ny),
+        tangent=(c * tx - s * ty, s * tx + c * ty),
     )
 
 
@@ -182,62 +196,40 @@ def detect_circle_circle(state_a: BodyState, circle_a: Circle,
                          state_b: BodyState, circle_b: Circle) -> ContactInfo:
     """Narrow-phase query between two circles; a single center-line test."""
     ra, rb = circle_a.radius, circle_b.radius
-    d_vec = sub(state_b.position, state_a.position)
-    d = math.hypot(d_vec[0], d_vec[1])
+    pa = state_a.position
+    pb = state_b.position
+    dx = pb[0] - pa[0]
+    dy = pb[1] - pa[1]
+    d = math.hypot(dx, dy)
     if d < EPS_DEGENERATE:
         # concentric fallback: pick a fixed direction, full overlap depth
-        u = (1.0, 0.0)
+        ux, uy = 1.0, 0.0
         phi = d - ra - rb
         rho = ra + rb
     else:
-        u = scale(d_vec, 1.0 / d)
+        inv_d = 1.0 / d
+        ux, uy = dx * inv_d, dy * inv_d
         phi = d - ra - rb
         rho = 0.0 if phi > 0.0 else -phi
 
-    anchor_a = scale(u, ra)
-    anchor_b = scale(u, -rb)
+    ax, ay = ux * ra, uy * ra
+    neg_rb = -rb
+    bx, by = ux * neg_rb, uy * neg_rb
     theta = state_a.orientation
-    contact_b_from_a = add(d_vec, anchor_b)
+    c = math.cos(theta)
+    s = math.sin(theta)
+    cx, cy = dx + bx, dy + by  # B's contact point from A's center
     return ContactInfo(
         colliding=rho > 0.0,
         phi=phi,
         rho=rho,
-        p_tilde=rot2_apply(theta, anchor_a),
-        q_tilde=rot2_apply(theta, contact_b_from_a),
-        anchor_a=anchor_a,
-        anchor_b=anchor_b,
-        normal=u,
-        tangent=perp(u),
+        p_tilde=(c * ax + s * ay, -s * ax + c * ay),
+        q_tilde=(c * cx + s * cy, -s * cx + c * cy),
+        anchor_a=(ax, ay),
+        anchor_b=(bx, by),
+        normal=(ux, uy),
+        tangent=(-uy, ux),
     )
-
-
-def _rect_axes_world(theta: float) -> tuple[Vec2, Vec2]:
-    c = math.cos(theta)
-    s = math.sin(theta)
-    return (c, s), (-s, c)
-
-
-def _support_max(axes: tuple[Vec2, Vec2], extents: tuple[float, float],
-                 direction: Vec2) -> Vec2:
-    """Center-to-vertex offset maximizing the projection onto direction.
-
-    Ties (an axis orthogonal to the direction) resolve through the sign rule
-    applied to the axis-direction dot product, keeping the choice total and
-    deterministic; the minimizing variant below uses the same convention.
-    """
-    u1, u2 = axes
-    c1, c2 = extents
-    return add(scale(u1, c1 * _sgn(dot(u1, direction))),
-               scale(u2, c2 * _sgn(dot(u2, direction))))
-
-
-def _support_min(axes: tuple[Vec2, Vec2], extents: tuple[float, float],
-                 direction: Vec2) -> Vec2:
-    """Center-to-vertex offset minimizing the projection onto direction."""
-    u1, u2 = axes
-    c1, c2 = extents
-    return add(scale(u1, -c1 * _sgn(dot(u1, direction))),
-               scale(u2, -c2 * _sgn(dot(u2, direction))))
 
 
 def detect_rect_rect(state_a: BodyState, rect_a: Rectangle,
@@ -247,75 +239,96 @@ def detect_rect_rect(state_a: BodyState, rect_a: Rectangle,
     Tests the four candidate axes (two edge normals per body).  On overlap
     the minimum translation vector is the axis of least overlap, oriented
     from A to B, and the single contact point is the deepest support vertex
-    of the body penetrating the other's face.
+    of the body penetrating the other's face.  Support-vertex ties (an axis
+    orthogonal to the normal) resolve through the sign rule sgn(0) = +1.
     """
-    axes_a = _rect_axes_world(state_a.orientation)
-    axes_b = _rect_axes_world(state_b.orientation)
-    ext_a = (rect_a.half_length, rect_a.half_width)
-    ext_b = (rect_b.half_length, rect_b.half_width)
-    d_vec = sub(state_b.position, state_a.position)
+    theta = state_a.orientation
+    ca, sa = math.cos(theta), math.sin(theta)
+    cb, sb = math.cos(state_b.orientation), math.sin(state_b.orientation)
+    # world axes of each body: (c, s) and (-s, c)
+    a1x, a1y, a2x, a2y = ca, sa, -sa, ca
+    b1x, b1y, b2x, b2y = cb, sb, -sb, cb
+    ea1, ea2 = rect_a.half_length, rect_a.half_width
+    eb1, eb2 = rect_b.half_length, rect_b.half_width
+    pa = state_a.position
+    pb = state_b.position
+    dx = pb[0] - pa[0]
+    dy = pb[1] - pa[1]
 
-    candidates = [(axes_a[0], 0), (axes_a[1], 0), (axes_b[0], 1), (axes_b[1], 1)]
     min_overlap = math.inf
-    best_axis: Vec2 = (1.0, 0.0)
+    best_x, best_y = 1.0, 0.0
     best_owner = 0
     max_gap = -math.inf
-    gap_axis: Vec2 = (1.0, 0.0)
+    gap_x, gap_y = 1.0, 0.0
 
-    for axis, owner in candidates:
-        rad_a = ext_a[0] * abs(dot(axes_a[0], axis)) + ext_a[1] * abs(dot(axes_a[1], axis))
-        rad_b = ext_b[0] * abs(dot(axes_b[0], axis)) + ext_b[1] * abs(dot(axes_b[1], axis))
-        separation = abs(dot(d_vec, axis))
-        overlap = rad_a + rad_b - separation
+    for x, y, owner in ((a1x, a1y, 0), (a2x, a2y, 0), (b1x, b1y, 1), (b2x, b2y, 1)):
+        rad_a = ea1 * abs(a1x * x + a1y * y) + ea2 * abs(a2x * x + a2y * y)
+        rad_b = eb1 * abs(b1x * x + b1y * y) + eb2 * abs(b2x * x + b2y * y)
+        overlap = rad_a + rad_b - abs(dx * x + dy * y)
         if -overlap > max_gap:
             max_gap = -overlap
-            gap_axis = axis
+            gap_x, gap_y = x, y
         if overlap < min_overlap:
             min_overlap = overlap
-            best_axis = axis
+            best_x, best_y = x, y
             best_owner = owner
 
-    theta = state_a.orientation
+    c, s = ca, sa
     if min_overlap <= 0.0:
         # separated: the largest per-axis gap is a lower bound on distance
-        n = gap_axis if dot(d_vec, gap_axis) >= 0.0 else scale(gap_axis, -1.0)
-        support_a = _support_max(axes_a, ext_a, n)
-        support_b = _support_min(axes_b, ext_b, n)
+        if dx * gap_x + dy * gap_y >= 0.0:
+            nx, ny = gap_x, gap_y
+        else:
+            nx, ny = -gap_x, -gap_y
+        # A's vertex furthest along n, B's vertex furthest against it
+        k1 = ea1 * (1.0 if a1x * nx + a1y * ny >= 0.0 else -1.0)
+        k2 = ea2 * (1.0 if a2x * nx + a2y * ny >= 0.0 else -1.0)
+        sax, say = a1x * k1 + a2x * k2, a1y * k1 + a2y * k2
+        k1 = -eb1 * (1.0 if b1x * nx + b1y * ny >= 0.0 else -1.0)
+        k2 = -eb2 * (1.0 if b2x * nx + b2y * ny >= 0.0 else -1.0)
+        sbx, sby = b1x * k1 + b2x * k2, b1y * k1 + b2y * k2
+        qx, qy = dx + sbx, dy + sby
         return ContactInfo(
             colliding=False,
             phi=max_gap,
             rho=0.0,
-            p_tilde=rot2_apply(theta, support_a),
-            q_tilde=rot2_apply(theta, add(d_vec, support_b)),
-            anchor_a=support_a,
-            anchor_b=support_b,
-            normal=n,
-            tangent=perp(n),
+            p_tilde=(c * sax + s * say, -s * sax + c * say),
+            q_tilde=(c * qx + s * qy, -s * qx + c * qy),
+            anchor_a=(sax, say),
+            anchor_b=(sbx, sby),
+            normal=(nx, ny),
+            tangent=(-ny, nx),
             phi_approx=True,
         )
 
-    n = best_axis if dot(d_vec, best_axis) >= 0.0 else scale(best_axis, -1.0)
+    if dx * best_x + dy * best_y >= 0.0:
+        nx, ny = best_x, best_y
+    else:
+        nx, ny = -best_x, -best_y
     if best_owner == 0:
         # B's vertex penetrates A's face: deepest support of B against the normal
-        contact_world_offset = add(state_b.position,
-                                   _support_min(axes_b, ext_b, n))
+        k1 = -eb1 * (1.0 if b1x * nx + b1y * ny >= 0.0 else -1.0)
+        k2 = -eb2 * (1.0 if b2x * nx + b2y * ny >= 0.0 else -1.0)
+        wx = pb[0] + (b1x * k1 + b2x * k2)
+        wy = pb[1] + (b1y * k1 + b2y * k2)
     else:
         # A's vertex penetrates B's face
-        contact_world_offset = add(state_a.position,
-                                   _support_max(axes_a, ext_a, n))
-    anchor_a = sub(contact_world_offset, state_a.position)
-    anchor_b = sub(contact_world_offset, state_b.position)
-    contact_local = rot2_apply(theta, anchor_a)
+        k1 = ea1 * (1.0 if a1x * nx + a1y * ny >= 0.0 else -1.0)
+        k2 = ea2 * (1.0 if a2x * nx + a2y * ny >= 0.0 else -1.0)
+        wx = pa[0] + (a1x * k1 + a2x * k2)
+        wy = pa[1] + (a1y * k1 + a2y * k2)
+    ax, ay = wx - pa[0], wy - pa[1]
+    contact_local = (c * ax + s * ay, -s * ax + c * ay)
     return ContactInfo(
         colliding=True,
         phi=-min_overlap,
         rho=min_overlap,
         p_tilde=contact_local,
         q_tilde=contact_local,
-        anchor_a=anchor_a,
-        anchor_b=anchor_b,
-        normal=n,
-        tangent=perp(n),
+        anchor_a=(ax, ay),
+        anchor_b=(wx - pb[0], wy - pb[1]),
+        normal=(nx, ny),
+        tangent=(-ny, nx),
     )
 
 
@@ -334,15 +347,21 @@ def detect_sphere_cuboid(state_a: BodyState, cuboid: Cuboid,
     branch: the penetration is the radius plus the distance to the nearest
     face, with ties broken in a fixed face order.
     """
-    ext = cuboid.half_extents
+    e0, e1, e2 = cuboid.half_extents
     radius = sphere.radius
-    quat = state_a.orientation
-    q = quat_rotate_inv(quat, sub(state_b.position, state_a.position))
-    clamped = tuple(max(-e, min(e, x)) for x, e in zip(q, ext))
-    d = distance(q, clamped)
+    rot = quat_to_matrix(state_a.orientation)  # world from cuboid frame
+    pa = state_a.position
+    pb = state_b.position
+    q0, q1, q2 = q = mat3_t_vec(rot, (pb[0] - pa[0], pb[1] - pa[1], pb[2] - pa[2]))
+    k0 = max(-e0, min(e0, q0))
+    k1 = max(-e1, min(e1, q1))
+    k2 = max(-e2, min(e2, q2))
+    d = math.sqrt((q0 - k0) * (q0 - k0) + (q1 - k1) * (q1 - k1)
+                  + (q2 - k2) * (q2 - k2))
 
     if d < EPS_DEGENERATE:
         # center inside (or on the surface): nearest face, fixed tie-break order
+        ext = (e0, e1, e2)
         best = math.inf
         n_local: Vec3 = (1.0, 0.0, 0.0)
         for axis, sign in _CUBOID_FACES:
@@ -352,37 +371,36 @@ def detect_sphere_cuboid(state_a: BodyState, cuboid: Cuboid,
                 n_local = tuple(sign if i == axis else 0.0 for i in range(3))
         phi = d - radius
         rho = radius + best
-        u = n_local
-        p_tilde = add(q, scale(n_local, best))
+        ux, uy, uz = n_local
+        p_tilde = (q0 + ux * best, q1 + uy * best, q2 + uz * best)
     else:
         phi = d - radius
         rho = 0.0 if phi > 0.0 else -phi
-        u = scale(sub(clamped, q), 1.0 / d)  # center toward cuboid
-        n_local = scale(u, -1.0)
-        p_tilde = clamped
+        inv_d = 1.0 / d
+        ux, uy, uz = (k0 - q0) * inv_d, (k1 - q1) * inv_d, (k2 - q2) * inv_d
+        n_local = (-ux, -uy, -uz)  # center toward cuboid, negated
+        p_tilde = (k0, k1, k2)
 
-    q_tilde = add(q, scale(u, radius))
-    q_m = scale(u, radius)
-    normal = quat_rotate(quat, n_local)
-    tangent = _tangent_3d(quat, normal)
+    q_m = (ux * radius, uy * radius, uz * radius)
+    normal = mat3_vec(rot, n_local)
     return ContactInfo(
         colliding=rho > 0.0,
         phi=phi,
         rho=rho,
         p_tilde=p_tilde,
-        q_tilde=q_tilde,
-        anchor_a=quat_rotate(quat, p_tilde),
-        anchor_b=quat_rotate(quat, q_m),
+        q_tilde=(q0 + q_m[0], q1 + q_m[1], q2 + q_m[2]),
+        anchor_a=mat3_vec(rot, p_tilde),
+        anchor_b=mat3_vec(rot, q_m),
         normal=normal,
-        tangent=tangent,
+        tangent=_tangent_3d(rot, normal),
     )
 
 
-def _tangent_3d(quat, normal: Vec3) -> Vec3:
+def _tangent_3d(rot, normal: Vec3) -> Vec3:
     """Deterministic unit tangent: body a3 cross normal, else a1 cross normal."""
-    a3 = quat_rotate(quat, (0.0, 0.0, 1.0))
-    t = cross3(a3, normal)
-    if math.sqrt(dot(t, t)) < EPS_DEGENERATE:
-        a1 = quat_rotate(quat, (1.0, 0.0, 0.0))
-        t = cross3(a1, normal)
-    return normalize(t)
+    t = cross3(mat3_vec(rot, (0.0, 0.0, 1.0)), normal)
+    n = math.sqrt(t[0] * t[0] + t[1] * t[1] + t[2] * t[2])
+    if n < EPS_DEGENERATE:
+        return normalize(cross3(mat3_vec(rot, (1.0, 0.0, 0.0)), normal))
+    inv = 1.0 / n
+    return (t[0] * inv, t[1] * inv, t[2] * inv)

@@ -9,6 +9,7 @@ velocities first, then positions with the updated velocities.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -21,7 +22,6 @@ from .geometry import (
     BodyState,
     Circle,
     Cuboid,
-    Mat3,
     Rectangle,
     Shape,
     Sphere,
@@ -63,15 +63,17 @@ class SimConfig:
     solver: convex.SolverSettings = field(default_factory=convex.SolverSettings)
     material: Optional[MaterialParams] = None
     pair_materials: Dict[Tuple[int, int], MaterialParams] = field(default_factory=dict)
-    seed: int = 0
 
     def __post_init__(self):
         if isinstance(self.backend, str):
             self.backend = Backend(self.backend)
-        if not self.dt > 0.0:
-            raise ValueError("dt must be positive")
-        if self.duration is not None and self.duration < self.dt:
-            raise ValueError("duration must be at least one step")
+        if not (self.dt > 0.0 and math.isfinite(self.dt)):
+            raise ValueError(f"dt must be a positive finite number, got {self.dt}")
+        if self.duration is not None:
+            if not math.isfinite(self.duration):
+                raise ValueError(f"duration must be finite, got {self.duration}")
+            if self.duration < self.dt:
+                raise ValueError("duration must be at least one step")
 
 
 @dataclass(frozen=True)
@@ -132,12 +134,13 @@ def _detect_pair(backend: Backend, state_a: BodyState, shape_a: Shape,
         state_a, state_b = state_b, state_a
         shape_a, shape_b = shape_b, shape_a
         key = (type(shape_a), type(shape_b))
-    if key not in _DETECTORS_SAT:
+    detector = _DETECTORS_SAT.get(key)
+    if detector is None:
         raise UnsupportedPair(
             f"no narrow phase for {key[0].__name__}-{key[1].__name__}"
         )
     if backend is Backend.SAT:
-        info = _DETECTORS_SAT[key](state_a, shape_a, state_b, shape_b)
+        info = detector(state_a, shape_a, state_b, shape_b)
     else:
         info = convex.detect_convex(state_a, shape_a, state_b, shape_b,
                                     solver, context)
@@ -145,33 +148,38 @@ def _detect_pair(backend: Backend, state_a: BodyState, shape_a: Shape,
 
 
 def collision_response(states, shapes, config: SimConfig,
-                       contexts: Optional[Dict] = None
+                       contexts: Optional[Dict] = None,
+                       material: Optional[MaterialParams] = None
                        ) -> Tuple[List[Optional[BodyWrench]], List[PairDiagnostic]]:
     """Detect and resolve every pair; returns per-body wrenches and diagnostics.
 
     Non-colliding pairs contribute no wrench but their proximity is kept in
     the diagnostics.  Wrenches accumulate per body in pair order.
+    ``material`` is the material of pairs without an entry in
+    ``config.pair_materials``; None resolves it from the config.
     """
+    if material is None:
+        material = _run_material(config)
+    backend = config.backend
+    warm = contexts is not None and backend is Backend.CO
     n = len(states)
     forces = [None] * n
     moments = [None] * n
     diagnostics: List[PairDiagnostic] = []
     for i in range(n):
         for j in range(i + 1, n):
-            context = None
-            if contexts is not None and config.backend is Backend.CO:
-                context = contexts.setdefault((i, j), convex.PairContext())
-            info = _detect_pair(config.backend, states[i], shapes[i],
+            pair = (i, j)
+            context = contexts.setdefault(pair, convex.PairContext()) if warm else None
+            info = _detect_pair(backend, states[i], shapes[i],
                                 states[j], shapes[j], config.solver, context)
             if not info.colliding:
-                diagnostics.append(PairDiagnostic((i, j), info))
+                diagnostics.append(PairDiagnostic(pair, info))
                 continue
-            material = config.pair_materials.get((i, j)) or config.material \
-                or MaterialParams()
             kin = relative_velocity_at_contact(states[i], info.anchor_a,
                                                states[j], info.anchor_b,
                                                info.normal, info.tangent)
-            f_n, f_t = contact_force(info.rho, kin, material)
+            f_n, f_t = contact_force(info.rho, kin,
+                                     config.pair_materials.get(pair) or material)
             wrench_i, wrench_j = wrench_on_bodies(f_n, f_t, info.normal,
                                                   info.tangent, info.anchor_a,
                                                   info.anchor_b)
@@ -179,15 +187,16 @@ def collision_response(states, shapes, config: SimConfig,
                 if forces[index] is None:
                     forces[index] = wrench.force
                     moments[index] = wrench.moment
+                elif len(wrench.force) == 2:
+                    fx, fy = forces[index]
+                    forces[index] = (fx + wrench.force[0], fy + wrench.force[1])
+                    moments[index] += wrench.moment
                 else:
                     forces[index] = tuple(a + b for a, b in
                                           zip(forces[index], wrench.force))
-                    if isinstance(wrench.moment, tuple):
-                        moments[index] = tuple(a + b for a, b in
-                                               zip(moments[index], wrench.moment))
-                    else:
-                        moments[index] = moments[index] + wrench.moment
-            diagnostics.append(PairDiagnostic((i, j), info, f_n, f_t))
+                    moments[index] = tuple(a + b for a, b in
+                                           zip(moments[index], wrench.moment))
+            diagnostics.append(PairDiagnostic(pair, info, f_n, f_t))
     wrenches: List[Optional[BodyWrench]] = [
         BodyWrench(forces[k], moments[k]) if forces[k] is not None else None
         for k in range(n)
@@ -195,36 +204,83 @@ def collision_response(states, shapes, config: SimConfig,
     return wrenches, diagnostics
 
 
-def _integrate(states, wrenches, config: SimConfig, gravity: Vec):
-    """Semi-implicit Euler update: velocities first, then poses."""
+def _run_material(config: SimConfig) -> MaterialParams:
+    """The material of every pair the config gives no material of its own."""
+    return config.material if config.material is not None else MaterialParams()
+
+
+def _body_constants(states) -> List[Optional[tuple]]:
+    """Per-body integration constants, fixed over a run.
+
+    None for a static body, else ``(1/mass, angular)`` where ``angular`` is
+    the planar inertia (2D) or the inverse inertia tensor (3D).
+    """
+    constants: List[Optional[tuple]] = []
+    for state in states:
+        if state.static:
+            constants.append(None)
+        elif state.dim == 2:
+            constants.append((1.0 / state.mass, state.inertia))
+        else:
+            constants.append((1.0 / state.mass, mat3_inverse(state.inertia)))
+    return constants
+
+
+def _integrate(states, wrenches, config: SimConfig, gravity: Vec,
+               constants: Optional[List[Optional[tuple]]] = None):
+    """Semi-implicit Euler update: velocities first, then poses.
+
+    ``constants`` are the bodies' ``_body_constants``; None computes them.
+    Successors are built without the construction checks, whose invariants
+    already hold: dimensions, mass and inertia are carried over, and a 3D
+    orientation is ``quat_normalize`` output.
+    """
+    if constants is None:
+        constants = _body_constants(states)
     dt = config.dt
     new_states = []
-    for state, wrench in zip(states, wrenches):
-        if state.static:
+    for state, wrench, constant in zip(states, wrenches, constants):
+        if constant is None:
             new_states.append(state)
             continue
-        dim = state.dim
-        force = wrench.force if wrench is not None else (0.0,) * dim
-        inv_m = 1.0 / state.mass
-        velocity = tuple(state.velocity[k] + dt * (force[k] * inv_m + gravity[k])
-                         for k in range(dim))
-        if dim == 2:
-            moment = wrench.moment if wrench is not None else 0.0
-            omega = state.angular_velocity + dt * moment / state.inertia
-            position = tuple(state.position[k] + dt * velocity[k] for k in range(2))
-            orientation = state.orientation + dt * omega
+        inv_m, angular = constant
+        position = state.position
+        velocity = state.velocity
+        if len(position) == 2:
+            if wrench is None:
+                fx = fy = moment = 0.0
+            else:
+                fx, fy = wrench.force
+                moment = wrench.moment
+            vx = velocity[0] + dt * (fx * inv_m + gravity[0])
+            vy = velocity[1] + dt * (fy * inv_m + gravity[1])
+            omega = state.angular_velocity + dt * moment / angular
+            new_states.append(state._successor(
+                (position[0] + dt * vx, position[1] + dt * vy),
+                state.orientation + dt * omega, (vx, vy), omega))
+            continue
+        if wrench is None:
+            fx = fy = fz = 0.0
+            moment = (0.0, 0.0, 0.0)
         else:
-            moment = wrench.moment if wrench is not None else (0.0, 0.0, 0.0)
-            inv_inertia: Mat3 = mat3_inverse(state.inertia)
-            alpha = mat3_vec(inv_inertia, moment)
-            omega = tuple(state.angular_velocity[k] + dt * alpha[k] for k in range(3))
-            position = tuple(state.position[k] + dt * velocity[k] for k in range(3))
-            spin = quat_multiply((0.0,) + omega, state.orientation)
-            orientation = quat_normalize(tuple(
-                state.orientation[k] + dt * 0.5 * spin[k] for k in range(4)
-            ))
-        new_states.append(replace(state, position=position, orientation=orientation,
-                                  velocity=velocity, angular_velocity=omega))
+            fx, fy, fz = wrench.force
+            moment = wrench.moment
+        vx = velocity[0] + dt * (fx * inv_m + gravity[0])
+        vy = velocity[1] + dt * (fy * inv_m + gravity[1])
+        vz = velocity[2] + dt * (fz * inv_m + gravity[2])
+        alpha = mat3_vec(angular, moment)
+        w = state.angular_velocity
+        omega = (w[0] + dt * alpha[0], w[1] + dt * alpha[1], w[2] + dt * alpha[2])
+        q = state.orientation
+        spin = quat_multiply((0.0,) + omega, q)
+        half_dt = dt * 0.5
+        orientation = quat_normalize((q[0] + half_dt * spin[0],
+                                      q[1] + half_dt * spin[1],
+                                      q[2] + half_dt * spin[2],
+                                      q[3] + half_dt * spin[3]))
+        new_states.append(state._successor(
+            (position[0] + dt * vx, position[1] + dt * vy, position[2] + dt * vz),
+            orientation, (vx, vy, vz), omega))
     return new_states
 
 
@@ -249,6 +305,8 @@ def run_world(states, shapes, config: SimConfig, gravity: Vec
     duration = config.duration if config.duration is not None else 2.0
     n_steps = max(1, round(duration / dt))
     states = list(states)
+    constants = _body_constants(states)
+    material = _run_material(config)
     contexts: Dict = {}
     samples = [(0.0, tuple(states))]
     events: List[ContactEvent] = []
@@ -257,19 +315,21 @@ def run_world(states, shapes, config: SimConfig, gravity: Vec
     t_start = time.perf_counter()
     for k in range(n_steps):
         t = k * dt
-        wrenches, diagnostics = collision_response(states, shapes, config, contexts)
+        wrenches, diagnostics = collision_response(states, shapes, config,
+                                                   contexts, material)
         for diag in diagnostics:
-            if diag.info.colliding:
-                events.append(ContactEvent(t, diag.pair, diag.info.phi,
-                                           diag.info.rho, diag.f_normal,
-                                           diag.f_tangent, diag.info.saturated))
-                if diag.info.saturated and not saturation_seen:
+            info = diag.info
+            if info.colliding:
+                events.append(ContactEvent(t, diag.pair, info.phi, info.rho,
+                                           diag.f_normal, diag.f_tangent,
+                                           info.saturated))
+                if info.saturated and not saturation_seen:
                     saturation_seen = True
                     logger.warning(
                         "penetration exceeded the measurable range at t=%.6f "
                         "for pair %s; depth clamped to the shrink margin",
                         t, diag.pair)
-        states = _integrate(states, wrenches, config, gravity)
+        states = _integrate(states, wrenches, config, gravity, constants)
         samples.append(((k + 1) * dt, tuple(states)))
     elapsed = time.perf_counter() - t_start
 
@@ -289,11 +349,14 @@ def run_scenario_timed(name: str, config: Optional[SimConfig] = None,
     """Like run_scenario but also returns the stepping-loop wall time."""
     scenario = build_scenario(name, overrides)
     config = config or SimConfig()
-    effective = replace(config)
-    if effective.material is None:
-        effective.material = scenario.material
-    if effective.duration is None:
-        effective.duration = scenario.duration
+    # replace re-runs the config checks on the scenario's defaults too
+    effective = replace(
+        config,
+        material=config.material if config.material is not None
+        else scenario.material,
+        duration=config.duration if config.duration is not None
+        else scenario.duration,
+    )
     gravity = config.gravity if config.gravity is not None else scenario.gravity
     return run_world(scenario.bodies, scenario.shapes, effective, gravity)
 

@@ -7,10 +7,14 @@ from contactsim.cli import main
 from contactsim.export import (
     EVENT_COLUMNS,
     SAMPLE_COLUMNS,
+    _event_row,
+    _sample_row,
     export_plot,
     export_trajectory,
     load_trajectory_json,
 )
+from contactsim.geometry import Circle, body2d
+from contactsim.scenarios import SCENARIO_NAMES
 from contactsim.simulate import SimConfig, Trajectory, run_scenario
 
 
@@ -59,6 +63,60 @@ class TestCsvExport:
     def test_rejects_unknown_format(self, short_run, tmp_path):
         with pytest.raises(ValueError):
             export_trajectory(short_run, "xml", str(tmp_path / "t.xml"))
+
+
+def _reference_field(value) -> str:
+    """The export's field rule: shortest round-trip floats, str otherwise."""
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _reference_csv(columns, rows) -> str:
+    lines = [",".join(columns)]
+    lines.extend(",".join(_reference_field(row[c]) for c in columns) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def _reference_samples_csv(trajectory) -> str:
+    return _reference_csv(SAMPLE_COLUMNS, (
+        _sample_row(t, body_id, state)
+        for t, states in trajectory.samples
+        for body_id, state in enumerate(states)))
+
+
+def _reference_events_csv(trajectory) -> str:
+    return _reference_csv(EVENT_COLUMNS,
+                          (_event_row(event) for event in trajectory.events))
+
+
+class TestCsvBytes:
+    """The CSV writer's bytes equal the per-field rule over the row dicts."""
+
+    @pytest.mark.parametrize("backend", ["sat", "co"])
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_scenario_samples_match_reference_rule(self, name, backend, tmp_path):
+        trajectory = run_scenario(name, SimConfig(backend=backend, duration=0.2))
+        out = tmp_path / "t.csv"
+        export_trajectory(trajectory, "csv", str(out))
+        assert out.read_bytes() == _reference_samples_csv(trajectory).encode()
+        events = tmp_path / "t.csv.events.csv"
+        assert events.read_bytes() == _reference_events_csv(trajectory).encode()
+
+    def test_events_match_reference_rule(self, short_run, tmp_path):
+        assert short_run.events
+        out = tmp_path / "t.csv"
+        export_trajectory(short_run, "csv", str(out))
+        events = tmp_path / "t.csv.events.csv"
+        assert events.read_bytes() == _reference_events_csv(short_run).encode()
+
+    def test_int_valued_fields_print_as_str_does(self, tmp_path):
+        body = body2d((1, -2), velocity=(3, 0))
+        assert body.position == (1, -2)  # ints are kept as given
+        trajectory = Trajectory(((0, (body,)), (0.5, (body,))), (), (Circle(1.0),))
+        out = tmp_path / "t.csv"
+        export_trajectory(trajectory, "csv", str(out))
+        text = out.read_text()
+        assert text == _reference_samples_csv(trajectory)
+        assert text.splitlines()[1].startswith("0,0,1,-2,0.0,1.0,")
 
 
 class TestJsonExport:
@@ -172,6 +230,29 @@ class TestCli:
         code = main(["simulate", "--scenario", "circle-circle", "--backend",
                      "co", "--duration", "0.5", "--config", str(config)])
         assert code == 2
+
+    @pytest.mark.parametrize("flag", ["--duration", "--dt"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_flag_is_usage_error(self, flag, value, capsys):
+        code = main(["simulate", "--scenario", "circle-circle", "--backend",
+                     "sat", flag, value])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "finite" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("text", [
+        '{"duration": 1e400}',
+        '{"dt": 1e400}',
+        '{"material": {"stiffness": 1e400}}',
+        '{"material": {"damping": 1e400}}',
+    ])
+    def test_non_finite_config_is_usage_error(self, text, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        code = main(["simulate", "--scenario", "circle-circle", "--backend",
+                     "sat", "--config", str(config)])
+        assert code == 1
+        assert "finite" in capsys.readouterr().err
 
     def test_missing_config_file_is_runtime_error(self):
         code = main(["simulate", "--scenario", "circle-circle", "--backend",

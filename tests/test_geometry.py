@@ -12,49 +12,60 @@ from contactsim.geometry import (
     Sphere,
     body2d,
     body3d,
-    contains_point_circle,
     contains_point_rect,
     quat_from_angle_z,
     quat_to_matrix,
     relative_center,
+    rot2_apply,
     rot2_apply_t,
-    rotation_matrix,
 )
 
 from oracles import frame_coords
 
 
-def mat_t(m):
-    return tuple(tuple(m[j][i] for j in range(3)) for i in range(3))
+def rotation_matrix(theta):
+    """Matrix of the planar body-from-world map, read off rot2_apply."""
+    e1 = rot2_apply(theta, (1.0, 0.0))
+    e2 = rot2_apply(theta, (0.0, 1.0))
+    return np.array([[e1[0], e2[0]], [e1[1], e2[1]]])
+
+
+def transpose_matrix(theta):
+    """Matrix of the world-from-body map, read off rot2_apply_t."""
+    e1 = rot2_apply_t(theta, (1.0, 0.0))
+    e2 = rot2_apply_t(theta, (0.0, 1.0))
+    return np.array([[e1[0], e2[0]], [e1[1], e2[1]]])
 
 
 class TestRotationMatrix:
     def test_identity_at_zero(self):
-        assert np.allclose(rotation_matrix(0.0), np.eye(3), atol=0.0)
+        assert np.array_equal(rotation_matrix(0.0), np.eye(2))
 
     def test_quarter_turn_rows(self):
         m = rotation_matrix(math.pi / 2)
-        expected = ((0.0, 1.0, 0.0), (-1.0, 0.0, 0.0), (0.0, 0.0, 1.0))
+        expected = ((0.0, 1.0), (-1.0, 0.0))
         assert np.allclose(m, expected, atol=1e-15)
 
     def test_orthonormal_at_sample_angle(self):
-        m = np.array(rotation_matrix(0.37))
-        assert np.allclose(m @ m.T, np.eye(3), atol=1e-12)
+        m = rotation_matrix(0.37)
+        assert np.allclose(m @ m.T, np.eye(2), atol=1e-12)
 
     def test_orthonormal_unit_det_sweep(self):
         rng = random.Random(7)
         for _ in range(1000):
             theta = rng.uniform(-20.0, 20.0)
-            m = np.array(rotation_matrix(theta))
-            assert np.allclose(m @ m.T, np.eye(3), atol=1e-12)
+            m = rotation_matrix(theta)
+            assert np.allclose(m @ m.T, np.eye(2), atol=1e-12)
             assert abs(np.linalg.det(m) - 1.0) < 1e-12
 
     def test_negative_angle_is_transpose(self):
         rng = random.Random(11)
         for _ in range(200):
             theta = rng.uniform(-10.0, 10.0)
-            assert np.allclose(rotation_matrix(-theta),
-                               mat_t(rotation_matrix(theta)), atol=1e-15)
+            assert np.allclose(rotation_matrix(-theta), rotation_matrix(theta).T,
+                               atol=1e-15)
+            assert np.allclose(transpose_matrix(theta), rotation_matrix(theta).T,
+                               atol=0.0)
 
 
 class TestRelativeCenter:
@@ -86,9 +97,7 @@ class TestRelativeCenter:
         for _ in range(100):
             theta = rng.uniform(-10, 10)
             v = (rng.uniform(-3, 3), rng.uniform(-3, 3))
-            m = rotation_matrix(theta)
-            expected = (m[0][0] * v[0] + m[0][1] * v[1],
-                        m[1][0] * v[0] + m[1][1] * v[1])
+            expected = frame_coords(theta, v)
             q = relative_center((0.0, 0.0), theta, v)
             assert np.allclose(q, expected, atol=1e-15)
 
@@ -103,15 +112,6 @@ class TestContainment:
     def test_rect_outside(self):
         assert not contains_point_rect((1.01, 0.0), 1.0, 1.0)
 
-    def test_circle_center(self):
-        assert contains_point_circle((2.0, 3.0), (2.0, 3.0), 0.5)
-
-    def test_circle_boundary_inclusive(self):
-        assert contains_point_circle((2.5, 3.0), (2.0, 3.0), 0.5)
-
-    def test_circle_just_outside(self):
-        assert not contains_point_circle((2.5 + 1e-6, 3.0), (2.0, 3.0), 0.5)
-
     def test_rect_agrees_with_sampling_oracle(self):
         rng = np.random.default_rng(17)
         for _ in range(20):
@@ -120,18 +120,6 @@ class TestContainment:
             pts = rng.uniform(-4.0, 4.0, size=(500, 2))
             expected = (np.abs(pts[:, 0]) <= c1) & (np.abs(pts[:, 1]) <= c2)
             got = np.array([contains_point_rect(tuple(p), c1, c2) for p in pts])
-            assert (expected == got).all()
-
-    def test_circle_agrees_with_sampling_oracle(self):
-        rng = np.random.default_rng(23)
-        for _ in range(20):
-            center = rng.uniform(-2.0, 2.0, size=2)
-            radius = rng.uniform(0.2, 2.0)
-            pts = rng.uniform(-4.0, 4.0, size=(500, 2))
-            expected = np.linalg.norm(pts - center, axis=1) <= radius
-            got = np.array([
-                contains_point_circle(tuple(p), tuple(center), radius) for p in pts
-            ])
             assert (expected == got).all()
 
 

@@ -33,6 +33,26 @@ class TestRelativeVelocity:
             (1.0, 0.0), (0.0, 1.0))
         assert out.v_normal == -2.0 and out.v_tangent == 0.0
 
+    def test_zero_projection_is_positive_zero(self):
+        # both products of the tangent projection are -0.0 here; the sign of
+        # a zero sliding speed decides the sign of a zero friction force,
+        # which the events export prints
+        for dim_bodies in ((body2d((0.0, 0.0), velocity=(1.0, 0.0)),
+                            body2d((2.0, 0.0), velocity=(-1.0, 0.0))),
+                           (body3d((0.0, 0.0, 0.0), velocity=(1.0, 0.0, 0.0)),
+                            body3d((2.0, 0.0, 0.0), velocity=(-1.0, 0.0, 0.0)))):
+            a, b = dim_bodies
+            dim = a.dim
+            axis = (1.0,) + (0.0,) * (dim - 1)
+            tangent = (0.0, -1.0) + (0.0,) * (dim - 2)
+            out = relative_velocity_at_contact(
+                a, tuple(0.5 * c for c in axis), b, tuple(-0.5 * c for c in axis),
+                axis, tangent)
+            assert out.v_normal == -2.0
+            assert math.copysign(1.0, out.v_tangent) == 1.0
+            f_n, f_t = contact_force(1e-3, out, MaterialParams())
+            assert f_n > 0.0 and math.copysign(1.0, f_t) == -1.0
+
     def test_spinning_first_body(self):
         out = relative_velocity_at_contact(
             body2d((0.0, 0.0), angular_velocity=1.0), (1.0, 0.0),

@@ -1,11 +1,15 @@
 import math
+import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from contactsim import simulate
 from contactsim.convex import SolverSettings
 from contactsim.errors import UnknownScenario, UnsupportedPair
 from contactsim.geometry import (
+    BodyState,
     Circle,
     Cuboid,
     Rectangle,
@@ -13,16 +17,22 @@ from contactsim.geometry import (
     body2d,
     body3d,
     disc_inertia,
+    mat3_inverse,
+    mat3_vec,
+    quat_multiply,
+    quat_normalize,
 )
 from contactsim.penalty import BodyWrench, ContactKinematics, MaterialParams, contact_force
 from contactsim.simulate import (
     Backend,
     SimConfig,
+    _body_constants,
     _integrate,
     collision_response,
     kinetic_energy,
     linear_momentum,
     run_scenario,
+    run_world,
     step,
 )
 from contactsim.scenarios import SCENARIO_NAMES, build_scenario
@@ -81,6 +91,130 @@ class TestIntegrator:
                             abs_tol=1e-12)
 
 
+def _checked_successor(state, wrench, dt, gravity):
+    """One integrator step built with dataclasses.replace, which re-runs the
+    construction checks, and the inverse inertia taken afresh each step."""
+    dim = state.dim
+    force = wrench.force if wrench is not None else (0.0,) * dim
+    inv_m = 1.0 / state.mass
+    velocity = tuple(state.velocity[k] + dt * (force[k] * inv_m + gravity[k])
+                     for k in range(dim))
+    position = tuple(state.position[k] + dt * velocity[k] for k in range(dim))
+    if dim == 2:
+        moment = wrench.moment if wrench is not None else 0.0
+        omega = state.angular_velocity + dt * moment / state.inertia
+        orientation = state.orientation + dt * omega
+    else:
+        moment = wrench.moment if wrench is not None else (0.0, 0.0, 0.0)
+        alpha = mat3_vec(mat3_inverse(state.inertia), moment)
+        omega = tuple(state.angular_velocity[k] + dt * alpha[k] for k in range(3))
+        spin = quat_multiply((0.0,) + omega, state.orientation)
+        orientation = quat_normalize(tuple(
+            state.orientation[k] + dt * 0.5 * spin[k] for k in range(4)))
+    return replace(state, position=position, orientation=orientation,
+                   velocity=velocity, angular_velocity=omega)
+
+
+def _bits(value):
+    """Exact bit pattern of a float or nested tuple of floats; -0.0 != 0.0."""
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    return float.hex(value) if isinstance(value, float) else value
+
+
+class TestSuccessorStates:
+    """Integrator successors skip the construction checks but not a bit of state."""
+
+    FIELDS = ("position", "orientation", "velocity", "angular_velocity",
+              "mass", "inertia", "static")
+
+    def _assert_bitwise_equal(self, got, expected):
+        assert type(got) is BodyState
+        assert got == expected
+        for name in self.FIELDS:
+            assert _bits(getattr(got, name)) == _bits(getattr(expected, name)), name
+
+    @staticmethod
+    def _wrenches(dim, steps, seed):
+        """No wrench, an all-zero one with negative zeros, or a random one."""
+        rng = random.Random(seed)
+        zero = BodyWrench((0.0, -0.0, 0.0)[:dim], -0.0 if dim == 2 else (-0.0, 0.0, -0.0))
+        for k in range(steps):
+            if k % 3 == 0:
+                yield None
+            elif k % 3 == 1:
+                yield zero
+            else:
+                force = tuple(rng.uniform(-2.0, 2.0) for _ in range(dim))
+                moment = (rng.uniform(-0.3, 0.3) if dim == 2
+                          else tuple(rng.uniform(-0.3, 0.3) for _ in range(3)))
+                yield BodyWrench(force, moment)
+
+    def test_3d_successors_match_checked_construction_over_500_steps(self):
+        inertia = ((0.9, 0.12, -0.05), (0.12, 1.3, 0.08), (-0.05, 0.08, 0.7))
+        state = body3d((0.0, -0.0, 1.0), orientation=quat_normalize((0.9, 0.1, -0.3, 0.2)),
+                       velocity=(0.0, -0.0, -1.0), angular_velocity=(0.0, -0.0, 0.4),
+                       mass=1.7, inertia=inertia)
+        dt = 1e-3
+        gravity = (0.0, -0.0, -9.81)
+        config = SimConfig(dt=dt)
+        constants = _body_constants([state])
+        assert constants[0] == (1.0 / 1.7, mat3_inverse(inertia))
+        reference = state
+        for wrench in self._wrenches(3, 500, seed=5):
+            reference = _checked_successor(reference, wrench, dt, gravity)
+            (state,) = _integrate([state], [wrench], config, gravity, constants)
+            self._assert_bitwise_equal(state, reference)
+
+    def test_2d_successors_match_checked_construction(self):
+        state = body2d((0.0, -0.0), angle=-0.0, velocity=(-0.0, 0.0),
+                       angular_velocity=0.0, mass=2.3, inertia=0.37)
+        dt = 1e-3
+        gravity = (0.0, -9.81)
+        config = SimConfig(dt=dt)
+        reference = state
+        for wrench in self._wrenches(2, 500, seed=6):
+            reference = _checked_successor(reference, wrench, dt, gravity)
+            (state,) = _integrate([state], [wrench], config, gravity)
+            self._assert_bitwise_equal(state, reference)
+
+    def test_user_built_states_are_still_checked(self):
+        with pytest.raises(ValueError):
+            BodyState((0.0,), 0.0, (0.0,), 0.0, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            BodyState((0.0, 0.0), 0.0, (0.0, 0.0, 0.0), 0.0, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            body3d((0.0, 0.0, 0.0), orientation=(1.0, 0.1, 0.0, 0.0))
+        with pytest.raises(ValueError):
+            BodyState((0.0, 0.0, 0.0), 1.0, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0),
+                      1.0, 1.0)
+        for mass in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                body2d((0.0, 0.0), mass=mass)
+        with pytest.raises(ValueError):
+            replace(body2d((0.0, 0.0)), mass=-2.0)
+
+
+class TestConfigChecks:
+    @pytest.mark.parametrize("kwargs", [
+        {"dt": math.inf}, {"dt": math.nan}, {"dt": 0.0}, {"dt": -1e-3},
+        {"duration": math.inf}, {"duration": math.nan}, {"duration": 1e-4},
+    ])
+    def test_sim_config_rejects(self, kwargs):
+        with pytest.raises(ValueError):
+            SimConfig(**kwargs)
+
+    @pytest.mark.parametrize("name", ["stiffness", "damping", "friction", "v_scale"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_material_rejects_non_finite(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            MaterialParams(**{name: value})
+
+    def test_scenario_override_duration_is_checked(self):
+        with pytest.raises(ValueError, match="finite"):
+            run_scenario("circle-circle", SimConfig(), {"duration": math.inf})
+
+
 class TestCollisionResponse:
     def test_distant_pair_yields_no_wrench(self):
         config = SimConfig()
@@ -114,6 +248,20 @@ class TestCollisionResponse:
         colliding = [d for d in diagnostics if d.info.colliding]
         assert len(colliding) == 1 and colliding[0].pair == (0, 1)
 
+    def test_wrenches_sum_over_pairs(self):
+        config = SimConfig()
+        states = [body2d((-0.9, 0.05)), body2d((0.0, 0.0), angular_velocity=0.3),
+                  body2d((0.85, -0.1), velocity=(-0.2, 0.1))]
+        shapes = [Circle(0.5), Circle(0.5), Circle(0.5)]
+        wrenches, _ = collision_response(states, shapes, config)
+        left, _ = collision_response(states[:2], shapes[:2], config)
+        right, _ = collision_response(states[1:], shapes[1:], config)
+        middle = wrenches[1]
+        assert middle.force == (left[1].force[0] + right[0].force[0],
+                                left[1].force[1] + right[0].force[1])
+        assert middle.moment == left[1].moment + right[0].moment
+        assert wrenches[0] == left[0] and wrenches[2] == right[1]
+
     def test_unsupported_pairing_raises(self):
         config = SimConfig()
         states = [body3d((0.0, 0.0, 0.0)), body3d((1.0, 0.0, 0.0))]
@@ -132,6 +280,24 @@ class TestCollisionResponse:
         assert np.allclose(forward[0].force, reversed_[1].force, atol=1e-15)
         assert np.allclose(forward[1].force, reversed_[0].force, atol=1e-15)
         assert math.isclose(forward[0].moment, reversed_[1].moment, abs_tol=1e-15)
+
+    def test_default_material_resolved_once_per_run(self, monkeypatch):
+        scenario = build_scenario("circle-circle")
+        explicit = SimConfig(duration=0.7, material=MaterialParams())
+        expected, _ = run_world(scenario.bodies, scenario.shapes, explicit,
+                                scenario.gravity)
+        assert expected.events
+        made = []
+
+        def counting(*args, **kwargs):
+            made.append(MaterialParams(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(simulate, "MaterialParams", counting)
+        got, _ = run_world(scenario.bodies, scenario.shapes, SimConfig(duration=0.7),
+                           scenario.gravity)
+        assert len(made) == 1
+        assert got == expected
 
     def test_step_advances_states(self):
         config = SimConfig(dt=1e-3)
