@@ -275,8 +275,9 @@ class BodyState:
         """A state with new pose and velocities and this state's constants.
 
         Skips ``__post_init__``: the caller guarantees that the dimensions
-        match this state's and that a 3D orientation is a unit quaternion
-        (``quat_normalize`` output), so the invariants hold by construction.
+        match this state's and that a 3D orientation is a unit quaternion.
+        ``quat_normalize`` output is one only while the squared norm stays
+        finite, so the integrator checks its norm before calling this.
         """
         state = object.__new__(BodyState)
         # object.__setattr__ as in the generated __init__; writing to

@@ -62,53 +62,43 @@ def region_classify(q: Vec2, c1: float, c2: float) -> RegionClass:
     """Classify where a point lies relative to a centered rectangle.
 
     alpha and beta are the distances of the point beyond the rectangle's
-    sides (negative inside).  The inside diagonal case uses a tie tolerance
-    since exact float equality is measure-zero.
+    sides (negative inside).  The region is the one ``_rect_case`` picks, so
+    the classification and the detectors share one case table.
     """
-    alpha = abs(q[0]) - c1
-    beta = abs(q[1]) - c2
-    if alpha >= 0.0 and beta >= 0.0:
-        region = Region.CORNER_OUTSIDE
-    elif alpha < 0.0 and beta >= 0.0:
-        region = Region.TOP_BOTTOM_OUTSIDE
-    elif alpha >= 0.0 and beta < 0.0:
-        region = Region.LEFT_RIGHT_OUTSIDE
-    elif abs(alpha - beta) < EPS_TIE:
-        region = Region.INSIDE_DIAGONAL
-    elif alpha > beta:
-        region = Region.INSIDE_NEAR_LR
-    else:
-        region = Region.INSIDE_NEAR_TB
-    return RegionClass(alpha, beta, region)
+    region, _, _ = _rect_case(q[0], q[1], c1, c2)
+    return RegionClass(abs(q[0]) - c1, abs(q[1]) - c2, region)
 
 
-def _rect_case(q0: float, q1: float, c1: float, c2: float) -> tuple[Vec2, Vec2]:
-    """Closest rectangle boundary point to (q0, q1) and the raw outward normal.
+def _rect_case(q0: float, q1: float, c1: float, c2: float
+               ) -> tuple[Region, Vec2, Vec2]:
+    """The region case table: where (q0, q1) lies relative to a centered
+    rectangle, the closest boundary point and the raw outward normal.
 
-    Follows the region case table of ``region_classify`` branch by branch;
-    the raw normal is unnormalized in the corner and diagonal cases.
+    The raw normal is unnormalized in the corner and diagonal cases.  The
+    inside diagonal case uses a tie tolerance since exact float equality of
+    the two depth gaps is measure-zero.
     """
     alpha = abs(q0) - c1
     beta = abs(q1) - c2
     sx = 1.0 if q0 >= 0.0 else -1.0
     sy = 1.0 if q1 >= 0.0 else -1.0
-    if alpha >= 0.0 and beta >= 0.0:  # corner outside
+    if alpha >= 0.0 and beta >= 0.0:
         corner = (sx * c1, sy * c2)
-        return corner, corner
-    if alpha < 0.0 and beta >= 0.0:  # top/bottom outside
-        return (q0, sy * c2), (0.0, sy)
-    if alpha >= 0.0 and beta < 0.0:  # left/right outside
-        return (sx * c1, q1), (sx, 0.0)
-    if abs(alpha - beta) < EPS_TIE:  # inside, on the diagonal
-        return (sx * c1, sy * c2), (sx, sy)
-    if alpha > beta:  # inside, nearer the left/right edges
-        return (sx * c1, q1), (sx, 0.0)
-    return (q0, sy * c2), (0.0, sy)  # inside, nearer the top/bottom edges
+        return Region.CORNER_OUTSIDE, corner, corner
+    if alpha < 0.0 and beta >= 0.0:
+        return Region.TOP_BOTTOM_OUTSIDE, (q0, sy * c2), (0.0, sy)
+    if alpha >= 0.0 and beta < 0.0:
+        return Region.LEFT_RIGHT_OUTSIDE, (sx * c1, q1), (sx, 0.0)
+    if abs(alpha - beta) < EPS_TIE:
+        return Region.INSIDE_DIAGONAL, (sx * c1, sy * c2), (sx, sy)
+    if alpha > beta:
+        return Region.INSIDE_NEAR_LR, (sx * c1, q1), (sx, 0.0)
+    return Region.INSIDE_NEAR_TB, (q0, sy * c2), (0.0, sy)
 
 
 def rect_mdp(q: Vec2, c1: float, c2: float) -> Vec2:
     """Boundary point of the rectangle closest to q, per the region case table."""
-    return _rect_case(q[0], q[1], c1, c2)[0]
+    return _rect_case(q[0], q[1], c1, c2)[1]
 
 
 def circle_mdp(p_tilde: Vec2, q: Vec2, radius: float) -> Vec2:
@@ -141,7 +131,7 @@ def rect_circle_normal(q: Vec2, c1: float, c2: float) -> tuple[Vec2, Vec2]:
     normalized before use; the tangent is the +90 degree rotation of the
     normal (out-of-plane axis cross normal).
     """
-    n = normalize(_rect_case(q[0], q[1], c1, c2)[1])
+    n = normalize(_rect_case(q[0], q[1], c1, c2)[2])
     return n, perp(n)
 
 
@@ -160,7 +150,7 @@ def detect_rect_circle(state_a: BodyState, rect: Rectangle,
     q0 = c * rx + s * ry  # circle center in the rectangle frame
     q1 = -s * rx + c * ry
 
-    p_tilde, raw = _rect_case(q0, q1, c1, c2)
+    _, p_tilde, raw = _rect_case(q0, q1, c1, c2)
     nx, ny = normalize(raw)
 
     px, py = p_tilde

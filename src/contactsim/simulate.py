@@ -147,19 +147,18 @@ def _detect_pair(backend: Backend, state_a: BodyState, shape_a: Shape,
     return info.flipped() if swapped else info
 
 
+# material of pairs the config gives none; frozen, so one instance serves all
+_DEFAULT_MATERIAL = MaterialParams()
+
+
 def collision_response(states, shapes, config: SimConfig,
-                       contexts: Optional[Dict] = None,
-                       material: Optional[MaterialParams] = None
+                       contexts: Optional[Dict] = None
                        ) -> Tuple[List[Optional[BodyWrench]], List[PairDiagnostic]]:
     """Detect and resolve every pair; returns per-body wrenches and diagnostics.
 
     Non-colliding pairs contribute no wrench but their proximity is kept in
     the diagnostics.  Wrenches accumulate per body in pair order.
-    ``material`` is the material of pairs without an entry in
-    ``config.pair_materials``; None resolves it from the config.
     """
-    if material is None:
-        material = _run_material(config)
     backend = config.backend
     warm = contexts is not None and backend is Backend.CO
     n = len(states)
@@ -178,8 +177,9 @@ def collision_response(states, shapes, config: SimConfig,
             kin = relative_velocity_at_contact(states[i], info.anchor_a,
                                                states[j], info.anchor_b,
                                                info.normal, info.tangent)
-            f_n, f_t = contact_force(info.rho, kin,
-                                     config.pair_materials.get(pair) or material)
+            material = config.pair_materials.get(pair) or config.material \
+                or _DEFAULT_MATERIAL
+            f_n, f_t = contact_force(info.rho, kin, material)
             wrench_i, wrench_j = wrench_on_bodies(f_n, f_t, info.normal,
                                                   info.tangent, info.anchor_a,
                                                   info.anchor_b)
@@ -204,11 +204,6 @@ def collision_response(states, shapes, config: SimConfig,
     return wrenches, diagnostics
 
 
-def _run_material(config: SimConfig) -> MaterialParams:
-    """The material of every pair the config gives no material of its own."""
-    return config.material if config.material is not None else MaterialParams()
-
-
 def _body_constants(states) -> List[Optional[tuple]]:
     """Per-body integration constants, fixed over a run.
 
@@ -231,9 +226,10 @@ def _integrate(states, wrenches, config: SimConfig, gravity: Vec,
     """Semi-implicit Euler update: velocities first, then poses.
 
     ``constants`` are the bodies' ``_body_constants``; None computes them.
-    Successors are built without the construction checks, whose invariants
-    already hold: dimensions, mass and inertia are carried over, and a 3D
-    orientation is ``quat_normalize`` output.
+    Successors are built without the construction checks: dimensions, mass
+    and inertia are carried over, and a 3D orientation is ``quat_normalize``
+    output, whose norm is checked here because it is not a unit quaternion
+    once the components overflow.
     """
     if constants is None:
         constants = _body_constants(states)
@@ -278,6 +274,9 @@ def _integrate(states, wrenches, config: SimConfig, gravity: Vec,
                                       q[1] + half_dt * spin[1],
                                       q[2] + half_dt * spin[2],
                                       q[3] + half_dt * spin[3]))
+        o0, o1, o2, o3 = orientation
+        if not abs(math.sqrt(o0 * o0 + o1 * o1 + o2 * o2 + o3 * o3) - 1.0) <= 1e-9:
+            raise ValueError("quaternion must be normalized")
         new_states.append(state._successor(
             (position[0] + dt * vx, position[1] + dt * vy, position[2] + dt * vz),
             orientation, (vx, vy, vz), omega))
@@ -303,10 +302,12 @@ def run_world(states, shapes, config: SimConfig, gravity: Vec
     """
     dt = config.dt
     duration = config.duration if config.duration is not None else 2.0
-    n_steps = max(1, round(duration / dt))
+    steps = duration / dt
+    if not math.isfinite(steps):
+        raise ValueError(f"duration / dt must be finite, got {duration} / {dt}")
+    n_steps = max(1, round(steps))
     states = list(states)
     constants = _body_constants(states)
-    material = _run_material(config)
     contexts: Dict = {}
     samples = [(0.0, tuple(states))]
     events: List[ContactEvent] = []
@@ -315,8 +316,7 @@ def run_world(states, shapes, config: SimConfig, gravity: Vec
     t_start = time.perf_counter()
     for k in range(n_steps):
         t = k * dt
-        wrenches, diagnostics = collision_response(states, shapes, config,
-                                                   contexts, material)
+        wrenches, diagnostics = collision_response(states, shapes, config, contexts)
         for diag in diagnostics:
             info = diag.info
             if info.colliding:
@@ -349,14 +349,11 @@ def run_scenario_timed(name: str, config: Optional[SimConfig] = None,
     """Like run_scenario but also returns the stepping-loop wall time."""
     scenario = build_scenario(name, overrides)
     config = config or SimConfig()
-    # replace re-runs the config checks on the scenario's defaults too
-    effective = replace(
-        config,
-        material=config.material if config.material is not None
-        else scenario.material,
-        duration=config.duration if config.duration is not None
-        else scenario.duration,
-    )
+    effective = replace(config)
+    if effective.material is None:
+        effective.material = scenario.material
+    if effective.duration is None:
+        effective.duration = scenario.duration
     gravity = config.gravity if config.gravity is not None else scenario.gravity
     return run_world(scenario.bodies, scenario.shapes, effective, gravity)
 

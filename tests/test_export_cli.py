@@ -240,6 +240,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert "finite" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["--dt", "1e-300", "--duration", "1e10"],
+        ["--dt", "1e-320"],
+    ])
+    def test_step_count_overflow_is_usage_error(self, argv, capsys):
+        code = main(["simulate", "--scenario", "circle-circle", "--backend",
+                     "sat"] + argv)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "finite" in err and "Traceback" not in err
+
+    def test_step_longer_than_scenario_duration_runs(self, capsys):
+        code = main(["simulate", "--scenario", "circle-circle", "--backend",
+                     "sat", "--dt", "2.5"])
+        assert code == 0
+        assert "2 samples" in capsys.readouterr().out
+
     @pytest.mark.parametrize("text", [
         '{"duration": 1e400}',
         '{"dt": 1e400}',

@@ -87,6 +87,41 @@ class TestRectMdp:
             assert abs(abs(x) - c1) < 1e-12 or abs(abs(y) - c2) < 1e-12
 
 
+class TestCaseTable:
+    """rect_mdp and rect_circle_normal follow the region region_classify names."""
+
+    @staticmethod
+    def _expected(q, c1, c2, region):
+        sx = 1.0 if q[0] >= 0.0 else -1.0
+        sy = 1.0 if q[1] >= 0.0 else -1.0
+        if region is Region.CORNER_OUTSIDE:
+            return (sx * c1, sy * c2), (sx * c1, sy * c2)
+        if region is Region.INSIDE_DIAGONAL:
+            return (sx * c1, sy * c2), (sx, sy)
+        if region in (Region.TOP_BOTTOM_OUTSIDE, Region.INSIDE_NEAR_TB):
+            return (q[0], sy * c2), (0.0, sy)
+        return (sx * c1, q[1]), (sx, 0.0)
+
+    def test_grid_with_ties_edges_and_signed_zeros(self):
+        c1, c2 = 2.0, 1.0
+        coords = (0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 1.2, -1.2, 1.5, -1.5,
+                  2.0, -2.0, 3.0, -3.0)
+        seen = set()
+        for x in coords:
+            for y in coords + (0.2, -0.2):
+                q = (x, y)
+                region = region_classify(q, c1, c2).region
+                seen.add(region)
+                point, raw = self._expected(q, c1, c2, region)
+                got = rect_mdp(q, c1, c2)
+                assert [v.hex() for v in got] == [v.hex() for v in point], q
+                norm = math.hypot(*raw)
+                n, t = rect_circle_normal(q, c1, c2)
+                assert n == (raw[0] / norm, raw[1] / norm), q
+                assert t == (-n[1], n[0]), q
+        assert seen == set(Region)
+
+
 class TestCircleMdp:
     def test_collinear(self):
         assert circle_mdp((1.0, 0.0), (3.0, 0.0), 1.0) == (2.0, 0.0)

@@ -5,7 +5,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from contactsim import simulate
 from contactsim.convex import SolverSettings
 from contactsim.errors import UnknownScenario, UnsupportedPair
 from contactsim.geometry import (
@@ -214,6 +213,27 @@ class TestConfigChecks:
         with pytest.raises(ValueError, match="finite"):
             run_scenario("circle-circle", SimConfig(), {"duration": math.inf})
 
+    @pytest.mark.parametrize("config", [
+        SimConfig(dt=1e-300, duration=1e10),
+        SimConfig(dt=1e-320),
+    ])
+    def test_step_count_overflow_is_rejected(self, config):
+        scenario = build_scenario("circle-circle")
+        with pytest.raises(ValueError, match="finite"):
+            run_world(scenario.bodies, scenario.shapes, config, scenario.gravity)
+        with pytest.raises(ValueError, match="finite"):
+            run_scenario("circle-circle", config)
+
+    def test_step_longer_than_scenario_duration_runs_one_step(self):
+        trajectory = run_scenario("circle-circle", SimConfig(dt=2.5))
+        assert [t for t, _ in trajectory.samples] == [0.0, 2.5]
+
+    def test_overflowing_quaternion_is_rejected(self):
+        # the squared norm overflows, so quat_normalize returns no unit quaternion
+        states = [body3d((0.0, 0.0, 0.0), angular_velocity=(1e300, 0.0, 0.0))]
+        with pytest.raises(ValueError, match="normalized"):
+            _integrate(states, [None], SimConfig(), (0.0, 0.0, 0.0))
+
 
 class TestCollisionResponse:
     def test_distant_pair_yields_no_wrench(self):
@@ -281,22 +301,23 @@ class TestCollisionResponse:
         assert np.allclose(forward[1].force, reversed_[0].force, atol=1e-15)
         assert math.isclose(forward[0].moment, reversed_[1].moment, abs_tol=1e-15)
 
-    def test_default_material_resolved_once_per_run(self, monkeypatch):
+    def test_default_material_is_not_built_per_contact(self, monkeypatch):
         scenario = build_scenario("circle-circle")
         explicit = SimConfig(duration=0.7, material=MaterialParams())
         expected, _ = run_world(scenario.bodies, scenario.shapes, explicit,
                                 scenario.gravity)
         assert expected.events
-        made = []
+        built = []
+        check = MaterialParams.__post_init__
 
-        def counting(*args, **kwargs):
-            made.append(MaterialParams(*args, **kwargs))
-            return made[-1]
+        def counting(self):
+            built.append(self)
+            check(self)
 
-        monkeypatch.setattr(simulate, "MaterialParams", counting)
+        monkeypatch.setattr(MaterialParams, "__post_init__", counting)
         got, _ = run_world(scenario.bodies, scenario.shapes, SimConfig(duration=0.7),
                            scenario.gravity)
-        assert len(made) == 1
+        assert built == []
         assert got == expected
 
     def test_step_advances_states(self):
