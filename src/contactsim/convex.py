@@ -9,6 +9,13 @@ circles/spheres, half-extent erosion for rectangles), so the solver keeps a
 positive surrogate separation while the true shapes overlap by up to ``b``.
 Deeper penetrations cannot be measured and are reported as saturated.
 
+Start points: a box–ball solve starts from the ball center, so its first
+clamp is the box point nearest that center and the following projection onto
+the ball completes the exact minimum-distance pair (two iterations).  A
+ball–ball solve starts from the projection of the first center onto the
+second ball, also exact after one sweep.  Only box–box starts from a warm
+start, the previous step's solution kept in the pair's ``PairContext``.
+
 The general quadratic-program form behind this (minimize a quadratic cost
 subject to linear and norm inequality constraints) is documented here only;
 the solver addresses the concrete box/ball instances directly.
@@ -26,20 +33,15 @@ from .geometry import (
     BodyState,
     Circle,
     Cuboid,
-    Quat,
     Rectangle,
     Sphere,
     Vec,
     Vec2,
+    Vec3,
     add,
-    cross3,
     distance,
-    norm,
-    normalize,
     perp,
-    quat_rotate,
-    quat_rotate_inv,
-    relative_center,
+    quat_to_matrix,
     rot2_apply,
     rot2_apply_t,
     scale,
@@ -87,7 +89,12 @@ class SolverResult:
 
 @dataclass
 class PairContext:
-    """Warm-start cache owned by a single simulation stepper, one per pair."""
+    """Solver state owned by a single simulation stepper, one per pair.
+
+    Every call records its iteration count in ``last_iterations``; only a
+    box-box pair keeps its solution, pose and normal for the next step's
+    warm start.
+    """
 
     last_q_star: Optional[Vec] = None
     last_pose: Optional[tuple] = None
@@ -124,46 +131,30 @@ def _alternating_projections(
     project_second: Callable[[Vec], Vec],
     start: Vec,
     settings: SolverSettings,
-    distance_stall: bool = False,
 ) -> SolverResult:
-    """Alternate exact projections until both iterates stall below tol.
+    """Alternate exact projections until the iterates or the distance stall.
 
     The pair distance is Fejer-monotone (each exact projection cannot
     increase it), so the displacement test terminates for convex sets;
     disjoint sets yield the unique minimum-distance pair, intersecting sets
-    a common point at distance zero.
-
-    ``distance_stall`` additionally accepts convergence once the pair
-    distance itself stops improving.  Two boxes with nearly parallel faces
+    a common point at distance zero.  Two boxes with nearly parallel faces
     have a near-flat set of minimizers: the iterates keep creeping along the
     faces (displacement above tol) long after the distance has converged, so
-    the flat-flat driver stops on distance stagnation instead.  Strictly
-    convex sets (balls) never need this and keep the pure displacement test.
+    the box-box solve also stops once the pair distance stops improving.
     """
-    history = [] if settings.record_history else None
-    q = start
     p_prev: Optional[Vec] = None
-    q_prev = q
+    q_prev = start
     d_prev = math.inf
     displacement = math.inf
     for iteration in range(1, settings.max_iters + 1):
         p = project_first(q_prev)
         q = project_second(p)
         d = distance(p, q)
-        if history is not None:
-            history.append(d)
         if p_prev is not None:
             displacement = max(distance(p, p_prev), distance(q, q_prev))
-            stalled = distance_stall and abs(d_prev - d) < settings.tol
-            if displacement < settings.tol or stalled:
-                return SolverResult(
-                    p_tilde=p,
-                    q_star=q,
-                    phi_star=d,
-                    iterations=iteration,
-                    converged=True,
-                    history=tuple(history) if history is not None else None,
-                )
+            if displacement < settings.tol or abs(d_prev - d) < settings.tol:
+                return SolverResult(p_tilde=p, q_star=q, phi_star=d,
+                                    iterations=iteration, converged=True)
         p_prev, q_prev, d_prev = p, q, d
     raise NotConverged(settings.max_iters, displacement)
 
@@ -175,22 +166,140 @@ def min_distance_pair(
     settings: Optional[SolverSettings] = None,
     initial: Optional[Vec] = None,
 ) -> SolverResult:
-    """Minimum-distance pair between a centered box and a ball.
+    """Minimum-distance pair between a centered 2D or 3D box and a ball.
 
-    Works in any dimension matching ``half_extents``.  The default starting
-    iterate is the projection of the box center onto the ball; ``initial``
-    overrides it for warm starts.
+    The default starting iterate is the ball center: its clamp onto the box
+    is the box point nearest the ball, so the pair is exact after two
+    iterations.  ``initial`` overrides the start.
     """
     settings = settings or SolverSettings()
-    ext = tuple(float(e) for e in half_extents)
-    origin = tuple(0.0 for _ in ext)
-    start = initial if initial is not None else project_onto_ball(origin, center, radius)
-    return _alternating_projections(
-        lambda q: _clamp_box(q, ext),
-        lambda p: project_onto_ball(p, center, radius),
-        start,
-        settings,
+    start = center if initial is None else initial
+    if len(half_extents) == 2:
+        c1, c2 = half_extents
+        px, py, _, qx, qy, _, d, iterations, history = _box_ball(
+            float(c1), float(c2), 0.0, center[0], center[1], 0.0, radius,
+            start[0], start[1], 0.0, settings)
+        p_tilde, q_star = (px, py), (qx, qy)
+    elif len(half_extents) == 3:
+        c1, c2, c3 = half_extents
+        px, py, pz, qx, qy, qz, d, iterations, history = _box_ball(
+            float(c1), float(c2), float(c3), center[0], center[1], center[2],
+            radius, start[0], start[1], start[2], settings)
+        p_tilde, q_star = (px, py, pz), (qx, qy, qz)
+    else:
+        raise ValueError(f"box must be 2D or 3D, got {len(half_extents)} half-extents")
+    return SolverResult(
+        p_tilde=p_tilde,
+        q_star=q_star,
+        phi_star=d,
+        iterations=iterations,
+        converged=True,
+        history=tuple(history) if history is not None else None,
     )
+
+
+# The box-ball and ball-ball solves alternate the same exact projections in
+# scalar arithmetic, each operation in the order the tuple helpers use, and
+# stop on the displacement test alone (balls are strictly convex).  Their
+# ball projection is the exact one onto the solid ball: a point inside, its
+# center included, stays where it is.
+
+def _box_ball(c1: float, c2: float, c3: float, cx: float, cy: float,
+              cz: float, r: float, x: float, y: float, z: float,
+              settings: SolverSettings) -> tuple:
+    """Box |x| <= c1, |y| <= c2, |z| <= c3 against the ball of radius r at
+    (cx, cy, cz), from the ball iterate (x, y, z).
+
+    Returns the box point, the ball point, their distance, the iteration
+    count and the distance history (None unless ``settings.record_history``).
+    A 2D box runs as c3 = cz = z = 0.0: every z term is then +0.0, which
+    leaves each x and y result bit for bit as 2D arithmetic gives it.
+    """
+    history = [] if settings.record_history else None
+    tol = settings.tol
+    m1, m2, m3 = -c1, -c2, -c3
+    displacement = math.inf
+    px_prev = py_prev = pz_prev = 0.0
+    for iteration in range(1, settings.max_iters + 1):
+        px = m1 if x < m1 else (x if x < c1 else c1)
+        py = m2 if y < m2 else (y if y < c2 else c2)
+        pz = m3 if z < m3 else (z if z < c3 else c3)
+        dx = px - cx
+        dy = py - cy
+        dz = pz - cz
+        dist = math.sqrt(dx * dx + dy * dy + dz * dz)
+        if dist <= r:
+            qx, qy, qz = px, py, pz
+        else:
+            k = r / dist
+            qx = cx + dx * k
+            qy = cy + dy * k
+            qz = cz + dz * k
+        ex = px - qx
+        ey = py - qy
+        ez = pz - qz
+        d = math.sqrt(ex * ex + ey * ey + ez * ez)
+        if history is not None:
+            history.append(d)
+        if iteration > 1:
+            ex = px - px_prev
+            ey = py - py_prev
+            ez = pz - pz_prev
+            step_p = math.sqrt(ex * ex + ey * ey + ez * ez)
+            ex = qx - x
+            ey = qy - y
+            ez = qz - z
+            step_q = math.sqrt(ex * ex + ey * ey + ez * ez)
+            displacement = step_q if step_q > step_p else step_p
+            if displacement < tol:
+                return px, py, pz, qx, qy, qz, d, iteration, history
+        px_prev, py_prev, pz_prev, x, y, z = px, py, pz, qx, qy, qz
+    raise NotConverged(settings.max_iters, displacement)
+
+
+def _ball_ball_2d(ra: float, cx: float, cy: float, r: float, x: float,
+                  y: float, settings: SolverSettings) -> tuple:
+    """Ball of radius ra at the origin against the ball of radius r at (cx, cy).
+
+    ``(x, y)`` is the starting iterate on the second ball.  Returns the two
+    points, their distance and the iteration count.
+    """
+    tol = settings.tol
+    displacement = math.inf
+    px_prev = py_prev = 0.0
+    for iteration in range(1, settings.max_iters + 1):
+        dist = math.sqrt(x * x + y * y)
+        if dist <= ra:
+            px, py = x, y
+        else:
+            k = ra / dist
+            # 0.0 + keeps the zero sign of the generic add to the origin
+            px = 0.0 + x * k
+            py = 0.0 + y * k
+        dx = px - cx
+        dy = py - cy
+        dist = math.sqrt(dx * dx + dy * dy)
+        if dist <= r:
+            qx, qy = px, py
+        else:
+            k = r / dist
+            qx = cx + dx * k
+            qy = cy + dy * k
+        ex = px - qx
+        ey = py - qy
+        d = math.sqrt(ex * ex + ey * ey)
+        if iteration > 1:
+            ex = px - px_prev
+            ey = py - py_prev
+            step_p = math.sqrt(ex * ex + ey * ey)
+            ex = qx - x
+            ey = qy - y
+            step_q = math.sqrt(ex * ex + ey * ey)
+            displacement = step_q if step_q > step_p else step_p
+            if displacement < tol:
+                return px, py, qx, qy, d, iteration
+        px_prev, py_prev, x, y = px, py, qx, qy
+    raise NotConverged(settings.max_iters, displacement)
 
 
 def rho_from_surrogate(phi_star: float, b: float) -> tuple[float, bool]:
@@ -220,10 +329,22 @@ def normal_tangent(p_tilde: Vec, q_star: Vec) -> tuple[Vec, Vec]:
     n = scale(sub(q_star, p_tilde), 1.0 / d)
     if len(n) == 2:
         return n, perp(n)
-    t = cross3((0.0, 0.0, 1.0), n)
-    if norm(t) < EPS_DEGENERATE:
-        t = cross3((1.0, 0.0, 0.0), n)
-    return n, normalize(t)
+    return n, _tangent3(*n)
+
+
+def _tangent3(nx: float, ny: float, nz: float) -> Vec3:
+    """Unit tangent of a 3D unit normal: e3 x n, or e1 x n when parallel."""
+    tx = 0.0 * nz - ny
+    ty = nx - 0.0 * nz
+    tz = 0.0 * ny - 0.0 * nx
+    t = math.sqrt(tx * tx + ty * ty + tz * tz)
+    if t < EPS_DEGENERATE:
+        tx = 0.0 * nz - 0.0 * ny
+        ty = 0.0 * nx - nz
+        tz = ny - 0.0 * nx
+        t = math.sqrt(tx * tx + ty * ty + tz * tz)
+    inv = 1.0 / t
+    return (tx * inv, ty * inv, tz * inv)
 
 
 # ---------------------------------------------------------------------------
@@ -232,20 +353,27 @@ def normal_tangent(p_tilde: Vec, q_star: Vec) -> tuple[Vec, Vec]:
 def detect_convex(state_a: BodyState, shape_a, state_b: BodyState, shape_b,
                   settings: Optional[SolverSettings] = None,
                   context: Optional[PairContext] = None) -> ContactInfo:
-    """Convex-program narrow phase for the four supported shape pairings."""
-    settings = settings or SolverSettings()
-    if isinstance(shape_a, Rectangle) and isinstance(shape_b, Circle):
-        return _convex_rect_circle(state_a, shape_a, state_b, shape_b, settings, context)
-    if isinstance(shape_a, Circle) and isinstance(shape_b, Circle):
-        return _convex_circle_circle(state_a, shape_a, state_b, shape_b, settings, context)
-    if isinstance(shape_a, Rectangle) and isinstance(shape_b, Rectangle):
-        return _convex_rect_rect(state_a, shape_a, state_b, shape_b, settings, context)
-    if isinstance(shape_a, Cuboid) and isinstance(shape_b, Sphere):
-        return _convex_cuboid_sphere(state_a, shape_a, state_b, shape_b, settings, context)
-    raise UnsupportedPair(
-        f"convex backend does not support {type(shape_a).__name__}-"
-        f"{type(shape_b).__name__}"
-    )
+    """Convex-program narrow phase for the four supported shape pairings.
+
+    A ``NotConverged`` from the solver is raised again with the pairing and
+    both bodies' position and orientation.
+    """
+    entry = _PAIRINGS.get((type(shape_a), type(shape_b)))
+    if entry is None:
+        raise UnsupportedPair(
+            f"convex backend does not support {type(shape_a).__name__}-"
+            f"{type(shape_b).__name__}"
+        )
+    pairing, detect = entry
+    try:
+        return detect(state_a, shape_a, state_b, shape_b,
+                      settings or SolverSettings(), context)
+    except NotConverged as exc:
+        raise NotConverged(
+            exc.iterations, exc.displacement, pairing,
+            (state_a.position, state_a.orientation),
+            (state_b.position, state_b.orientation),
+        ) from None
 
 
 def _resolve_margin(settings: SolverSettings, limit: float, what: str) -> float:
@@ -273,16 +401,6 @@ def _warm_start(context: Optional[PairContext], pose: tuple, b: float) -> Option
     return None
 
 
-def _remember(context: Optional[PairContext], pose: tuple, q_star: Vec,
-              normal_world: Vec, iterations: int) -> None:
-    if context is None:
-        return
-    context.last_q_star = q_star
-    context.last_pose = pose
-    context.last_normal = normal_world
-    context.last_iterations = iterations
-
-
 def _convex_rect_circle(state_a: BodyState, rect: Rectangle, state_b: BodyState,
                         circle: Circle, settings: SolverSettings,
                         context: Optional[PairContext]) -> ContactInfo:
@@ -290,36 +408,50 @@ def _convex_rect_circle(state_a: BodyState, rect: Rectangle, state_b: BodyState,
     radius = circle.radius
     b = _resolve_margin(settings, radius, "circle shrink")
     theta = state_a.orientation
-    q = relative_center(state_a.position, theta, state_b.position)
-    pose = (state_a.position, theta, state_b.position)
+    c = math.cos(theta)
+    s = math.sin(theta)
+    pa = state_a.position
+    pb = state_b.position
+    rx = pb[0] - pa[0]
+    ry = pb[1] - pa[1]
+    q0 = c * rx + s * ry  # circle center in the rectangle frame
+    q1 = -s * rx + c * ry
 
-    result = min_distance_pair((c1, c2), q, radius - b, settings,
-                               initial=_warm_start(context, pose, b))
-    rho, saturated = rho_from_surrogate(result.phi_star, b)
-    phi = result.phi_star - b
-    try:
-        n_local, t_local = normal_tangent(result.p_tilde, result.q_star)
-    except DegenerateDirection:
-        n_local, t_local = rect_circle_normal(q, c1, c2)
+    px, py, _, qx, qy, _, phi_star, iterations, _ = _box_ball(
+        c1, c2, 0.0, q0, q1, 0.0, radius - b, q0, q1, 0.0, settings)
+    rho, saturated = rho_from_surrogate(phi_star, b)
+    if phi_star < EPS_DEGENERATE:
+        (nx, ny), _ = rect_circle_normal((q0, q1), c1, c2)
+    else:
+        inv = 1.0 / phi_star
+        nx = (qx - px) * inv
+        ny = (qy - py) * inv
+    tx, ty = -ny, nx
 
     # minimum-distance point and force anchor on the true (unshrunk) circle
-    d = distance(result.p_tilde, q)
-    u = scale(sub(result.p_tilde, q), 1.0 / d) if d >= EPS_DEGENERATE else n_local
-    q_tilde = add(q, scale(u, radius))
-    q_m = scale(u, radius)
+    dx = px - q0
+    dy = py - q1
+    d = math.sqrt(dx * dx + dy * dy)
+    if d >= EPS_DEGENERATE:
+        inv = 1.0 / d
+        mx = dx * inv * radius
+        my = dy * inv * radius
+    else:
+        mx = nx * radius
+        my = ny * radius
 
-    normal_world = rot2_apply_t(theta, n_local)
-    _remember(context, pose, result.q_star, normal_world, result.iterations)
+    if context is not None:
+        context.last_iterations = iterations
     return ContactInfo(
         colliding=rho > 0.0,
-        phi=phi,
+        phi=phi_star - b,
         rho=rho,
-        p_tilde=result.p_tilde,
-        q_tilde=q_tilde,
-        anchor_a=rot2_apply_t(theta, result.p_tilde),
-        anchor_b=rot2_apply_t(theta, q_m),
-        normal=normal_world,
-        tangent=rot2_apply_t(theta, t_local),
+        p_tilde=(px, py),
+        q_tilde=(q0 + mx, q1 + my),
+        anchor_a=(c * px - s * py, s * px + c * py),
+        anchor_b=(c * mx - s * my, s * mx + c * my),
+        normal=(c * nx - s * ny, s * nx + c * ny),
+        tangent=(c * tx - s * ty, s * tx + c * ty),
         saturated=saturated,
     )
 
@@ -330,46 +462,63 @@ def _convex_circle_circle(state_a: BodyState, circle_a: Circle, state_b: BodySta
     ra, rb = circle_a.radius, circle_b.radius
     b = _resolve_margin(settings, rb, "circle shrink")
     theta = state_a.orientation
-    q = relative_center(state_a.position, theta, state_b.position)
-    pose = (state_a.position, theta, state_b.position)
-    origin = (0.0, 0.0)
+    c = math.cos(theta)
+    s = math.sin(theta)
+    pa = state_a.position
+    pb = state_b.position
+    rx = pb[0] - pa[0]
+    ry = pb[1] - pa[1]
+    q0 = c * rx + s * ry  # second center in the first body's frame
+    q1 = -s * rx + c * ry
     rb_star = rb - b
 
-    start = _warm_start(context, pose, b)
-    if start is None:
-        start = project_onto_ball(origin, q, rb_star)
-    result = _alternating_projections(
-        lambda y: project_onto_ball(y, origin, ra),
-        lambda p: project_onto_ball(p, q, rb_star),
-        start,
-        settings,
-    )
-    rho, saturated = rho_from_surrogate(result.phi_star, b)
-    phi = result.phi_star - b
-    try:
-        n_local, t_local = normal_tangent(result.p_tilde, result.q_star)
-    except DegenerateDirection:
-        d_centers = norm(q)
-        n_local = scale(q, 1.0 / d_centers) if d_centers >= EPS_DEGENERATE else (1.0, 0.0)
-        t_local = perp(n_local)
+    # start: the first center projected onto the shrunk second ball (the
+    # center itself when it lies inside)
+    d_centers = math.sqrt(q0 * q0 + q1 * q1)
+    if d_centers <= rb_star:
+        x, y = 0.0, 0.0
+    else:
+        k = rb_star / d_centers
+        x = q0 + (0.0 - q0) * k
+        y = q1 + (0.0 - q1) * k
+    px, py, qx, qy, phi_star, iterations = _ball_ball_2d(
+        ra, q0, q1, rb_star, x, y, settings)
+    rho, saturated = rho_from_surrogate(phi_star, b)
+    if phi_star >= EPS_DEGENERATE:
+        inv = 1.0 / phi_star
+        nx = (qx - px) * inv
+        ny = (qy - py) * inv
+    elif d_centers >= EPS_DEGENERATE:
+        inv = 1.0 / d_centers
+        nx = q0 * inv
+        ny = q1 * inv
+    else:
+        nx, ny = 1.0, 0.0
+    tx, ty = -ny, nx
 
-    d = distance(result.p_tilde, q)
-    u = scale(sub(result.p_tilde, q), 1.0 / d) if d >= EPS_DEGENERATE else scale(n_local, -1.0)
-    q_tilde = add(q, scale(u, rb))
-    q_m = scale(u, rb)
+    dx = px - q0
+    dy = py - q1
+    d = math.sqrt(dx * dx + dy * dy)
+    if d >= EPS_DEGENERATE:
+        inv = 1.0 / d
+        mx = dx * inv * rb
+        my = dy * inv * rb
+    else:
+        mx = -nx * rb
+        my = -ny * rb
 
-    normal_world = rot2_apply_t(theta, n_local)
-    _remember(context, pose, result.q_star, normal_world, result.iterations)
+    if context is not None:
+        context.last_iterations = iterations
     return ContactInfo(
         colliding=rho > 0.0,
-        phi=phi,
+        phi=phi_star - b,
         rho=rho,
-        p_tilde=result.p_tilde,
-        q_tilde=q_tilde,
-        anchor_a=rot2_apply_t(theta, result.p_tilde),
-        anchor_b=rot2_apply_t(theta, q_m),
-        normal=normal_world,
-        tangent=rot2_apply_t(theta, t_local),
+        p_tilde=(px, py),
+        q_tilde=(q0 + mx, q1 + my),
+        anchor_a=(c * px - s * py, s * px + c * py),
+        anchor_b=(c * mx - s * my, s * mx + c * my),
+        normal=(c * nx - s * ny, s * nx + c * ny),
+        tangent=(c * tx - s * ty, s * tx + c * ty),
         saturated=saturated,
     )
 
@@ -406,7 +555,6 @@ def _convex_rect_rect(state_a: BodyState, rect_a: Rectangle, state_b: BodyState,
         project_b,
         start,
         settings,
-        distance_stall=True,
     )
     rho, saturated = rho_from_surrogate(result.phi_star, b)
     phi = result.phi_star - b
@@ -453,7 +601,11 @@ def _convex_rect_rect(state_a: BodyState, rect_a: Rectangle, state_b: BodyState,
         anchor_b = rot2_apply_t(theta_a, q_m)
 
     normal_world = rot2_apply_t(theta_a, n_local)
-    _remember(context, pose, result.q_star, normal_world, result.iterations)
+    if context is not None:
+        context.last_q_star = result.q_star
+        context.last_pose = pose
+        context.last_normal = normal_world
+        context.last_iterations = result.iterations
     return ContactInfo(
         colliding=colliding,
         phi=phi,
@@ -487,46 +639,81 @@ def _inside_face_normal(q: Vec, half_extents: Sequence[float]) -> Vec:
 def _convex_cuboid_sphere(state_a: BodyState, cuboid: Cuboid, state_b: BodyState,
                           sphere: Sphere, settings: SolverSettings,
                           context: Optional[PairContext]) -> ContactInfo:
-    ext = cuboid.half_extents
+    e0, e1, e2 = ext = cuboid.half_extents
     radius = sphere.radius
     b = _resolve_margin(settings, radius, "sphere shrink")
-    quat: Quat = state_a.orientation
-    q = quat_rotate_inv(quat, sub(state_b.position, state_a.position))
-    pose = (state_a.position, quat, state_b.position)
+    # world from cuboid frame
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = \
+        quat_to_matrix(state_a.orientation)
+    pa = state_a.position
+    pb = state_b.position
+    rx = pb[0] - pa[0]
+    ry = pb[1] - pa[1]
+    rz = pb[2] - pa[2]
+    q0 = m00 * rx + m10 * ry + m20 * rz  # sphere center in the cuboid frame
+    q1 = m01 * rx + m11 * ry + m21 * rz
+    q2 = m02 * rx + m12 * ry + m22 * rz
 
-    result = min_distance_pair(ext, q, radius - b, settings,
-                               initial=_warm_start(context, pose, b))
-    rho, saturated = rho_from_surrogate(result.phi_star, b)
-    phi = result.phi_star - b
-    try:
-        n_local, t_local = normal_tangent(result.p_tilde, result.q_star)
-    except DegenerateDirection:
+    px, py, pz, qx, qy, qz, phi_star, iterations, _ = _box_ball(
+        e0, e1, e2, q0, q1, q2, radius - b, q0, q1, q2, settings)
+    rho, saturated = rho_from_surrogate(phi_star, b)
+    if phi_star >= EPS_DEGENERATE:
+        inv = 1.0 / phi_star
+        nx = (qx - px) * inv
+        ny = (qy - py) * inv
+        nz = (qz - pz) * inv
+    else:
+        q = (q0, q1, q2)
         clamped = _clamp_box(q, ext)
         d = distance(q, clamped)
         if d >= EPS_DEGENERATE:
-            n_local = scale(sub(q, clamped), 1.0 / d)
+            nx, ny, nz = scale(sub(q, clamped), 1.0 / d)
         else:
-            n_local = _inside_face_normal(q, ext)
-        t = cross3((0.0, 0.0, 1.0), n_local)
-        t_local = normalize(t) if norm(t) >= EPS_DEGENERATE else \
-            normalize(cross3((1.0, 0.0, 0.0), n_local))
+            nx, ny, nz = _inside_face_normal(q, ext)
+    tx, ty, tz = _tangent3(nx, ny, nz)
 
-    d = distance(result.p_tilde, q)
-    u = scale(sub(result.p_tilde, q), 1.0 / d) if d >= EPS_DEGENERATE else n_local
-    q_tilde = add(q, scale(u, radius))
-    q_m = scale(u, radius)
+    dx = px - q0
+    dy = py - q1
+    dz = pz - q2
+    d = math.sqrt(dx * dx + dy * dy + dz * dz)
+    if d >= EPS_DEGENERATE:
+        inv = 1.0 / d
+        mx = dx * inv * radius
+        my = dy * inv * radius
+        mz = dz * inv * radius
+    else:
+        mx = nx * radius
+        my = ny * radius
+        mz = nz * radius
 
-    normal_world = quat_rotate(quat, n_local)
-    _remember(context, pose, result.q_star, normal_world, result.iterations)
+    if context is not None:
+        context.last_iterations = iterations
     return ContactInfo(
         colliding=rho > 0.0,
-        phi=phi,
+        phi=phi_star - b,
         rho=rho,
-        p_tilde=result.p_tilde,
-        q_tilde=q_tilde,
-        anchor_a=quat_rotate(quat, result.p_tilde),
-        anchor_b=quat_rotate(quat, q_m),
-        normal=normal_world,
-        tangent=quat_rotate(quat, t_local),
+        p_tilde=(px, py, pz),
+        q_tilde=(q0 + mx, q1 + my, q2 + mz),
+        anchor_a=(m00 * px + m01 * py + m02 * pz,
+                  m10 * px + m11 * py + m12 * pz,
+                  m20 * px + m21 * py + m22 * pz),
+        anchor_b=(m00 * mx + m01 * my + m02 * mz,
+                  m10 * mx + m11 * my + m12 * mz,
+                  m20 * mx + m21 * my + m22 * mz),
+        normal=(m00 * nx + m01 * ny + m02 * nz,
+                m10 * nx + m11 * ny + m12 * nz,
+                m20 * nx + m21 * ny + m22 * nz),
+        tangent=(m00 * tx + m01 * ty + m02 * tz,
+                 m10 * tx + m11 * ty + m12 * tz,
+                 m20 * tx + m21 * ty + m22 * tz),
         saturated=saturated,
     )
+
+
+# (shape type A, shape type B): pairing name, detector
+_PAIRINGS = {
+    (Rectangle, Circle): ("rect-circle", _convex_rect_circle),
+    (Circle, Circle): ("circle-circle", _convex_circle_circle),
+    (Rectangle, Rectangle): ("rect-rect", _convex_rect_rect),
+    (Cuboid, Sphere): ("sphere-cuboid", _convex_cuboid_sphere),
+}

@@ -156,16 +156,6 @@ def mat3_inverse(m: Mat3) -> Mat3:
     )
 
 
-def quat_rotate(q: Quat, v: Vec3) -> Vec3:
-    """Rotate a body-frame vector into world coordinates."""
-    return mat3_vec(quat_to_matrix(q), v)
-
-
-def quat_rotate_inv(q: Quat, v: Vec3) -> Vec3:
-    """Express a world vector in the body frame."""
-    return mat3_t_vec(quat_to_matrix(q), v)
-
-
 # ---------------------------------------------------------------------------
 # containment predicates (closed sets: boundary points count as contained)
 

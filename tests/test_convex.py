@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from contactsim import convex
 from contactsim.convex import (
     PairContext,
     SolverSettings,
@@ -22,6 +23,7 @@ from contactsim.geometry import (
     body2d,
     body3d,
     contains_point_rect,
+    quat_to_matrix,
     relative_center,
 )
 from contactsim.sat import (
@@ -345,3 +347,208 @@ class TestDetectConvex:
         assert info.saturated
         assert math.isclose(info.rho, 0.4, abs_tol=1e-12)
         assert info.normal == (1.0, 0.0)
+
+
+class TestFarStartFejer:
+    """Monotone pair distance over long histories from a far start.
+
+    Started from the ball center a box-ball solve stops after two
+    iterations, so the far ``initial`` iterate is what exercises the
+    Fejer property over many steps.
+    """
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_monotone_history(self, dim):
+        rng = np.random.default_rng(37 + dim)
+        settings = SolverSettings(record_history=True)
+        longest = 0
+        for _ in range(300):
+            ext = tuple(rng.uniform(0.3, 2.0, dim))
+            center = tuple(rng.uniform(-4, 4, dim))
+            radius = rng.uniform(0.1, 1.0)
+            far = tuple(rng.uniform(-40, 40, dim))
+            res = min_distance_pair(ext, center, radius, settings, initial=far)
+            history = res.history
+            longest = max(longest, len(history))
+            for before, after in zip(history, history[1:]):
+                assert after <= before + 1e-12 * (1.0 + before)
+            reference = min_distance_pair(ext, center, radius)
+            assert math.isclose(res.phi_star, reference.phi_star, abs_tol=1e-8)
+        assert longest > 2
+
+    def test_box_must_be_two_or_three_dimensional(self):
+        with pytest.raises(ValueError):
+            min_distance_pair((1.0, 1.0, 1.0, 1.0), (3.0, 0.0, 0.0, 0.0), 0.5)
+
+
+def _random_quat(rng):
+    q = rng.normal(size=4)
+    return tuple(q / np.linalg.norm(q))
+
+
+def _box_local_centers(rng, ext, radius, b):
+    """Ball centers in the box frame: inside, on a face, edge or corner,
+    touching the true or the shrunk ball, and anywhere around the box."""
+    dim = len(ext)
+    ext = np.asarray(ext)
+    inside = rng.uniform(-ext, ext)
+    yield "inside", inside
+    yield "box center", np.zeros(dim)
+    for active in range(1, dim + 1):  # face, edge (3D) and corner
+        point = inside.copy()
+        axes = rng.permutation(dim)[:active]
+        point[axes] = ext[axes] * rng.choice((-1.0, 1.0), active)
+        yield f"{active} active", point
+        direction = np.zeros(dim)
+        direction[axes] = np.sign(point[axes])
+        direction /= np.linalg.norm(direction)
+        yield "touching", point + direction * radius
+        yield "shrunk touching", point + direction * (radius - b)
+        yield "shallow", point + direction * rng.uniform(radius - b, radius)
+        yield "deep", point + direction * rng.uniform(0.0, radius - b)
+    yield "around", rng.uniform(-ext - 2.0 * radius, ext + 2.0 * radius)
+
+
+def _check_cold(info, context, reference, b, inside, where):
+    """At most three iterations; sat's phi and rho within the measurable
+    range, and the margin b beyond it or with the center inside the box."""
+    assert context.last_iterations <= 3, where
+    if inside or reference.rho >= b - 1e-12:
+        assert abs(info.rho - b) <= 1e-12, where
+    else:
+        assert not info.saturated, where
+        assert abs(info.phi - reference.phi) <= 1e-12, where
+        assert abs(info.rho - reference.rho) <= 1e-12, where
+
+
+class TestColdBallPairings:
+    """Cold ball pairings stop within three iterations at sat's exact answer.
+
+    Where the shrunk ball still separates from the other body, ``phi`` and
+    ``rho`` equal the closed-form backend's to 1e-12; deeper contacts are
+    saturated at the margin.
+    """
+
+    def test_rect_circle(self):
+        rng = np.random.default_rng(43)
+        for trial in range(400):
+            c1, c2 = rng.uniform(0.2, 2.0, 2)
+            radius = rng.uniform(0.1, 1.2)
+            b = radius / 2.0
+            # every fourth pose axis-aligned at the origin, so that face,
+            # edge and touching poses are exact in the rectangle frame
+            aligned = trial % 4 == 0
+            theta = 0.0 if aligned else rng.uniform(-math.pi, math.pi)
+            position = (0.0, 0.0) if aligned else tuple(rng.uniform(-1, 1, 2))
+            state_a = body2d(position, angle=theta)
+            c, s = math.cos(theta), math.sin(theta)
+            for kind, q in _box_local_centers(rng, (c1, c2), radius, b):
+                world = (position[0] + c * q[0] - s * q[1],
+                         position[1] + s * q[0] + c * q[1])
+                state_b = body2d(world)
+                rect, circle = Rectangle(c1, c2), Circle(radius)
+                context = PairContext()
+                info = detect_convex(state_a, rect, state_b, circle, None, context)
+                reference = detect_rect_circle(state_a, rect, state_b, circle)
+                _check_cold(info, context, reference, b,
+                            bool(np.all(np.abs(q) <= (c1, c2))), (trial, kind))
+
+    def test_sphere_cuboid(self):
+        rng = np.random.default_rng(47)
+        for trial in range(300):
+            ext = tuple(rng.uniform(0.2, 2.0, 3))
+            radius = rng.uniform(0.1, 1.2)
+            b = radius / 2.0
+            aligned = trial % 4 == 0
+            quat = (1.0, 0.0, 0.0, 0.0) if aligned else _random_quat(rng)
+            position = (0.0, 0.0, 0.0) if aligned else tuple(rng.uniform(-1, 1, 3))
+            state_a = body3d(position, quat)
+            rot = np.array(quat_to_matrix(quat))
+            for kind, q in _box_local_centers(rng, ext, radius, b):
+                state_b = body3d(tuple(np.asarray(position) + rot @ q))
+                cuboid, sphere = Cuboid(ext), Sphere(radius)
+                context = PairContext()
+                info = detect_convex(state_a, cuboid, state_b, sphere, None, context)
+                reference = detect_sphere_cuboid(state_a, cuboid, state_b, sphere)
+                _check_cold(info, context, reference, b,
+                            bool(np.all(np.abs(q) <= ext)), (trial, kind))
+
+    def test_circle_circle(self):
+        rng = np.random.default_rng(53)
+        for _ in range(500):
+            ra, rb = rng.uniform(0.1, 1.2, 2)
+            b = rb / 2.0
+            state_a = body2d(tuple(rng.uniform(-1, 1, 2)),
+                             angle=rng.uniform(-math.pi, math.pi))
+            direction = rng.normal(size=2)
+            direction /= np.linalg.norm(direction)
+            for gap in (0.0, ra + rb, ra + rb - b, rng.uniform(ra + rb - b, ra + rb),
+                        rng.uniform(0.0, ra + rb - b), rng.uniform(0.0, 4.0)):
+                state_b = body2d(tuple(np.asarray(state_a.position) + direction * gap))
+                context = PairContext()
+                info = detect_convex(state_a, Circle(ra), state_b, Circle(rb),
+                                     None, context)
+                reference = detect_circle_circle(state_a, Circle(ra), state_b,
+                                                 Circle(rb))
+                _check_cold(info, context, reference, b, False, gap)
+
+    def test_solver_exhausting_rect_circle_pose(self):
+        # a pose from the benchmark's cold sweep on which the box-center
+        # start ran out of its 10^4 iterations
+        state_a = body2d((0.9658154878279542, 0.533452594077078),
+                         angle=-3.316759695276441)
+        state_b = body2d((-0.1846403029856371, 1.2057537575996933))
+        rect, circle = Rectangle(1.0, 0.6), Circle(0.5)
+        context = PairContext()
+        info = detect_convex(state_a, rect, state_b, circle, None, context)
+        reference = detect_rect_circle(state_a, rect, state_b, circle)
+        assert context.last_iterations <= 3
+        assert abs(info.rho - reference.rho) <= 1e-12
+
+    def test_only_box_box_queries_the_warm_start(self, monkeypatch):
+        calls = []
+        warm_start = convex._warm_start
+        monkeypatch.setattr(convex, "_warm_start",
+                            lambda *args: calls.append(args) or warm_start(*args))
+        cases = [
+            (body2d((0.0, 0.0)), Rectangle(1.0, 1.0), body2d((2.4, 0.9)), Circle(0.8)),
+            (body2d((0.0, 0.0)), Circle(0.5), body2d((0.9, 0.1)), Circle(0.5)),
+            (body3d((0.0, 0.0, 0.0)), Cuboid((1.0, 1.0, 0.5)),
+             body3d((0.5, 0.2, 0.7)), Sphere(0.3)),
+        ]
+        for case in cases:
+            context = PairContext()
+            for _ in range(2):
+                detect_convex(*case, context=context)
+                assert context.last_iterations == 2
+        assert calls == []
+        context = PairContext()
+        detect_convex(body2d((0.0, 0.0)), Rectangle(0.4, 0.6),
+                      body2d((0.76, 0.3)), Rectangle(0.4, 0.3), context=context)
+        assert len(calls) == 1 and context.last_iterations > 0
+
+
+class TestNotConvergedNamesThePose:
+    def test_rect_rect_cold_pose(self):
+        # a near-parallel pose from the benchmark's cold sweep that still
+        # exhausts the box-box solver
+        pose_a = ((0.6148929585902956, 0.4010170418666701), -0.7933711212338372)
+        pose_b = ((0.13716740227539026, 0.9009474543484768), 3.9194136025085258)
+        with pytest.raises(NotConverged) as excinfo:
+            detect_convex(body2d(*pose_a), Rectangle(0.5, 0.5),
+                          body2d(*pose_b), Rectangle(0.4, 0.3))
+        exc = excinfo.value
+        assert exc.iterations == 10_000
+        assert exc.displacement > SolverSettings().tol
+        assert exc.pairing == "rect-rect"
+        assert exc.pose_a == pose_a and exc.pose_b == pose_b
+        message = str(exc)
+        assert "rect-rect" in message
+        for value in (*pose_a[0], pose_a[1], *pose_b[0], pose_b[1]):
+            assert repr(value) in message
+
+    def test_bare_solver_names_no_pose(self):
+        with pytest.raises(NotConverged) as excinfo:
+            min_distance_pair((1.0, 1.0), (3.0, 0.5), 0.5, SolverSettings(max_iters=1))
+        assert excinfo.value.pairing is None
+        assert "body" not in str(excinfo.value)
