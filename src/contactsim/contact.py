@@ -1,13 +1,12 @@
 """Contact record handed from the detection backends to the resolver."""
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .geometry import Vec
 
 
-@dataclass(frozen=True)
-class ContactInfo:
+class ContactInfo(NamedTuple):
     """Result of one narrow-phase query between bodies A and B.
 
     ``p_tilde``/``q_tilde`` are the minimum-distance points of the first and
@@ -23,6 +22,9 @@ class ContactInfo:
     eroded-shape estimates rather than exact distances; ``saturated`` marks
     penetrations that exceeded the convex backend's measurable range and were
     clamped to the shrink margin.
+
+    A named tuple: immutable and equal by value, cheaper to build than a
+    frozen dataclass on the per-step path.
     """
 
     colliding: bool
@@ -44,8 +46,7 @@ class ContactInfo:
         detection-frame MDPs swap slots but stay expressed in the original
         detection frame.
         """
-        return replace(
-            self,
+        return self._replace(
             p_tilde=self.q_tilde,
             q_tilde=self.p_tilde,
             anchor_a=self.anchor_b,

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .contact import ContactInfo
 from .errors import DegenerateDirection, NotConverged, UnsupportedPair
@@ -75,8 +75,7 @@ class SolverSettings:
             raise ValueError("shrink_margin must be positive")
 
 
-@dataclass(frozen=True)
-class SolverResult:
+class SolverResult(NamedTuple):
     """Converged minimum-distance pair and the surrogate separation."""
 
     p_tilde: Vec
@@ -305,13 +304,14 @@ def _ball_ball_2d(ra: float, cx: float, cy: float, r: float, x: float,
 def rho_from_surrogate(phi_star: float, b: float) -> tuple[float, bool]:
     """Recover interpenetration from the surrogate separation.
 
-    Zero surrogate separation means the fictitious shapes touch and the true
-    penetration exceeds the measurable range; the result clamps to ``b`` and
-    is flagged saturated.
+    A surrogate separation below ``EPS_DEGENERATE`` (where the detectors
+    also switch to their fallback normal) means the fictitious shapes touch
+    and the true penetration exceeds the measurable range; the result clamps
+    to ``b`` and is flagged saturated.
     """
     if phi_star > b:
         return 0.0, False
-    if phi_star > 0.0:
+    if phi_star >= EPS_DEGENERATE:
         return b - phi_star, False
     return b, True
 
@@ -384,13 +384,15 @@ def _resolve_margin(settings: SolverSettings, limit: float, what: str) -> float:
 
 
 def _pose_delta(pose_now: tuple, pose_then: tuple) -> float:
-    total = 0.0
-    for now, then in zip(pose_now, pose_then):
-        if isinstance(now, tuple):
-            total += distance(now, then)
-        else:
-            total += abs(now - then)
-    return total
+    """Summed change of a box-box pose (r_a, theta_a, r_b, theta_b)."""
+    (ax, ay), theta_a, (bx, by), theta_b = pose_now
+    (ax0, ay0), theta_a0, (bx0, by0), theta_b0 = pose_then
+    dax = ax - ax0
+    day = ay - ay0
+    dbx = bx - bx0
+    dby = by - by0
+    return (math.sqrt(dax * dax + day * day) + abs(theta_a - theta_a0)
+            + math.sqrt(dbx * dbx + dby * dby) + abs(theta_b - theta_b0))
 
 
 def _warm_start(context: Optional[PairContext], pose: tuple, b: float) -> Optional[Vec]:
@@ -526,15 +528,14 @@ def _convex_circle_circle(state_a: BodyState, circle_a: Circle, state_b: BodySta
 def _convex_rect_rect(state_a: BodyState, rect_a: Rectangle, state_b: BodyState,
                       rect_b: Rectangle, settings: SolverSettings,
                       context: Optional[PairContext]) -> ContactInfo:
-    ext_a = (rect_a.half_length, rect_a.half_width)
-    ext_b = (rect_b.half_length, rect_b.half_width)
-    b = _resolve_margin(settings, min(ext_b), "rectangle erosion")
-    ext_b_eroded = (ext_b[0] - b, ext_b[1] - b)
+    ha1, ha2 = ext_a = (rect_a.half_length, rect_a.half_width)
+    hb1, hb2 = rect_b.half_length, rect_b.half_width
+    b = _resolve_margin(settings, min(hb1, hb2), "rectangle erosion")
+    e1, e2 = ext_b_eroded = (hb1 - b, hb2 - b)
     theta_a = state_a.orientation
     theta_b = state_b.orientation
-    pose = (state_a.position, theta_a, state_b.position, theta_b)
-
     r_a, r_b = state_a.position, state_b.position
+    pose = (r_a, theta_a, r_b, theta_b)
 
     def to_frame_b(p: Vec2) -> Vec2:
         world = add(r_a, rot2_apply_t(theta_a, p))
@@ -556,66 +557,101 @@ def _convex_rect_rect(state_a: BodyState, rect_a: Rectangle, state_b: BodyState,
         start,
         settings,
     )
+    p_tilde = result.p_tilde
+    q_star = result.q_star
     rho, saturated = rho_from_surrogate(result.phi_star, b)
-    phi = result.phi_star - b
-    try:
-        n_local, t_local = normal_tangent(result.p_tilde, result.q_star)
-    except DegenerateDirection:
-        if context is not None and context.last_normal is not None:
-            n_local = rot2_apply(theta_a, context.last_normal)
+
+    # The tail repeats the frame maps above in explicit 2D arithmetic, one
+    # cos/sin pair per body, each operation in the order of the tuple
+    # helpers, so every result keeps its bits.  The solver loop keeps its
+    # closures on purpose: a faster box-box loop fits more passes into the
+    # cold-detect benchmark, which keeps every pass's call times, and that
+    # would push its peak memory past the bound.
+    ca = math.cos(theta_a)
+    sa = math.sin(theta_a)
+    cb = math.cos(theta_b)
+    sb = math.sin(theta_b)
+    ax, ay = r_a
+    bx, by = r_b
+    rx = bx - ax
+    ry = by - ay
+    px, py = p_tilde
+    qx, qy = q_star
+
+    dx = px - qx
+    dy = py - qy
+    d = math.sqrt(dx * dx + dy * dy)
+    if d >= EPS_DEGENERATE:
+        inv = 1.0 / d
+        nx = (qx - px) * inv
+        ny = (qy - py) * inv
+    elif context is not None and context.last_normal is not None:
+        # coincident points: the previous step's normal, else the direction
+        # between the centers, else the first axis
+        lx, ly = context.last_normal
+        nx = ca * lx + sa * ly
+        ny = -sa * lx + ca * ly
+    else:
+        d_centers = math.sqrt(rx * rx + ry * ry)
+        if d_centers >= EPS_DEGENERATE:
+            inv = 1.0 / d_centers
+            ux = rx * inv
+            uy = ry * inv
+            nx = ca * ux + sa * uy
+            ny = -sa * ux + ca * uy
         else:
-            d_centers = distance(r_b, r_a)
-            n_local = (rot2_apply(theta_a, scale(sub(r_b, r_a), 1.0 / d_centers))
-                       if d_centers >= EPS_DEGENERATE else (1.0, 0.0))
-        t_local = perp(n_local)
+            nx, ny = 1.0, 0.0
+    tx, ty = -ny, nx
 
     # push the eroded-box solution out to the true surface along its active
     # constraints (exact for face and corner contacts)
-    y_raw = to_frame_b(result.q_star)
-    active_q = sum(1 for i in range(2)
-                   if abs(y_raw[i]) >= ext_b_eroded[i] - _ACTIVE_SET_EPS)
-    active_p = sum(1 for i in range(2)
-                   if abs(result.p_tilde[i]) >= ext_a[i] - _ACTIVE_SET_EPS)
-    y = y_raw
+    wx = ax + (ca * qx - sa * qy) - bx
+    wy = ay + (sa * qx + ca * qy) - by
+    yx = cb * wx + sb * wy  # q_star in the second body's frame
+    yy = -sb * wx + cb * wy
+    active_x = abs(yx) >= e1 - _ACTIVE_SET_EPS
+    active_y = abs(yy) >= e2 - _ACTIVE_SET_EPS
     if not saturated:
-        y = tuple(
-            math.copysign(ext_b[i], y_raw[i])
-            if abs(y_raw[i]) >= ext_b_eroded[i] - _ACTIVE_SET_EPS else y_raw[i]
-            for i in range(2)
-        )
-    q_tilde = from_frame_b(y)
-    q_center = rot2_apply(theta_a, sub(r_b, r_a))
-    q_m = sub(q_tilde, q_center)
+        if active_x:
+            yx = math.copysign(hb1, yx)
+        if active_y:
+            yy = math.copysign(hb2, yy)
+    wx = bx + (cb * yx - sb * yy) - ax
+    wy = by + (sb * yx + cb * yy) - ay
+    q_tilde = (ca * wx + sa * wy, -sa * wx + ca * wy)
 
+    # anchor points in the first body's frame, from its center (u) and from
+    # the second body's center (v)
+    (ux, uy), (vx, vy) = p_tilde, q_tilde
     colliding = rho > 0.0
     if colliding:
         # single contact point, mirroring the closed-form backend: the first
         # body's vertex when its solution sits on a corner, otherwise the
         # second body's recovered surface point
-        contact_local = result.p_tilde if (active_p >= 2 and active_q < 2) \
-            else q_tilde
-        anchor_a = rot2_apply_t(theta_a, contact_local)
-        anchor_b = rot2_apply_t(theta_a, sub(contact_local, q_center))
-    else:
-        anchor_a = rot2_apply_t(theta_a, result.p_tilde)
-        anchor_b = rot2_apply_t(theta_a, q_m)
+        if abs(px) >= ha1 - _ACTIVE_SET_EPS and abs(py) >= ha2 - _ACTIVE_SET_EPS \
+                and not (active_x and active_y):
+            vx, vy = ux, uy
+        else:
+            ux, uy = vx, vy
+    vx = vx - (ca * rx + sa * ry)
+    vy = vy - (-sa * rx + ca * ry)
 
-    normal_world = rot2_apply_t(theta_a, n_local)
+    normal_world = (ca * nx - sa * ny, sa * nx + ca * ny)
     if context is not None:
-        context.last_q_star = result.q_star
+        context.last_q_star = q_star
         context.last_pose = pose
         context.last_normal = normal_world
         context.last_iterations = result.iterations
     return ContactInfo(
         colliding=colliding,
-        phi=phi,
+        phi=result.phi_star - b,
         rho=rho,
-        p_tilde=result.p_tilde,
+        p_tilde=p_tilde,
         q_tilde=q_tilde,
-        anchor_a=anchor_a,
-        anchor_b=anchor_b,
+        anchor_a=(ca * ux - sa * uy, sa * ux + ca * uy),
+        anchor_b=(ca * vx - sa * vy, sa * vx + ca * vy),
         normal=normal_world,
-        tangent=rot2_apply_t(theta_a, t_local),
+        tangent=(ca * tx - sa * ty, sa * tx + ca * ty),
         saturated=saturated,
         phi_approx=True,
     )

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from .geometry import Vec, Vec3, cross3
 
@@ -49,16 +49,14 @@ class MaterialParams:
             raise ValueError("v_scale must be positive")
 
 
-@dataclass(frozen=True)
-class ContactKinematics:
+class ContactKinematics(NamedTuple):
     """Relative velocity of the contact points, split along normal and tangent."""
 
     v_normal: float
     v_tangent: float
 
 
-@dataclass(frozen=True)
-class BodyWrench:
+class BodyWrench(NamedTuple):
     """Force at the center of mass plus the equivalent moment."""
 
     force: Vec

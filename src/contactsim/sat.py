@@ -96,6 +96,9 @@ def _rect_case(q0: float, q1: float, c1: float, c2: float
     return Region.INSIDE_NEAR_TB, (q0, sy * c2), (0.0, sy)
 
 
+_INSIDE = (Region.INSIDE_NEAR_LR, Region.INSIDE_NEAR_TB, Region.INSIDE_DIAGONAL)
+
+
 def rect_mdp(q: Vec2, c1: float, c2: float) -> Vec2:
     """Boundary point of the rectangle closest to q, per the region case table."""
     return _rect_case(q[0], q[1], c1, c2)[1]
@@ -150,7 +153,7 @@ def detect_rect_circle(state_a: BodyState, rect: Rectangle,
     q0 = c * rx + s * ry  # circle center in the rectangle frame
     q1 = -s * rx + c * ry
 
-    _, p_tilde, raw = _rect_case(q0, q1, c1, c2)
+    region, p_tilde, raw = _rect_case(q0, q1, c1, c2)
     nx, ny = normalize(raw)
 
     px, py = p_tilde
@@ -163,8 +166,14 @@ def detect_rect_circle(state_a: BodyState, rect: Rectangle,
     else:
         inv_d = 1.0 / d
         ux, uy = dx * inv_d, dy * inv_d
-    phi = d - radius
-    rho = 0.0 if phi > 0.0 else -phi
+    if region in _INSIDE:
+        # center inside: as the cuboid-sphere inside branch, the circle must
+        # travel d to the nearest side plus its radius to get clear
+        phi = -radius
+        rho = radius + d
+    else:
+        phi = d - radius
+        rho = 0.0 if phi > 0.0 else -phi
     mx = ux * radius  # center-to-contact offset of the circle
     my = uy * radius
     tx, ty = -ny, nx

@@ -13,7 +13,7 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from . import convex, sat
 from .contact import ContactInfo
@@ -41,6 +41,10 @@ from .penalty import (
 from .scenarios import build_scenario
 
 logger = logging.getLogger("contactsim.simulate")
+
+# Step count cap of one run: every step keeps a sample, so an unbounded count
+# would allocate until memory runs out (333x the longest registry run).
+MAX_STEPS = 1_000_000
 
 
 class Backend(Enum):
@@ -76,8 +80,7 @@ class SimConfig:
                 raise ValueError("duration must be at least one step")
 
 
-@dataclass(frozen=True)
-class ContactEvent:
+class ContactEvent(NamedTuple):
     """One resolved contact at force-application resolution."""
 
     t: float
@@ -89,8 +92,7 @@ class ContactEvent:
     saturated: bool
 
 
-@dataclass(frozen=True)
-class PairDiagnostic:
+class PairDiagnostic(NamedTuple):
     """Narrow-phase result for one pair, with resolver forces when colliding."""
 
     pair: Tuple[int, int]
@@ -168,7 +170,11 @@ def collision_response(states, shapes, config: SimConfig,
     for i in range(n):
         for j in range(i + 1, n):
             pair = (i, j)
-            context = contexts.setdefault(pair, convex.PairContext()) if warm else None
+            context = None
+            if warm:
+                context = contexts.get(pair)
+                if context is None:
+                    context = contexts[pair] = convex.PairContext()
             info = _detect_pair(backend, states[i], shapes[i],
                                 states[j], shapes[j], config.solver, context)
             if not info.colliding:
@@ -306,6 +312,9 @@ def run_world(states, shapes, config: SimConfig, gravity: Vec
     if not math.isfinite(steps):
         raise ValueError(f"duration / dt must be finite, got {duration} / {dt}")
     n_steps = max(1, round(steps))
+    if n_steps > MAX_STEPS:
+        raise ValueError(f"duration / dt asks for {steps:.6g} steps, more than "
+                         f"the {MAX_STEPS} a run may take: {duration} / {dt}")
     states = list(states)
     constants = _body_constants(states)
     contexts: Dict = {}

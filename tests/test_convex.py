@@ -164,6 +164,10 @@ class TestRhoFromSurrogate:
     def test_saturation_clamp(self):
         assert rho_from_surrogate(0.0, 0.5) == (0.5, True)
 
+    def test_saturation_below_the_degenerate_threshold(self):
+        # a rounded projection can leave ~1e-17 where the shapes touch
+        assert rho_from_surrogate(1e-17, 0.5) == (0.5, True)
+
     def test_continuity_at_margin(self):
         eps = 1e-12
         below, _ = rho_from_surrogate(0.5 - eps, 0.5)
@@ -491,6 +495,8 @@ class TestColdBallPairings:
                 reference = detect_circle_circle(state_a, Circle(ra), state_b,
                                                  Circle(rb))
                 _check_cold(info, context, reference, b, False, gap)
+                if gap <= ra + rb - b:  # the shrunk balls overlap or touch
+                    assert info.saturated, gap
 
     def test_solver_exhausting_rect_circle_pose(self):
         # a pose from the benchmark's cold sweep on which the box-center

@@ -251,6 +251,13 @@ class TestCli:
         err = capsys.readouterr().err
         assert "finite" in err and "Traceback" not in err
 
+    def test_step_count_above_the_cap_is_usage_error(self, capsys):
+        code = main(["simulate", "--scenario", "circle-circle", "--backend",
+                     "sat", "--dt", "1e-300"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "steps" in err and "Traceback" not in err
+
     def test_step_longer_than_scenario_duration_runs(self, capsys):
         code = main(["simulate", "--scenario", "circle-circle", "--backend",
                      "sat", "--dt", "2.5"])

@@ -2,16 +2,23 @@
 
 The ten registry cells run at their default durations and export CSV plus
 the events sibling.  A change that keeps the physics must keep these bytes;
-one that changes it on purpose pins new digests and says why.  The digests
-depend on the platform's libm (sin, cos and sqrt rounding), so the test runs
-only on Linux x86-64, where they were taken.
+one that changes it on purpose pins new digests and says why.  A second
+digest pins every ``ContactInfo`` field of a seeded sweep of co rect-rect
+poses, cold and warm.  The digests depend on the platform's libm (sin, cos
+and sqrt rounding), so the tests run only on Linux x86-64, where they were
+taken.
 """
 import hashlib
+import math
 import platform
+import random
 
 import pytest
 
+from contactsim import convex
+from contactsim.convex import PairContext, detect_convex
 from contactsim.export import export_trajectory
+from contactsim.geometry import Rectangle, body2d
 from contactsim.scenarios import SCENARIO_NAMES
 from contactsim.simulate import SimConfig, run_scenario
 
@@ -82,3 +89,118 @@ def test_export_bytes(cell, tmp_path):
     export_trajectory(trajectory, "csv", str(path))
     events = tmp_path / f"{cell}.csv.events.csv"
     assert (_sha256(path), _sha256(events)) == GOLDEN[cell]
+
+
+# SHA-256 over the repr of each call's ContactInfo fields and iteration count,
+# taken at the commit before the rect-rect tail was written out in scalar
+# arithmetic, and again after the saturation threshold moved (five calls of
+# the sweep end at a surrogate distance of 1e-17 to 1e-16 and are saturated
+# since)
+RECT_RECT_CO_DIGEST_ZERO_THRESHOLD = \
+    "21b1a578f1778c7025532510991d11a47bc40584cea8e1fd2d00ad68dc96b50b"
+RECT_RECT_CO_DIGEST = \
+    "699b47338bb815f067bb73bdd65d6061366a68d8bfd9491c23c87f4f42f358f8"
+RECT_A = Rectangle(0.5, 0.4)
+RECT_B = Rectangle(0.4, 0.3)  # erosion margin 0.15
+
+
+def _rect_rect_poses(per_class=50):
+    """Seeded (center A, angle A, center B, angle B) poses in five classes.
+
+    ``separated``: B at a positive gap along a face normal of A, any angle.
+    ``face``: B parallel to A (exactly, or tilted 0.05-0.3 rad), from 0.14
+    deep to 0.05 apart.  ``corner``: B turned about 45 degrees, so its corner
+    meets A's face.  ``vertex``: the same with the roles swapped, so A's
+    corner meets B's face.  ``saturated``: centers within 0.2 per axis, so
+    the eroded boxes overlap.  One more pose has coincident centers.
+    """
+    rng = random.Random(404)
+    poses = []
+    for kind in ("separated", "face", "corner", "vertex", "saturated"):
+        for _ in range(per_class):
+            center = (rng.uniform(-1, 1), rng.uniform(-1, 1))
+            angle = rng.uniform(-math.pi, math.pi)
+            axis = rng.randrange(2)
+            sign = rng.choice((1.0, -1.0))
+            if kind == "face":
+                tilt = rng.choice((0.0, rng.uniform(0.05, 0.3) * rng.choice((1, -1))))
+                turn = rng.randrange(4) * 0.5 * math.pi + tilt
+                gap = rng.uniform(-0.14, 0.05)
+            elif kind in ("corner", "vertex"):
+                turn = (math.pi / 4 + rng.uniform(-0.2, 0.2)
+                        + rng.randrange(4) * 0.5 * math.pi)
+                gap = rng.uniform(-0.14, 0.05)
+            elif kind == "separated":
+                turn = rng.uniform(-math.pi, math.pi)
+                gap = rng.uniform(0.01, 0.5)
+            else:
+                turn = rng.uniform(-math.pi, math.pi)
+                gap = None
+            if gap is None:
+                local = (rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2))
+            else:
+                # the turned shape's support along the base shape's face normal
+                base, other = (RECT_B, RECT_A) if kind == "vertex" else (RECT_A, RECT_B)
+                rel = turn if axis == 0 else turn - 0.5 * math.pi
+                reach = (other.half_length * abs(math.cos(rel))
+                         + other.half_width * abs(math.sin(rel)))
+                ext = base.half_length if axis == 0 else base.half_width
+                along = sign * (ext + reach + gap)
+                lateral = rng.uniform(-0.3, 0.3)
+                local = (along, lateral) if axis == 0 else (lateral, along)
+            c, s = math.cos(angle), math.sin(angle)
+            other_center = (center[0] + c * local[0] - s * local[1],
+                            center[1] + s * local[0] + c * local[1])
+            if kind == "vertex":  # the base shape is B
+                poses.append((other_center, angle + turn, center, angle))
+            else:
+                poses.append((center, angle, other_center, angle + turn))
+    poses.append(((0.25, -0.5), 0.3, (0.25, -0.5), 1.1))
+    return poses
+
+
+def _rect_rect_co_sweep():
+    """Digest and results of the sweep: each pose runs cold, then warm in the
+    same context after a small move (both bodies turned by the same angle, so
+    parallel faces stay parallel)."""
+    digest = hashlib.sha256()
+    rng = random.Random(405)
+    infos = []
+    for center_a, angle_a, center_b, angle_b in _rect_rect_poses():
+        context = PairContext()
+        info = detect_convex(body2d(center_a, angle_a), RECT_A,
+                             body2d(center_b, angle_b), RECT_B, context=context)
+        digest.update(repr((tuple(info), context.last_iterations)).encode())
+        infos.append(info)
+
+        def nudge():
+            return rng.uniform(-1e-3, 1e-3)
+        turn = nudge()
+        info = detect_convex(
+            body2d((center_a[0] + nudge(), center_a[1] + nudge()), angle_a + turn),
+            RECT_A,
+            body2d((center_b[0] + nudge(), center_b[1] + nudge()), angle_b + turn),
+            RECT_B, context=context)
+        digest.update(repr((tuple(info), context.last_iterations)).encode())
+        infos.append(info)
+    return digest.hexdigest(), infos
+
+
+def test_rect_rect_co_contact_bytes():
+    digest, infos = _rect_rect_co_sweep()
+    assert len(infos) >= 400
+    assert sum(i.saturated for i in infos) >= 50
+    assert sum(i.colliding and not i.saturated for i in infos) >= 100
+    assert sum(not i.colliding for i in infos) >= 100
+    assert digest == RECT_RECT_CO_DIGEST
+
+
+def test_rect_rect_co_contact_bytes_under_zero_threshold(monkeypatch):
+    def rho_from_surrogate(phi_star, b):  # saturated only at exactly zero
+        if phi_star > b:
+            return 0.0, False
+        if phi_star > 0.0:
+            return b - phi_star, False
+        return b, True
+    monkeypatch.setattr(convex, "rho_from_surrogate", rho_from_surrogate)
+    assert _rect_rect_co_sweep()[0] == RECT_RECT_CO_DIGEST_ZERO_THRESHOLD

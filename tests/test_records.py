@@ -1,0 +1,37 @@
+"""The per-step records are immutable values."""
+import pytest
+
+from contactsim.contact import ContactInfo
+from contactsim.convex import SolverResult
+from contactsim.penalty import BodyWrench, ContactKinematics
+from contactsim.simulate import ContactEvent, PairDiagnostic
+
+INFO = ContactInfo(True, -0.1, 0.1, (1.0, 0.0), (0.9, 0.0), (1.0, 0.5),
+                   (-0.2, 0.25), (1.0, 0.0), (0.0, 1.0), saturated=True)
+
+RECORDS = [
+    INFO,
+    PairDiagnostic((0, 1), INFO, 2.0, -0.5),
+    ContactEvent(0.25, (0, 1), -0.1, 0.1, 2.0, -0.5, False),
+    BodyWrench((1.0, -2.0), 0.5),
+    ContactKinematics(-1.0, 0.25),
+    SolverResult((1.0, 0.0), (1.5, 0.0), 0.5, 2, True),
+]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_immutable_and_equal_by_value(record):
+    name = type(record)._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, name, None)
+    copy = type(record)(*record)
+    assert copy == record and copy is not record
+    assert hash(copy) == hash(record)
+    assert record._replace(**{name: "other"}) != record
+
+
+def test_flipped_twice_is_the_same_contact():
+    flipped = INFO.flipped()
+    assert flipped.anchor_a == INFO.anchor_b and flipped.normal == (-1.0, 0.0)
+    assert flipped != INFO
+    assert flipped.flipped() == INFO

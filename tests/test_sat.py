@@ -227,6 +227,43 @@ class TestDetectRectCircle:
         assert info.normal == (1.0, 0.0)
         assert np.allclose(info.q_tilde, (1.5, 0.0))
 
+    def test_center_inside_measures_depth_to_get_clear(self):
+        info = detect_rect_circle(body2d((0.0, 0.0)), Rectangle(2.0, 2.0),
+                                  body2d((0.5, 0.2)), Circle(0.5))
+        assert info.colliding
+        assert info.phi == -0.5 and info.rho == 2.0
+        assert info.normal == (1.0, 0.0)
+
+    @pytest.mark.parametrize("theta", [0.0, 0.7, -2.3])
+    def test_center_inside_matches_sphere_cuboid(self, theta):
+        c1, c2, radius = 2.0, 1.2, 0.5
+        position = (0.3, -0.4)
+        c, s = math.cos(theta), math.sin(theta)
+        checked = 0
+        # even counts keep the centers off the axes, where two opposite
+        # faces tie and the backends break the tie differently
+        for x in np.linspace(-1.95, 1.95, 26):
+            for y in np.linspace(-1.15, 1.15, 12):
+                if abs((c1 - abs(x)) - (c2 - abs(y))) < 1e-6:
+                    continue  # diagonal tie: the 2D table takes the diagonal
+                center = (position[0] + c * x - s * y, position[1] + s * x + c * y)
+                flat = detect_rect_circle(body2d(position, theta), Rectangle(c1, c2),
+                                          body2d(center), Circle(radius))
+                deep = detect_sphere_cuboid(
+                    body3d(position + (0.0,), quat_from_angle_z(theta)),
+                    Cuboid((c1, c2, 100.0)), body3d(center + (0.0,)), Sphere(radius))
+                assert flat.colliding and deep.colliding
+                assert math.isclose(flat.phi, deep.phi, abs_tol=1e-12)
+                assert math.isclose(flat.rho, deep.rho, abs_tol=1e-12)
+                for name in ("p_tilde", "q_tilde", "anchor_a", "anchor_b",
+                             "normal", "tangent"):
+                    value = getattr(deep, name)
+                    assert abs(value[2]) < 1e-12
+                    assert np.allclose(getattr(flat, name), value[:2],
+                                       rtol=0.0, atol=1e-12), name
+                checked += 1
+        assert checked > 300
+
     def test_rotated_pose_world_quantities(self):
         theta = 0.35
         state_a = body2d((0.5, -0.25), angle=theta)

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from contactsim import convex
 from contactsim.convex import SolverSettings
 from contactsim.errors import UnknownScenario, UnsupportedPair
 from contactsim.geometry import (
@@ -23,6 +24,7 @@ from contactsim.geometry import (
 )
 from contactsim.penalty import BodyWrench, ContactKinematics, MaterialParams, contact_force
 from contactsim.simulate import (
+    MAX_STEPS,
     Backend,
     SimConfig,
     _body_constants,
@@ -224,6 +226,14 @@ class TestConfigChecks:
         with pytest.raises(ValueError, match="finite"):
             run_scenario("circle-circle", config)
 
+    def test_step_count_above_the_cap_is_rejected(self):
+        # 2e300 steps is finite; it must fail before anything is allocated
+        scenario = build_scenario("circle-circle")
+        for dt in (1e-300, 2.0 / (MAX_STEPS + 1)):
+            with pytest.raises(ValueError, match="steps"):
+                run_world(scenario.bodies, scenario.shapes,
+                          SimConfig(dt=dt, duration=2.0), scenario.gravity)
+
     def test_step_longer_than_scenario_duration_runs_one_step(self):
         trajectory = run_scenario("circle-circle", SimConfig(dt=2.5))
         assert [t for t, _ in trajectory.samples] == [0.0, 2.5]
@@ -281,6 +291,22 @@ class TestCollisionResponse:
                                 left[1].force[1] + right[0].force[1])
         assert middle.moment == left[1].moment + right[0].moment
         assert wrenches[0] == left[0] and wrenches[2] == right[1]
+
+    def test_pair_context_is_built_once_per_pair_and_run(self, monkeypatch):
+        built = []
+
+        class CountedContext(convex.PairContext):
+            def __init__(self):
+                super().__init__()
+                built.append(self)
+        monkeypatch.setattr(convex, "PairContext", CountedContext)
+        scenario = build_scenario("rect-rect")
+        states = list(scenario.bodies) + [body2d((9.0, 9.0))]
+        shapes = list(scenario.shapes) + [Rectangle(0.5, 0.5)]
+        n = len(states)
+        run_world(states, shapes, SimConfig(backend="co", duration=0.05),
+                  scenario.gravity)
+        assert len(built) == n * (n - 1) // 2
 
     def test_unsupported_pairing_raises(self):
         config = SimConfig()
