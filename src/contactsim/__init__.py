@@ -7,15 +7,10 @@ from .convex import (
     SolverSettings,
     detect_convex,
     min_distance_pair,
-    normal_tangent,
-    project_onto_ball,
-    project_onto_rectangle,
     rho_from_surrogate,
 )
 from .errors import (
     ContactSimError,
-    DegenerateCenter,
-    DegenerateDirection,
     NotConverged,
     UnknownScenario,
     UnsupportedPair,
@@ -29,8 +24,6 @@ from .geometry import (
     Sphere,
     body2d,
     body3d,
-    contains_point_rect,
-    relative_center,
 )
 from .penalty import (
     BodyWrench,
@@ -42,16 +35,11 @@ from .penalty import (
 )
 from .sat import (
     Region,
-    RegionClass,
-    circle_mdp,
     detect_circle_circle,
     detect_rect_circle,
     detect_rect_rect,
     detect_sphere_cuboid,
-    proximity_and_rho,
     rect_circle_normal,
-    rect_mdp,
-    region_classify,
 )
 from .scenarios import SCENARIO_NAMES, Scenario, build_scenario
 from .simulate import (
@@ -65,7 +53,6 @@ from .simulate import (
     run_scenario,
     run_scenario_timed,
     run_world,
-    step,
 )
 
 __version__ = "0.1.0"

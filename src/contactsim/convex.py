@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .contact import ContactInfo
-from .errors import DegenerateDirection, NotConverged, UnsupportedPair
+from .errors import NotConverged, UnsupportedPair
 from .geometry import (
     EPS_DEGENERATE,
     BodyState,
@@ -37,15 +37,15 @@ from .geometry import (
     Sphere,
     Vec,
     Vec2,
-    Vec3,
     add,
     distance,
-    perp,
+    nearest_face,
     quat_to_matrix,
     rot2_apply,
     rot2_apply_t,
     scale,
     sub,
+    tangent3,
 )
 from .sat import rect_circle_normal
 
@@ -67,12 +67,17 @@ class SolverSettings:
     record_history: bool = False
 
     def __post_init__(self):
-        if not self.tol > 0.0:
-            raise ValueError("tol must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if self.shrink_margin is not None and not self.shrink_margin > 0.0:
-            raise ValueError("shrink_margin must be positive")
+        if not (isinstance(self.tol, (int, float)) and 0.0 < self.tol < math.inf):
+            raise ValueError(f"tol must be a positive finite number, got {self.tol!r}")
+        if not (isinstance(self.max_iters, int) and not isinstance(self.max_iters, bool)
+                and self.max_iters >= 1):
+            raise ValueError(f"max_iters must be an integer of at least 1, got "
+                             f"{self.max_iters!r}")
+        margin = self.shrink_margin
+        if margin is not None and not (isinstance(margin, (int, float))
+                                       and 0.0 < margin < math.inf):
+            raise ValueError(f"shrink_margin must be a positive finite number, "
+                             f"got {margin!r}")
 
 
 class SolverResult(NamedTuple):
@@ -103,26 +108,6 @@ class PairContext:
 
 def _clamp_box(p: Vec, half_extents: Sequence[float]) -> Vec:
     return tuple(max(-e, min(e, x)) for x, e in zip(p, half_extents))
-
-
-def project_onto_rectangle(p: Vec2, c1: float, c2: float) -> Vec2:
-    """Exact Euclidean projection onto a centered axis-aligned rectangle."""
-    return _clamp_box(p, (c1, c2))
-
-
-def project_onto_ball(p: Vec, center: Vec, radius: float) -> Vec:
-    """Exact Euclidean projection onto a ball.
-
-    A point coinciding with the center has no unique projection direction;
-    that degenerate case maps to the surface point along the first axis.
-    """
-    d = distance(p, center)
-    if d < EPS_DEGENERATE:
-        offset = tuple(radius if i == 0 else 0.0 for i in range(len(center)))
-        return add(center, offset)
-    if d <= radius:
-        return p
-    return add(center, scale(sub(p, center), radius / d))
 
 
 def _alternating_projections(
@@ -314,37 +299,6 @@ def rho_from_surrogate(phi_star: float, b: float) -> tuple[float, bool]:
     if phi_star >= EPS_DEGENERATE:
         return b - phi_star, False
     return b, True
-
-
-def normal_tangent(p_tilde: Vec, q_star: Vec) -> tuple[Vec, Vec]:
-    """Contact normal from the minimum-distance pair, plus a unit tangent.
-
-    The normal points from the first body's point toward the second's.  In
-    2D the tangent is the +90 degree rotation of the normal; in 3D it is the
-    out-of-plane axis crossed with the normal (first axis when parallel).
-    """
-    d = distance(p_tilde, q_star)
-    if d < EPS_DEGENERATE:
-        raise DegenerateDirection("minimum-distance points coincide")
-    n = scale(sub(q_star, p_tilde), 1.0 / d)
-    if len(n) == 2:
-        return n, perp(n)
-    return n, _tangent3(*n)
-
-
-def _tangent3(nx: float, ny: float, nz: float) -> Vec3:
-    """Unit tangent of a 3D unit normal: e3 x n, or e1 x n when parallel."""
-    tx = 0.0 * nz - ny
-    ty = nx - 0.0 * nz
-    tz = 0.0 * ny - 0.0 * nx
-    t = math.sqrt(tx * tx + ty * ty + tz * tz)
-    if t < EPS_DEGENERATE:
-        tx = 0.0 * nz - 0.0 * ny
-        ty = 0.0 * nx - nz
-        tz = ny - 0.0 * nx
-        t = math.sqrt(tx * tx + ty * ty + tz * tz)
-    inv = 1.0 / t
-    return (tx * inv, ty * inv, tz * inv)
 
 
 # ---------------------------------------------------------------------------
@@ -657,21 +611,6 @@ def _convex_rect_rect(state_a: BodyState, rect_a: Rectangle, state_b: BodyState,
     )
 
 
-def _inside_face_normal(q: Vec, half_extents: Sequence[float]) -> Vec:
-    """Outward normal of the nearest face for an interior point (fixed tie order)."""
-    best = math.inf
-    best_axis = 0
-    best_sign = 1.0
-    for axis in range(len(half_extents)):
-        for sign in (1.0, -1.0):
-            face_dist = half_extents[axis] - sign * q[axis]
-            if face_dist < best:
-                best = face_dist
-                best_axis = axis
-                best_sign = sign
-    return tuple(best_sign if i == best_axis else 0.0 for i in range(len(half_extents)))
-
-
 def _convex_cuboid_sphere(state_a: BodyState, cuboid: Cuboid, state_b: BodyState,
                           sphere: Sphere, settings: SolverSettings,
                           context: Optional[PairContext]) -> ContactInfo:
@@ -705,8 +644,8 @@ def _convex_cuboid_sphere(state_a: BodyState, cuboid: Cuboid, state_b: BodyState
         if d >= EPS_DEGENERATE:
             nx, ny, nz = scale(sub(q, clamped), 1.0 / d)
         else:
-            nx, ny, nz = _inside_face_normal(q, ext)
-    tx, ty, tz = _tangent3(nx, ny, nz)
+            _, (nx, ny, nz) = nearest_face(q, ext)
+    tx, ty, tz = tangent3(nx, ny, nz)
 
     dx = px - q0
     dy = py - q1

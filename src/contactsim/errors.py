@@ -6,16 +6,6 @@ class ContactSimError(Exception):
     """Base class for all engine errors."""
 
 
-class DegenerateCenter(ContactSimError):
-    """Circle/ball center coincides with the reference point; the
-    closest-point direction is undefined."""
-
-
-class DegenerateDirection(ContactSimError):
-    """The two minimum-distance points coincide; no normal direction can
-    be derived from them."""
-
-
 class NotConverged(ContactSimError):
     """The minimum-distance solver exhausted its iteration budget.
 

@@ -115,12 +115,6 @@ def _write_text(path: str, text: str) -> None:
         handle.write(text)
 
 
-def load_trajectory_json(path: str):
-    """Parse a JSON trajectory export back into its samples/events dict."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
-
-
 # ---------------------------------------------------------------------------
 # SVG plot
 

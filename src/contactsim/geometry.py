@@ -1,4 +1,4 @@
-"""Frames, rotations, shape definitions and containment predicates.
+"""Frames, rotations, shapes, body states and the shared contact rules.
 
 Vectors are plain tuples of floats (length 2 or 3); rotations are either a
 planar angle in radians or a unit quaternion (w, x, y, z).  The planar
@@ -51,11 +51,6 @@ def normalize(a: Vec) -> Vec:
     return scale(a, 1.0 / n)
 
 
-def perp(a: Vec2) -> Vec2:
-    """Rotate a planar vector by +90 degrees (the out-of-plane cross a3 x a)."""
-    return (-a[1], a[0])
-
-
 def cross3(a: Vec3, b: Vec3) -> Vec3:
     return (
         a[1] * b[2] - a[2] * b[1],
@@ -79,11 +74,6 @@ def rot2_apply_t(theta: float, v: Vec2) -> Vec2:
     c = math.cos(theta)
     s = math.sin(theta)
     return (c * v[0] - s * v[1], s * v[0] + c * v[1])
-
-
-def relative_center(r_a: Vec2, theta1: float, r_b: Vec2) -> Vec2:
-    """Position of a second body's center expressed in the first body's frame."""
-    return rot2_apply(theta1, (r_b[0] - r_a[0], r_b[1] - r_a[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -157,11 +147,51 @@ def mat3_inverse(m: Mat3) -> Mat3:
 
 
 # ---------------------------------------------------------------------------
-# containment predicates (closed sets: boundary points count as contained)
+# contact rules shared by both narrow-phase backends
 
-def contains_point_rect(p: Vec2, c1: float, c2: float) -> bool:
-    """Point-in-rectangle test for a point already expressed in the body frame."""
-    return abs(p[0]) <= c1 and abs(p[1]) <= c2
+# faces of a centered box in the nearest-face scan order, as
+# (axis, sign, outward normal): +x, -x, +y, -y, +z, -z
+_BOX_FACES = (
+    (0, 1.0, (1.0, 0.0, 0.0)), (0, -1.0, (-1.0, 0.0, 0.0)),
+    (1, 1.0, (0.0, 1.0, 0.0)), (1, -1.0, (0.0, -1.0, 0.0)),
+    (2, 1.0, (0.0, 0.0, 1.0)), (2, -1.0, (0.0, 0.0, -1.0)),
+)
+
+
+def nearest_face(q: Vec3, half_extents: Vec3) -> Tuple[float, Vec3]:
+    """Distance from a point inside a centered cuboid to its nearest face,
+    and that face's outward normal; the first strict minimum of the scan
+    order wins a tie."""
+    best = math.inf
+    normal = (1.0, 0.0, 0.0)
+    for axis, sign, face_normal in _BOX_FACES:
+        face_dist = half_extents[axis] - sign * q[axis]
+        if face_dist < best:
+            best = face_dist
+            normal = face_normal
+    return best, normal
+
+
+def tangent3(nx: float, ny: float, nz: float) -> Vec3:
+    """Unit tangent of a 3D unit normal: e3 x n, or e1 x n when parallel.
+
+    Both backends apply it to the body-frame normal and rotate the result
+    with the body, so the tangent turns with the cuboid.  A zero normal
+    (left by a pose whose offset overflowed) raises ValueError.
+    """
+    tx = 0.0 * nz - ny
+    ty = nx - 0.0 * nz
+    tz = 0.0 * ny - 0.0 * nx
+    t = math.sqrt(tx * tx + ty * ty + tz * tz)
+    if t < EPS_DEGENERATE:
+        tx = 0.0 * nz - 0.0 * ny
+        ty = 0.0 * nx - nz
+        tz = ny - 0.0 * nx
+        t = math.sqrt(tx * tx + ty * ty + tz * tz)
+        if t < EPS_DEGENERATE:
+            raise ValueError(f"no unit tangent for the normal ({nx}, {ny}, {nz})")
+    inv = 1.0 / t
+    return (tx * inv, ty * inv, tz * inv)
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +259,10 @@ class BodyState:
     and a 3x3 inertia tensor given as nested tuples.  Static bodies are
     treated as having infinite mass and inertia by the integrator.
 
-    The invariants are checked when a state is constructed; the integrator
-    derives each step's states through ``_successor``, which keeps them
-    without checking again.
+    The invariants (dimensions, finite entries, positive mass and planar
+    inertia, a unit quaternion) are checked when a state is constructed; the
+    integrator derives each step's states through ``_successor``, which
+    keeps them without checking again.
     """
 
     position: Vec
@@ -243,17 +274,41 @@ class BodyState:
     static: bool = False
 
     def __post_init__(self):
-        if len(self.position) not in (2, 3):
+        position, velocity = self.position, self.velocity
+        if len(position) not in (2, 3):
             raise ValueError("position must be a 2- or 3-vector")
-        if len(self.velocity) != len(self.position):
+        if len(velocity) != len(position):
             raise ValueError("velocity dimension must match position")
         _check_positive("mass", self.mass)
-        if self.dim == 3:
-            q = self.orientation
-            if not (isinstance(q, tuple) and len(q) == 4):
-                raise ValueError("3D orientation must be a quaternion tuple")
-            if abs(norm(q) - 1.0) > 1e-9:
-                raise ValueError("quaternion must be normalized")
+        q, w, inertia = self.orientation, self.angular_velocity, self.inertia
+        try:  # a number where a tuple belongs, or the reverse, is a TypeError
+            if len(position) == 2:
+                shaped = True
+                entries = (*position, *velocity, q, w, inertia)
+            else:
+                shaped = (isinstance(q, tuple) and len(q) == 4
+                          and isinstance(w, tuple) and len(w) == 3
+                          and isinstance(inertia, tuple)
+                          and tuple(map(len, inertia)) == (3, 3, 3))
+                entries = (*position, *velocity, *q, *w, *inertia[0],
+                           *inertia[1], *inertia[2])
+            finite = all(map(math.isfinite, entries))
+        except TypeError:
+            shaped = False
+        if not shaped:
+            raise ValueError(
+                "a 2D body takes a number for orientation, angular velocity and "
+                "inertia, a 3D body a quaternion tuple, a 3-tuple and a 3x3 "
+                f"tuple; got {q!r}, {w!r}, {inertia!r}")
+        if not finite:
+            raise ValueError(
+                f"body state must be finite: position {position}, velocity "
+                f"{velocity}, orientation {q}, angular velocity {w}, "
+                f"inertia {inertia}")
+        if len(position) == 2:
+            _check_positive("inertia", inertia)
+        elif abs(norm(q) - 1.0) > 1e-9:
+            raise ValueError("quaternion must be normalized")
 
     @property
     def dim(self) -> int:

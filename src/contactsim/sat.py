@@ -10,11 +10,9 @@ which keeps the case tables and support tie-breaks total.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from .contact import ContactInfo
-from .errors import DegenerateCenter
 from .geometry import (
     EPS_DEGENERATE,
     BodyState,
@@ -23,17 +21,12 @@ from .geometry import (
     Rectangle,
     Sphere,
     Vec2,
-    Vec3,
-    add,
-    cross3,
-    distance,
     mat3_t_vec,
     mat3_vec,
+    nearest_face,
     normalize,
-    perp,
     quat_to_matrix,
-    scale,
-    sub,
+    tangent3,
 )
 
 # Tolerance for the diagonal tie between the two inside-region depth gaps.
@@ -47,26 +40,6 @@ class Region(Enum):
     INSIDE_NEAR_LR = "inside-near-left-right"
     INSIDE_NEAR_TB = "inside-near-top-bottom"
     INSIDE_DIAGONAL = "inside-diagonal"
-
-
-@dataclass(frozen=True)
-class RegionClass:
-    """Signed side distances of a point from a rectangle and the region they select."""
-
-    alpha: float
-    beta: float
-    region: Region
-
-
-def region_classify(q: Vec2, c1: float, c2: float) -> RegionClass:
-    """Classify where a point lies relative to a centered rectangle.
-
-    alpha and beta are the distances of the point beyond the rectangle's
-    sides (negative inside).  The region is the one ``_rect_case`` picks, so
-    the classification and the detectors share one case table.
-    """
-    region, _, _ = _rect_case(q[0], q[1], c1, c2)
-    return RegionClass(abs(q[0]) - c1, abs(q[1]) - c2, region)
 
 
 def _rect_case(q0: float, q1: float, c1: float, c2: float
@@ -99,34 +72,6 @@ def _rect_case(q0: float, q1: float, c1: float, c2: float
 _INSIDE = (Region.INSIDE_NEAR_LR, Region.INSIDE_NEAR_TB, Region.INSIDE_DIAGONAL)
 
 
-def rect_mdp(q: Vec2, c1: float, c2: float) -> Vec2:
-    """Boundary point of the rectangle closest to q, per the region case table."""
-    return _rect_case(q[0], q[1], c1, c2)[1]
-
-
-def circle_mdp(p_tilde: Vec2, q: Vec2, radius: float) -> Vec2:
-    """Point of a circle centered at q closest to the rectangle point p_tilde."""
-    d = distance(p_tilde, q)
-    if d < EPS_DEGENERATE:
-        raise DegenerateCenter(
-            "circle center lies on the rectangle boundary; direction undefined"
-        )
-    u = scale(sub(p_tilde, q), 1.0 / d)
-    return add(q, scale(u, radius))
-
-
-def proximity_and_rho(p_tilde: Vec2, q: Vec2, radius: float) -> tuple[float, float]:
-    """Proximity and interpenetration of a circle against a rectangle point."""
-    d = distance(p_tilde, q)
-    if d < EPS_DEGENERATE:
-        raise DegenerateCenter(
-            "circle center lies on the rectangle boundary; direction undefined"
-        )
-    phi = d - radius
-    rho = 0.0 if phi > 0.0 else -phi
-    return phi, rho
-
-
 def rect_circle_normal(q: Vec2, c1: float, c2: float) -> tuple[Vec2, Vec2]:
     """Unit contact normal and tangent of the rectangle surface facing q.
 
@@ -135,7 +80,7 @@ def rect_circle_normal(q: Vec2, c1: float, c2: float) -> tuple[Vec2, Vec2]:
     normal (out-of-plane axis cross normal).
     """
     n = normalize(_rect_case(q[0], q[1], c1, c2)[2])
-    return n, perp(n)
+    return n, (-n[1], n[0])
 
 
 def detect_rect_circle(state_a: BodyState, rect: Rectangle,
@@ -331,12 +276,6 @@ def detect_rect_rect(state_a: BodyState, rect_a: Rectangle,
     )
 
 
-# face scan order for the center-inside cuboid branch: +a1, -a1, +a2, -a2, +a3, -a3
-_CUBOID_FACES: tuple[tuple[int, float], ...] = (
-    (0, 1.0), (0, -1.0), (1, 1.0), (1, -1.0), (2, 1.0), (2, -1.0),
-)
-
-
 def detect_sphere_cuboid(state_a: BodyState, cuboid: Cuboid,
                          state_b: BodyState, sphere: Sphere) -> ContactInfo:
     """Closest-point query between a cuboid (body A) and a sphere (body B).
@@ -346,7 +285,7 @@ def detect_sphere_cuboid(state_a: BodyState, cuboid: Cuboid,
     branch: the penetration is the radius plus the distance to the nearest
     face, with ties broken in a fixed face order.
     """
-    e0, e1, e2 = cuboid.half_extents
+    e0, e1, e2 = ext = cuboid.half_extents
     radius = sphere.radius
     rot = quat_to_matrix(state_a.orientation)  # world from cuboid frame
     pa = state_a.position
@@ -360,14 +299,7 @@ def detect_sphere_cuboid(state_a: BodyState, cuboid: Cuboid,
 
     if d < EPS_DEGENERATE:
         # center inside (or on the surface): nearest face, fixed tie-break order
-        ext = (e0, e1, e2)
-        best = math.inf
-        n_local: Vec3 = (1.0, 0.0, 0.0)
-        for axis, sign in _CUBOID_FACES:
-            face_dist = ext[axis] - sign * q[axis]
-            if face_dist < best:
-                best = face_dist
-                n_local = tuple(sign if i == axis else 0.0 for i in range(3))
+        best, n_local = nearest_face(q, ext)
         phi = d - radius
         rho = radius + best
         ux, uy, uz = n_local
@@ -381,7 +313,6 @@ def detect_sphere_cuboid(state_a: BodyState, cuboid: Cuboid,
         p_tilde = (k0, k1, k2)
 
     q_m = (ux * radius, uy * radius, uz * radius)
-    normal = mat3_vec(rot, n_local)
     return ContactInfo(
         colliding=rho > 0.0,
         phi=phi,
@@ -390,16 +321,6 @@ def detect_sphere_cuboid(state_a: BodyState, cuboid: Cuboid,
         q_tilde=(q0 + q_m[0], q1 + q_m[1], q2 + q_m[2]),
         anchor_a=mat3_vec(rot, p_tilde),
         anchor_b=mat3_vec(rot, q_m),
-        normal=normal,
-        tangent=_tangent_3d(rot, normal),
+        normal=mat3_vec(rot, n_local),
+        tangent=mat3_vec(rot, tangent3(*n_local)),
     )
-
-
-def _tangent_3d(rot, normal: Vec3) -> Vec3:
-    """Deterministic unit tangent: body a3 cross normal, else a1 cross normal."""
-    t = cross3(mat3_vec(rot, (0.0, 0.0, 1.0)), normal)
-    n = math.sqrt(t[0] * t[0] + t[1] * t[1] + t[2] * t[2])
-    if n < EPS_DEGENERATE:
-        return normalize(cross3(mat3_vec(rot, (1.0, 0.0, 0.0)), normal))
-    inv = 1.0 / n
-    return (t[0] * inv, t[1] * inv, t[2] * inv)

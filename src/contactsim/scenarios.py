@@ -187,6 +187,7 @@ _SHAPE_BUILDERS = {
     "sphere": lambda spec: Sphere(float(spec["radius"])),
     "cuboid": lambda spec: Cuboid(tuple(float(v) for v in spec["half_extents"])),
 }
+_SHAPE_DIMS = {Circle: 2, Rectangle: 2, Sphere: 3, Cuboid: 3}
 
 
 def _override_body(body: BodyState, spec: Mapping) -> BodyState:
@@ -216,10 +217,15 @@ def apply_overrides(scenario: Scenario, overrides: Mapping) -> Scenario:
     Recognized keys: ``gravity``, ``duration``, ``material`` (mapping of
     MaterialParams fields), ``bodies`` (list of per-body mappings, entries
     may be null to keep a body unchanged, with optional ``shape`` mappings).
+    Gravity must be finite, and every body and shape must have as many
+    dimensions as gravity.
     """
     changes = {}
     if "gravity" in overrides:
-        changes["gravity"] = tuple(float(v) for v in overrides["gravity"])
+        gravity = tuple(float(v) for v in overrides["gravity"])
+        if not all(map(math.isfinite, gravity)):
+            raise ValueError(f"gravity must be finite, got {gravity}")
+        changes["gravity"] = gravity
     if "duration" in overrides:
         changes["duration"] = float(overrides["duration"])
     if "material" in overrides:
@@ -234,15 +240,24 @@ def apply_overrides(scenario: Scenario, overrides: Mapping) -> Scenario:
                 continue
             if index >= len(bodies):
                 raise ValueError(f"body override index {index} out of range")
-            if "shape" in spec:
-                shape_spec = dict(spec["shape"])
-                kind = shape_spec.pop("type")
-                try:
+            try:
+                if "shape" in spec:
+                    shape_spec = dict(spec["shape"])
+                    kind = shape_spec.pop("type")
+                    if kind not in _SHAPE_BUILDERS:
+                        raise ValueError(f"unknown shape type {kind!r}")
                     shapes[index] = _SHAPE_BUILDERS[kind](shape_spec)
-                except KeyError:
-                    raise ValueError(f"unknown shape type {kind!r}") from None
-            body_spec = {k: v for k, v in spec.items() if k != "shape"}
-            bodies[index] = _override_body(bodies[index], body_spec)
+                body_spec = {k: v for k, v in spec.items() if k != "shape"}
+                bodies[index] = _override_body(bodies[index], body_spec)
+            except ValueError as exc:
+                raise ValueError(f"body {index}: {exc}") from None
         changes["bodies"] = tuple(bodies)
         changes["shapes"] = tuple(shapes)
-    return replace(scenario, **changes)
+    scenario = replace(scenario, **changes)
+    dim = len(scenario.gravity)
+    for index, (body, shape) in enumerate(zip(scenario.bodies, scenario.shapes)):
+        if body.dim != dim or _SHAPE_DIMS[type(shape)] != dim:
+            raise ValueError(
+                f"body {index}: a {body.dim}D body with a {type(shape).__name__} "
+                f"does not fit a world with {dim}D gravity")
+    return scenario

@@ -66,11 +66,12 @@ class SimConfig:
     gravity: Optional[Vec] = None
     solver: convex.SolverSettings = field(default_factory=convex.SolverSettings)
     material: Optional[MaterialParams] = None
-    pair_materials: Dict[Tuple[int, int], MaterialParams] = field(default_factory=dict)
 
     def __post_init__(self):
         if isinstance(self.backend, str):
             self.backend = Backend(self.backend)
+        if self.gravity is not None and not all(map(math.isfinite, self.gravity)):
+            raise ValueError(f"gravity must be finite, got {self.gravity}")
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise ValueError(f"dt must be a positive finite number, got {self.dt}")
         if self.duration is not None:
@@ -162,6 +163,7 @@ def collision_response(states, shapes, config: SimConfig,
     the diagnostics.  Wrenches accumulate per body in pair order.
     """
     backend = config.backend
+    material = config.material or _DEFAULT_MATERIAL
     warm = contexts is not None and backend is Backend.CO
     n = len(states)
     forces = [None] * n
@@ -183,8 +185,6 @@ def collision_response(states, shapes, config: SimConfig,
             kin = relative_velocity_at_contact(states[i], info.anchor_a,
                                                states[j], info.anchor_b,
                                                info.normal, info.tangent)
-            material = config.pair_materials.get(pair) or config.material \
-                or _DEFAULT_MATERIAL
             f_n, f_t = contact_force(info.rho, kin, material)
             wrench_i, wrench_j = wrench_on_bodies(f_n, f_t, info.normal,
                                                   info.tangent, info.anchor_a,
@@ -287,16 +287,6 @@ def _integrate(states, wrenches, config: SimConfig, gravity: Vec,
             (position[0] + dt * vx, position[1] + dt * vy, position[2] + dt * vz),
             orientation, (vx, vy, vz), omega))
     return new_states
-
-
-def step(states, shapes, config: SimConfig, gravity: Optional[Vec] = None,
-         contexts: Optional[Dict] = None):
-    """One full detection-resolution-integration step; returns new states."""
-    if gravity is None:
-        gravity = config.gravity if config.gravity is not None \
-            else (0.0,) * states[0].dim
-    wrenches, _ = collision_response(states, shapes, config, contexts)
-    return _integrate(states, wrenches, config, gravity)
 
 
 def run_world(states, shapes, config: SimConfig, gravity: Vec

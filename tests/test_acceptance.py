@@ -17,7 +17,7 @@ import pytest
 from contactsim.bench import run_bench
 from contactsim.cli import main
 from contactsim.convex import SolverSettings, detect_convex, min_distance_pair, rho_from_surrogate
-from contactsim.geometry import Circle, Rectangle, body2d, contains_point_rect, relative_center
+from contactsim.geometry import Circle, Rectangle, body2d
 from contactsim.penalty import ContactKinematics, MaterialParams, contact_force
 from contactsim.sat import detect_rect_circle
 from contactsim.simulate import (
@@ -28,7 +28,12 @@ from contactsim.simulate import (
     run_scenario,
 )
 
-from oracles import circle_boundary_points, min_pair_distance, rect_boundary_points
+from oracles import (
+    circle_boundary_points,
+    frame_coords,
+    min_pair_distance,
+    rect_boundary_points,
+)
 
 
 @contextmanager
@@ -50,11 +55,17 @@ def random_rect_circle_pose(rng):
     return state_a, Rectangle(c1, c2), state_b, Circle(radius)
 
 
+def circle_in_rect_frame(state_a, state_b):
+    """The circle center in the rectangle's body frame."""
+    offset = np.subtract(state_b.position, state_a.position)
+    return tuple(float(v) for v in frame_coords(state_a.orientation, offset))
+
+
 def fictitious_gap(state_a, rect, state_b, circle, b):
     """Distance between the rectangle and the shrunk circle; negative or
     zero when the fictitious shapes touch (center inside counts as zero)."""
-    q = relative_center(state_a.position, state_a.orientation, state_b.position)
-    if contains_point_rect(q, rect.half_length, rect.half_width):
+    q = circle_in_rect_frame(state_a, state_b)
+    if abs(q[0]) <= rect.half_length and abs(q[1]) <= rect.half_width:
         return 0.0
     info = detect_rect_circle(state_a, rect, state_b, circle)
     return info.phi + b
@@ -123,8 +134,7 @@ def test_interpenetration_recovery_from_surrogate():
             if fictitious_gap(state_a, rect, state_b, circle, b) < 1e-3:
                 continue
             checked += 1
-            q = relative_center(state_a.position, state_a.orientation,
-                                state_b.position)
+            q = circle_in_rect_frame(state_a, state_b)
             result = min_distance_pair(
                 (rect.half_length, rect.half_width), q, circle.radius - b)
             rho, saturated = rho_from_surrogate(result.phi_star, b)

@@ -9,12 +9,9 @@ from contactsim.convex import (
     SolverSettings,
     detect_convex,
     min_distance_pair,
-    normal_tangent,
-    project_onto_ball,
-    project_onto_rectangle,
     rho_from_surrogate,
 )
-from contactsim.errors import DegenerateDirection, NotConverged, UnsupportedPair
+from contactsim.errors import NotConverged, UnsupportedPair
 from contactsim.geometry import (
     Circle,
     Cuboid,
@@ -22,9 +19,8 @@ from contactsim.geometry import (
     Sphere,
     body2d,
     body3d,
-    contains_point_rect,
     quat_to_matrix,
-    relative_center,
+    tangent3,
 )
 from contactsim.sat import (
     detect_circle_circle,
@@ -33,35 +29,50 @@ from contactsim.sat import (
     detect_sphere_cuboid,
 )
 
+from oracles import frame_coords
+
 SQRT2 = math.sqrt(2.0)
 
 
+def solver_ball_projection(p, center, radius):
+    """The solver's ball projection of p.
+
+    Against a box that contains p and the ball, the box clamp leaves every
+    iterate where it is, so the minimum-distance pair started from p ends on
+    the ball projection of p.
+    """
+    return min_distance_pair((10.0, 10.0), center, radius, initial=p).q_star
+
+
 class TestProjections:
+    """The two exact projections the solver alternates."""
+
     def test_rectangle_corner_clamp(self):
-        assert project_onto_rectangle((3.0, 2.0), 1.0, 1.0) == (1.0, 1.0)
+        assert convex._clamp_box((3.0, 2.0), (1.0, 1.0)) == (1.0, 1.0)
 
     def test_rectangle_identity_inside(self):
-        assert project_onto_rectangle((0.5, -0.5), 1.0, 1.0) == (0.5, -0.5)
+        assert convex._clamp_box((0.5, -0.5), (1.0, 1.0)) == (0.5, -0.5)
 
     def test_rectangle_edge_clamp(self):
-        assert project_onto_rectangle((0.0, -5.0), 2.0, 1.0) == (0.0, -1.0)
+        assert convex._clamp_box((0.0, -5.0), (2.0, 1.0)) == (0.0, -1.0)
 
     def test_rectangle_idempotent_sweep(self):
         rng = np.random.default_rng(3)
         for _ in range(500):
-            c1, c2 = rng.uniform(0.2, 2.0, 2)
+            extents = tuple(rng.uniform(0.2, 2.0, 2))
             p = tuple(rng.uniform(-4, 4, 2))
-            once = project_onto_rectangle(p, c1, c2)
-            assert project_onto_rectangle(once, c1, c2) == once
+            once = convex._clamp_box(p, extents)
+            assert convex._clamp_box(once, extents) == once
 
     def test_ball_outside(self):
-        assert project_onto_ball((1.0, 0.0), (3.0, 0.0), 0.5) == (2.5, 0.0)
+        assert solver_ball_projection((1.0, 0.0), (3.0, 0.0), 0.5) == (2.5, 0.0)
 
     def test_ball_identity_inside(self):
-        assert project_onto_ball((2.9, 0.1), (3.0, 0.0), 0.5) == (2.9, 0.1)
+        assert solver_ball_projection((2.9, 0.1), (3.0, 0.0), 0.5) == (2.9, 0.1)
 
     def test_ball_center_degenerate_rule(self):
-        assert project_onto_ball((3.0, 0.0), (3.0, 0.0), 0.5) == (3.5, 0.0)
+        # the projection onto the solid ball keeps its center where it is
+        assert solver_ball_projection((3.0, 0.0), (3.0, 0.0), 0.5) == (3.0, 0.0)
 
     def test_ball_projection_lands_on_ball(self):
         rng = np.random.default_rng(5)
@@ -69,9 +80,9 @@ class TestProjections:
             center = tuple(rng.uniform(-2, 2, 2))
             radius = rng.uniform(0.2, 1.5)
             p = tuple(rng.uniform(-4, 4, 2))
-            once = project_onto_ball(p, center, radius)
+            once = solver_ball_projection(p, center, radius)
             assert math.dist(once, center) <= radius + 1e-12
-            twice = project_onto_ball(once, center, radius)
+            twice = solver_ball_projection(once, center, radius)
             assert math.dist(once, twice) < 1e-12
 
 
@@ -144,7 +155,7 @@ class TestMinDistancePair:
             if res.phi_star < 1e-3:
                 continue
             checked += 1
-            n, _ = normal_tangent(res.p_tilde, res.q_star)
+            n = np.subtract(res.q_star, res.p_tilde) / res.phi_star
             for axis, extent in ((0, c1), (1, c2)):
                 if abs(res.p_tilde[axis]) < extent - 1e-7:
                     assert abs(n[axis]) < 1e-6
@@ -181,21 +192,23 @@ class TestRhoFromSurrogate:
 
 
 class TestNormalTangent:
+    """The contact normal points from the first body's minimum-distance
+    point toward the second's; the tangent is its +90 degree rotation in 2D
+    and ``tangent3`` of the body-frame normal in 3D."""
+
     def test_axis_aligned(self):
-        n, t = normal_tangent((1.0, 0.0), (2.5, 0.0))
-        assert n == (1.0, 0.0) and t == (0.0, 1.0)
+        info = detect_convex(body2d((0.0, 0.0)), Rectangle(1.0, 1.0),
+                             body2d((3.0, 0.0)), Circle(1.0))
+        assert info.normal == (1.0, 0.0) and info.tangent == (0.0, 1.0)
 
     def test_diagonal(self):
-        n, _ = normal_tangent((1.0, 1.0), (2.0, 2.0))
-        assert np.allclose(n, (1.0 / SQRT2, 1.0 / SQRT2))
-
-    def test_coincident_points_raise(self):
-        with pytest.raises(DegenerateDirection):
-            normal_tangent((1.0, 1.0), (1.0, 1.0))
+        info = detect_convex(body2d((0.0, 0.0)), Rectangle(1.0, 1.0),
+                             body2d((3.0, 3.0)), Circle(1.0))
+        assert np.allclose(info.normal, (1.0 / SQRT2, 1.0 / SQRT2))
 
     def test_three_dimensional_tangent(self):
-        n, t = normal_tangent((0.0, 0.0, 0.0), (0.0, 0.0, 2.0))
-        assert n == (0.0, 0.0, 1.0)
+        n = (0.0, 0.0, 1.0)
+        t = tangent3(*n)
         assert math.isclose(np.linalg.norm(t), 1.0, abs_tol=1e-12)
         assert abs(np.dot(n, t)) < 1e-12
 
@@ -258,8 +271,10 @@ class TestDetectConvex:
             # the rectangle and a surrogate gap large enough that the pinned
             # iteration budget applies (the projection rate degrades as the
             # gap vanishes)
-            q_local = relative_center(state_a.position, theta, state_b.position)
-            if contains_point_rect(q_local, c1, c2) or sat_info.phi + b < 1e-3:
+            q_local = frame_coords(theta, np.subtract(state_b.position,
+                                                      state_a.position))
+            inside = abs(q_local[0]) <= c1 and abs(q_local[1]) <= c2
+            if inside or sat_info.phi + b < 1e-3:
                 continue
             checked += 1
             co_info = detect_convex(state_a, rect, state_b, circle, settings)

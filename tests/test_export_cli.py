@@ -11,7 +11,6 @@ from contactsim.export import (
     _sample_row,
     export_plot,
     export_trajectory,
-    load_trajectory_json,
 )
 from contactsim.geometry import Circle, body2d
 from contactsim.scenarios import SCENARIO_NAMES
@@ -123,7 +122,7 @@ class TestJsonExport:
     def test_round_trip_is_bit_exact(self, short_run, tmp_path):
         out = tmp_path / "t.json"
         export_trajectory(short_run, "json", str(out))
-        loaded = load_trajectory_json(str(out))
+        loaded = json.loads(out.read_text())
         assert len(loaded["samples"]) == len(short_run.samples) * 2
         index = 0
         for t, states in short_run.samples:
@@ -219,7 +218,7 @@ class TestCli:
                      "sat", "--config", str(config), "--out", str(out),
                      "--format", "json"])
         assert code == 0
-        loaded = load_trajectory_json(str(out))
+        loaded = json.loads(out.read_text())
         assert loaded["samples"][1]["x"] == 3.0
         ts = sorted({row["t"] for row in loaded["samples"]})
         assert math.isclose(ts[1] - ts[0], 0.002, abs_tol=1e-15)
@@ -277,6 +276,65 @@ class TestCli:
                      "sat", "--config", str(config)])
         assert code == 1
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("backend", ["sat", "co"])
+    @pytest.mark.parametrize("text, names", [
+        ('[1, 2]', "document"),
+        ('{"solver": [1, 2]}', "solver"),
+        ('{"solver": {"bogus": 1}}', "bogus"),
+        ('{"solver": {"tol": "abc"}}', "solver.tol"),
+        ('{"solver": {"max_iters": 1.5}}', "solver.max_iters"),
+        ('{"solver": {"tol": Infinity}}', "solver.tol"),
+        ('{"material": 5}', "material"),
+        ('{"material": {"bogus": 1}}', "bogus"),
+        ('{"gravity": 5}', "gravity"),
+        ('{"gravity": [0, NaN]}', "gravity"),
+        ('{"gravity": [0, 1e400]}', "gravity"),
+        ('{"gravity": [0, 0, -9.81]}', "gravity"),
+        ('{"bodies": 3}', "bodies"),
+        ('{"dt": null}', "dt"),
+        ('{"bodies": [{"orientation": [1, 0, 0, 0]}]}', "body 0"),
+        ('{"bodies": [{"static": "no"}]}', "bodies[0].static"),
+        ('{"bodies": [null, {"shape": {"type": "circle"}}]}', "radius"),
+        ('{"bodies": [{"shape": {"type": [1]}}]}', "bodies[0].shape"),
+        ('{"bodies": [null, {"shape": {"type": "sphere", "radius": 1}}]}',
+         "body 1"),
+        ('{"bodies": [{"position": [0, 1e400]}]}', "bodies[0].position"),
+        ('{"bodies": [{"inertia": 0}]}', "inertia"),
+    ])
+    def test_malformed_config_is_usage_error(self, text, names, backend,
+                                             tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        code = main(["simulate", "--scenario", "circle-circle", "--backend",
+                     backend, "--duration", "0.005", "--config", str(config)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("contactsim: ") and names in err
+        assert "Traceback" not in err
+
+    def test_overflowing_contact_force_is_runtime_error(self, tmp_path, capsys):
+        # a circle 1e120 deep inside a rectangle: the cubic force overflows
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"bodies": [{"shape": {
+            "type": "rectangle", "half_length": 1e120, "half_width": 1e120}}]}))
+        code = main(["simulate", "--scenario", "rect-circle", "--backend", "sat",
+                     "--duration", "0.005", "--config", str(config)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "overflow" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("backend", ["sat", "co"])
+    def test_overflowed_sphere_pose_is_usage_error(self, backend, tmp_path,
+                                                    capsys):
+        # the sphere's offset squares to inf: its normal degenerates to zero
+        config = tmp_path / "config.json"
+        config.write_text('{"gravity": [1.0, 1.0, 1.3407807929942597e+159]}')
+        code = main(["simulate", "--scenario", "sphere-cuboid", "--backend",
+                     backend, "--duration", "0.005", "--config", str(config)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "tangent" in err and "Traceback" not in err
 
     def test_missing_config_file_is_runtime_error(self):
         code = main(["simulate", "--scenario", "circle-circle", "--backend",

@@ -12,10 +12,8 @@ from contactsim.geometry import (
     Sphere,
     body2d,
     body3d,
-    contains_point_rect,
     quat_from_angle_z,
     quat_to_matrix,
-    relative_center,
     rot2_apply,
     rot2_apply_t,
 )
@@ -68,6 +66,12 @@ class TestRotationMatrix:
                                atol=0.0)
 
 
+def relative_center(r_a, theta, r_b):
+    """The second center in the first body's frame, as every 2D detector
+    computes it: rot2_apply of the world offset."""
+    return rot2_apply(theta, (r_b[0] - r_a[0], r_b[1] - r_a[1]))
+
+
 class TestRelativeCenter:
     def test_identity_rotation(self):
         assert relative_center((0.0, 0.0), 0.0, (3.0, 1.0)) == (3.0, 1.0)
@@ -102,27 +106,6 @@ class TestRelativeCenter:
             assert np.allclose(q, expected, atol=1e-15)
 
 
-class TestContainment:
-    def test_rect_center(self):
-        assert contains_point_rect((0.0, 0.0), 1.0, 1.0)
-
-    def test_rect_boundary_inclusive(self):
-        assert contains_point_rect((1.0, 1.0), 1.0, 1.0)
-
-    def test_rect_outside(self):
-        assert not contains_point_rect((1.01, 0.0), 1.0, 1.0)
-
-    def test_rect_agrees_with_sampling_oracle(self):
-        rng = np.random.default_rng(17)
-        for _ in range(20):
-            c1 = rng.uniform(0.2, 3.0)
-            c2 = rng.uniform(0.2, 3.0)
-            pts = rng.uniform(-4.0, 4.0, size=(500, 2))
-            expected = (np.abs(pts[:, 0]) <= c1) & (np.abs(pts[:, 1]) <= c2)
-            got = np.array([contains_point_rect(tuple(p), c1, c2) for p in pts])
-            assert (expected == got).all()
-
-
 class TestShapesAndBodies:
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
     def test_circle_rejects_nonpositive_radius(self, bad):
@@ -151,6 +134,27 @@ class TestShapesAndBodies:
         with pytest.raises(ValueError):
             BodyState((0.0, 0.0, 0.0), (2.0, 0.0, 0.0, 0.0),
                       (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 1.0, 1.0)
+
+    @pytest.mark.parametrize("build", [
+        lambda: body2d((math.nan, 0.0)),
+        lambda: body2d((0.0, 0.0), velocity=(math.inf, 0.0)),
+        lambda: body2d((0.0, 0.0), angle=math.inf),
+        lambda: body2d((0.0, 0.0), angular_velocity=-math.inf),
+        lambda: body2d((0.0, 0.0), inertia=0.0),
+        lambda: body2d((0.0, 0.0), inertia=math.nan),
+        lambda: BodyState((0.0, 0.0), (1.0, 0.0, 0.0, 0.0), (0.0, 0.0), 0.0,
+                          1.0, 1.0),
+        lambda: body3d((0.0, 0.0, math.inf)),
+        lambda: body3d((0.0, 0.0, 0.0), angular_velocity=(0.0, math.nan, 0.0)),
+        lambda: body3d((0.0, 0.0, 0.0), inertia=math.inf),
+        lambda: BodyState((0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0),
+                          (0.0, 0.0, 0.0), 1.0, 1.0),
+        lambda: BodyState((0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0),
+                          0.0, 1.0, ((1.0, 0.0, 0.0),) * 3),
+    ])
+    def test_body_rejects_non_finite_or_malformed_entries(self, build):
+        with pytest.raises(ValueError):
+            build()
 
     def test_quaternion_matches_planar_rotation(self):
         rng = random.Random(29)

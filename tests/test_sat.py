@@ -3,20 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from contactsim.errors import DegenerateCenter
 from contactsim.geometry import body2d, body3d, quat_from_angle_z
 from contactsim.geometry import Circle, Cuboid, Rectangle, Sphere
 from contactsim.sat import (
     Region,
-    circle_mdp,
+    _rect_case,
     detect_circle_circle,
     detect_rect_circle,
     detect_rect_rect,
     detect_sphere_cuboid,
-    proximity_and_rho,
     rect_circle_normal,
-    rect_mdp,
-    region_classify,
 )
 
 from oracles import (
@@ -35,60 +31,69 @@ SQRT2 = math.sqrt(2.0)
 
 
 class TestRegionClassify:
+    """The region the case table names, with its closest point and raw normal.
+
+    alpha = |q0| - c1 and beta = |q1| - c2 are the distances beyond the
+    rectangle's sides (negative inside).
+    """
+
     def test_corner_outside(self):
-        rc = region_classify((3.0, 2.0), 2.0, 1.0)
-        assert (rc.alpha, rc.beta) == (1.0, 1.0)
-        assert rc.region is Region.CORNER_OUTSIDE
+        # alpha = beta = 1
+        assert _rect_case(3.0, 2.0, 2.0, 1.0) == (
+            Region.CORNER_OUTSIDE, (2.0, 1.0), (2.0, 1.0))
 
     def test_top_bottom_outside(self):
-        rc = region_classify((0.0, 2.0), 2.0, 1.0)
-        assert (rc.alpha, rc.beta) == (-2.0, 1.0)
-        assert rc.region is Region.TOP_BOTTOM_OUTSIDE
+        # alpha = -2, beta = 1
+        assert _rect_case(0.0, 2.0, 2.0, 1.0) == (
+            Region.TOP_BOTTOM_OUTSIDE, (0.0, 1.0), (0.0, 1.0))
 
     def test_inside_near_top_bottom(self):
-        rc = region_classify((1.0, 0.5), 2.0, 1.0)
-        assert (rc.alpha, rc.beta) == (-1.0, -0.5)
-        assert rc.alpha < rc.beta
-        assert rc.region is Region.INSIDE_NEAR_TB
+        # alpha = -1 < beta = -0.5: the top side is nearer
+        assert _rect_case(1.0, 0.5, 2.0, 1.0) == (
+            Region.INSIDE_NEAR_TB, (1.0, 1.0), (0.0, 1.0))
 
     def test_left_right_outside(self):
-        assert region_classify((3.0, 0.0), 2.0, 1.0).region is Region.LEFT_RIGHT_OUTSIDE
+        assert _rect_case(3.0, 0.0, 2.0, 1.0)[0] is Region.LEFT_RIGHT_OUTSIDE
 
     def test_inside_near_left_right(self):
-        assert region_classify((1.8, 0.1), 2.0, 1.0).region is Region.INSIDE_NEAR_LR
+        assert _rect_case(1.8, 0.1, 2.0, 1.0) == (
+            Region.INSIDE_NEAR_LR, (2.0, 0.1), (1.0, 0.0))
 
     def test_inside_diagonal_tie(self):
-        rc = region_classify((1.2, 0.2), 2.0, 1.0)
-        assert rc.alpha == rc.beta
-        assert rc.region is Region.INSIDE_DIAGONAL
+        # alpha = beta = -0.8
+        assert _rect_case(1.2, 0.2, 2.0, 1.0) == (
+            Region.INSIDE_DIAGONAL, (2.0, 1.0), (1.0, 1.0))
 
     def test_boundary_alpha_zero_goes_outside(self):
         # alpha == 0 counts as outside the side (sign rule makes tables total)
-        assert region_classify((2.0, 0.0), 2.0, 1.0).region is Region.LEFT_RIGHT_OUTSIDE
+        assert _rect_case(2.0, 0.0, 2.0, 1.0)[0] is Region.LEFT_RIGHT_OUTSIDE
 
 
 class TestRectMdp:
+    """The closest boundary point of the case table."""
+
     def test_right_edge(self):
-        assert rect_mdp((3.0, 0.0), 1.0, 1.0) == (1.0, 0.0)
+        assert _rect_case(3.0, 0.0, 1.0, 1.0)[1] == (1.0, 0.0)
 
     def test_corner(self):
-        assert rect_mdp((2.0, 2.0), 1.0, 1.0) == (1.0, 1.0)
+        assert _rect_case(2.0, 2.0, 1.0, 1.0)[1] == (1.0, 1.0)
 
     def test_inside_clamps_nearest_edge(self):
-        assert rect_mdp((1.0, 0.5), 2.0, 1.0) == (1.0, 1.0)
+        assert _rect_case(1.0, 0.5, 2.0, 1.0)[1] == (1.0, 1.0)
 
     def test_mdp_on_boundary_sweep(self):
         rng = np.random.default_rng(101)
         for _ in range(2000):
             c1, c2 = rng.uniform(0.2, 3.0, 2)
-            q = tuple(rng.uniform(-5.0, 5.0, 2))
-            x, y = rect_mdp(q, c1, c2)
+            q0, q1 = rng.uniform(-5.0, 5.0, 2)
+            x, y = _rect_case(q0, q1, c1, c2)[1]
             assert abs(x) <= c1 + 1e-12 and abs(y) <= c2 + 1e-12
             assert abs(abs(x) - c1) < 1e-12 or abs(abs(y) - c2) < 1e-12
 
 
 class TestCaseTable:
-    """rect_mdp and rect_circle_normal follow the region region_classify names."""
+    """The closest point and rect_circle_normal follow the region the case
+    table names."""
 
     @staticmethod
     def _expected(q, c1, c2, region):
@@ -110,10 +115,9 @@ class TestCaseTable:
         for x in coords:
             for y in coords + (0.2, -0.2):
                 q = (x, y)
-                region = region_classify(q, c1, c2).region
+                region, got, _ = _rect_case(x, y, c1, c2)
                 seen.add(region)
                 point, raw = self._expected(q, c1, c2, region)
-                got = rect_mdp(q, c1, c2)
                 assert [v.hex() for v in got] == [v.hex() for v in point], q
                 norm = math.hypot(*raw)
                 n, t = rect_circle_normal(q, c1, c2)
@@ -122,40 +126,52 @@ class TestCaseTable:
         assert seen == set(Region)
 
 
+def _rect_circle(center, radius, half_extents=(1.0, 1.0)):
+    """detect_rect_circle of a circle at ``center`` against an unrotated
+    rectangle at the origin."""
+    return detect_rect_circle(body2d((0.0, 0.0)), Rectangle(*half_extents),
+                              body2d(center), Circle(radius))
+
+
 class TestCircleMdp:
+    """q_tilde, the circle point closest to the rectangle point p_tilde."""
+
     def test_collinear(self):
-        assert circle_mdp((1.0, 0.0), (3.0, 0.0), 1.0) == (2.0, 0.0)
+        assert _rect_circle((3.0, 0.0), 1.0).q_tilde == (2.0, 0.0)
 
     def test_reaches_rect_point_exactly(self):
-        got = circle_mdp((1.0, 1.0), (2.0, 2.0), SQRT2)
-        assert np.allclose(got, (1.0, 1.0), atol=1e-15)
-
-    def test_degenerate_center_raises(self):
-        with pytest.raises(DegenerateCenter):
-            circle_mdp((1.0, 0.0), (1.0, 0.0), 1.0)
+        info = _rect_circle((2.0, 2.0), SQRT2)
+        assert info.p_tilde == (1.0, 1.0)
+        assert np.allclose(info.q_tilde, (1.0, 1.0), atol=1e-15)
 
 
 class TestProximityAndRho:
+    """phi and rho of a circle outside the rectangle: the distance from the
+    closest rectangle point to the center, less the radius."""
+
     def test_separated(self):
-        assert proximity_and_rho((1.0, 0.0), (3.0, 0.0), 1.0) == (1.0, 0.0)
+        info = _rect_circle((3.0, 0.0), 1.0)
+        assert (info.phi, info.rho) == (1.0, 0.0)
 
     def test_overlapping(self):
-        phi, rho = proximity_and_rho((1.0, 0.0), (1.8, 0.0), 1.0)
-        assert math.isclose(phi, -0.2, abs_tol=1e-15)
-        assert math.isclose(rho, 0.2, abs_tol=1e-15)
+        info = _rect_circle((1.8, 0.0), 1.0)
+        assert math.isclose(info.phi, -0.2, abs_tol=1e-15)
+        assert math.isclose(info.rho, 0.2, abs_tol=1e-15)
 
     def test_contact_onset_continuity(self):
-        phi, rho = proximity_and_rho((1.0, 0.0), (2.0, 0.0), 1.0)
-        assert phi == 0.0 and rho == 0.0
+        info = _rect_circle((2.0, 0.0), 1.0)
+        assert info.phi == 0.0 and info.rho == 0.0
+        assert not info.colliding
 
     def test_depth_is_continuous_nonnegative_zero_iff_separated(self):
         rng = np.random.default_rng(53)
         for _ in range(1000):
-            q = (rng.uniform(0.1, 4.0), 0.0)
-            phi, rho = proximity_and_rho((0.0, 0.0), q, rng.uniform(0.2, 2.0))
-            assert rho >= 0.0
-            assert (rho == 0.0) == (phi >= 0.0)
-            assert rho == max(0.0, -phi)
+            # centers beyond the right side, at 0.1 to 4 from it
+            info = _rect_circle((1.0 + rng.uniform(0.1, 4.0), 0.0),
+                                rng.uniform(0.2, 2.0))
+            assert info.rho >= 0.0
+            assert (info.rho == 0.0) == (info.phi >= 0.0)
+            assert info.rho == max(0.0, -info.phi)
 
 
 class TestRectCircleNormal:
@@ -173,7 +189,7 @@ class TestRectCircleNormal:
         n, _ = rect_circle_normal((2.0, 2.0), 2.0, 1.0)
         expected = (2.0 / math.sqrt(5.0), 1.0 / math.sqrt(5.0))
         assert np.allclose(n, expected, atol=1e-15)
-        p = rect_mdp((2.0, 2.0), 2.0, 1.0)
+        p = _rect_case(2.0, 2.0, 2.0, 1.0)[1]
         geometric = np.array([2.0, 2.0]) - p
         geometric = geometric / np.linalg.norm(geometric)
         assert not np.allclose(n, geometric, atol=1e-3)

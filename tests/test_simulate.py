@@ -34,7 +34,6 @@ from contactsim.simulate import (
     linear_momentum,
     run_scenario,
     run_world,
-    step,
 )
 from contactsim.scenarios import SCENARIO_NAMES, build_scenario
 
@@ -211,6 +210,30 @@ class TestConfigChecks:
         with pytest.raises(ValueError, match=name):
             MaterialParams(**{name: value})
 
+    @pytest.mark.parametrize("kwargs", [
+        {"tol": math.inf}, {"tol": math.nan}, {"tol": 0.0}, {"tol": "abc"},
+        {"max_iters": 1.5}, {"max_iters": 0}, {"max_iters": True},
+        {"shrink_margin": math.inf}, {"shrink_margin": math.nan},
+        {"shrink_margin": -0.1},
+    ])
+    def test_solver_settings_reject(self, kwargs):
+        with pytest.raises(ValueError):
+            SolverSettings(**kwargs)
+
+    @pytest.mark.parametrize("gravity", [(0.0, math.nan), (0.0, -math.inf)])
+    def test_gravity_must_be_finite(self, gravity):
+        with pytest.raises(ValueError, match="gravity"):
+            SimConfig(gravity=gravity)
+        with pytest.raises(ValueError, match="gravity"):
+            build_scenario("circle-circle", {"gravity": gravity})
+
+    def test_override_dimensions_must_match(self):
+        with pytest.raises(ValueError, match="body 1"):
+            build_scenario("circle-circle", {"bodies": [
+                None, {"shape": {"type": "sphere", "radius": 0.5}}]})
+        with pytest.raises(ValueError, match="gravity"):
+            build_scenario("sphere-cuboid", {"gravity": [0.0, -9.81]})
+
     def test_scenario_override_duration_is_checked(self):
         with pytest.raises(ValueError, match="finite"):
             run_scenario("circle-circle", SimConfig(), {"duration": math.inf})
@@ -347,10 +370,12 @@ class TestCollisionResponse:
         assert got == expected
 
     def test_step_advances_states(self):
-        config = SimConfig(dt=1e-3)
+        config = SimConfig(dt=1e-3, duration=1e-3)
         states = [body2d((0.0, 0.0), velocity=(1.0, 0.0)), body2d((5.0, 0.0))]
         shapes = [Circle(0.5), Circle(0.5)]
-        out = step(states, shapes, config)
+        trajectory, _ = run_world(states, shapes, config, (0.0, 0.0))
+        assert len(trajectory.samples) == 2
+        out = trajectory.samples[-1][1]
         assert math.isclose(out[0].position[0], 1e-3, abs_tol=1e-15)
 
 
