@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 from typing import Optional, Sequence
@@ -20,7 +19,7 @@ from .bench import run_bench
 from .convex import SolverSettings
 from .errors import ContactSimError, UnknownScenario
 from .export import export_plot, export_trajectory
-from .scenarios import SCENARIO_NAMES
+from .scenarios import INTEGER, MARGIN, NUMBER, OVERRIDES, SCENARIO_NAMES, checked
 from .simulate import Backend, SimConfig, run_scenario
 
 _LOG_LEVELS = {
@@ -73,111 +72,27 @@ def _configure_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-# The --config document.  A value kind is a string; a nested mapping lists
-# its allowed keys; a one-element list holds the kind of every list entry.
-_NUMBER = "a finite number"
-_INTEGER = "an integer"
-_BOOL = "true or false"
-_VECTOR = "a list of finite numbers"
-_ANGLE = "a finite number or a list of finite numbers"
-_MARGIN = "a finite number or null"
-_SHAPE = "a shape"
-_SHAPES = {
-    "circle": {"radius": _NUMBER},
-    "rectangle": {"half_length": _NUMBER, "half_width": _NUMBER},
-    "sphere": {"radius": _NUMBER},
-    "cuboid": {"half_extents": _VECTOR},
-}
-_BODY = {"position": _VECTOR, "velocity": _VECTOR, "orientation": _ANGLE,
-         "angular_velocity": _ANGLE, "mass": _NUMBER, "inertia": _NUMBER,
-         "static": _BOOL, "shape": _SHAPE}
+# The --config document: the run options read here, and the scenario keys,
+# which pass on unchecked to build_scenario (it checks them against OVERRIDES).
 _DOCUMENT = {
-    "dt": _NUMBER,
-    "duration": _NUMBER,
-    "gravity": _VECTOR,
-    "solver": {"tol": _NUMBER, "max_iters": _INTEGER, "shrink_margin": _MARGIN,
-               "record_history": _BOOL},
-    "material": {"stiffness": _NUMBER, "damping": _NUMBER, "friction": _NUMBER,
-                 "v_scale": _NUMBER},
-    "bodies": [_BODY],
+    "dt": NUMBER,
+    "solver": {"tol": NUMBER, "max_iters": INTEGER, "shrink_margin": MARGIN},
+    **dict.fromkeys(OVERRIDES),
 }
-
-
-def _is_number(value) -> bool:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    if isinstance(value, int):  # an int beyond the float range is not finite
-        return abs(value) <= sys.float_info.max
-    return math.isfinite(value)
-
-
-def _is_vector(value) -> bool:
-    return isinstance(value, list) and all(_is_number(v) for v in value)
-
-
-_LEAVES = {
-    _NUMBER: _is_number,
-    _INTEGER: lambda v: isinstance(v, int) and not isinstance(v, bool),
-    _BOOL: lambda v: isinstance(v, bool),
-    _VECTOR: _is_vector,
-    _ANGLE: lambda v: _is_number(v) or _is_vector(v),
-    _MARGIN: lambda v: v is None or _is_number(v),
-}
-
-
-def _check(value, kind, where: str = "") -> None:
-    """Raise ValueError naming the path ``where`` unless value is of the
-    given kind."""
-    name = where or "the document"
-    if isinstance(kind, dict):
-        if not isinstance(value, dict):
-            raise ValueError(f"config: {name} must be an object")
-        for key, item in value.items():
-            if key not in kind:
-                raise ValueError(f"config: unknown key {key!r} in {name}; "
-                                 f"expected one of {', '.join(kind)}")
-            _check(item, kind[key], f"{where}.{key}" if where else key)
-    elif isinstance(kind, list):
-        if not isinstance(value, list):
-            raise ValueError(f"config: {name} must be a list")
-        for index, item in enumerate(value):
-            if item is not None:  # null keeps the registry entry
-                _check(item, kind[0], f"{where}[{index}]")
-    elif kind is _SHAPE:
-        shape = value.get("type") if isinstance(value, dict) else None
-        if not isinstance(shape, str) or shape not in _SHAPES:
-            raise ValueError(f"config: {name} must be an object whose type is "
-                             f"one of {', '.join(_SHAPES)}")
-        for key in _SHAPES[shape]:
-            if key not in value:
-                raise ValueError(f"config: {name}: a {shape} needs {key!r}")
-        _check({k: v for k, v in value.items() if k != "type"}, _SHAPES[shape],
-               where)
-    elif not _LEAVES[kind](value):
-        raise ValueError(f"config: {name} must be {kind}, got {value!r}")
-
-
-def _load_config(path: str) -> dict:
-    """The --config document, checked against ``_DOCUMENT``."""
-    with open(path, "r", encoding="utf-8") as handle:
-        document = json.load(handle)
-    _check(document, _DOCUMENT)
-    return document
 
 
 def _cmd_simulate(args) -> int:
+    document = {}
     overrides = None
-    config_data = {}
     if args.config:
-        config_data = _load_config(args.config)
-        overrides = {k: v for k, v in config_data.items()
-                     if k in ("gravity", "duration", "material", "bodies")}
-    solver_kwargs = config_data.get("solver", {})
+        with open(args.config, "r", encoding="utf-8") as handle:
+            document = checked(json.load(handle), _DOCUMENT)
+        overrides = {k: v for k, v in document.items() if k in OVERRIDES}
     config = SimConfig(
-        dt=args.dt if args.dt is not None else float(config_data.get("dt", 1e-3)),
+        dt=args.dt if args.dt is not None else document.get("dt", 1e-3),
         duration=args.duration,
         backend=Backend(args.backend),
-        solver=SolverSettings(**solver_kwargs),
+        solver=SolverSettings(**document.get("solver", {})),
     )
     trajectory = run_scenario(args.scenario, config, overrides)
 

@@ -19,6 +19,8 @@ Mat3 = Tuple[Vec3, Vec3, Vec3]
 
 # Distance below which closest-point directions are treated as degenerate.
 EPS_DEGENERATE = 1e-9
+# Depth gaps closer than this tie: the face (or region) that comes first wins.
+EPS_TIE = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -160,13 +162,14 @@ _BOX_FACES = (
 
 def nearest_face(q: Vec3, half_extents: Vec3) -> Tuple[float, Vec3]:
     """Distance from a point inside a centered cuboid to its nearest face,
-    and that face's outward normal; the first strict minimum of the scan
-    order wins a tie."""
+    and that face's outward normal.  A face wins only when it is nearer than
+    the faces scanned before it by more than EPS_TIE, so a tie, such as a
+    point on an axis, goes to the first face of the scan order."""
     best = math.inf
     normal = (1.0, 0.0, 0.0)
     for axis, sign, face_normal in _BOX_FACES:
         face_dist = half_extents[axis] - sign * q[axis]
-        if face_dist < best:
+        if face_dist < best - EPS_TIE:
             best = face_dist
             normal = face_normal
     return best, normal

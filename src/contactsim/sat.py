@@ -15,6 +15,7 @@ from enum import Enum
 from .contact import ContactInfo
 from .geometry import (
     EPS_DEGENERATE,
+    EPS_TIE,
     BodyState,
     Circle,
     Cuboid,
@@ -28,9 +29,6 @@ from .geometry import (
     quat_to_matrix,
     tangent3,
 )
-
-# Tolerance for the diagonal tie between the two inside-region depth gaps.
-EPS_TIE = 1e-12
 
 
 class Region(Enum):
@@ -48,8 +46,9 @@ def _rect_case(q0: float, q1: float, c1: float, c2: float
     rectangle, the closest boundary point and the raw outward normal.
 
     The raw normal is unnormalized in the corner and diagonal cases.  The
-    inside diagonal case uses a tie tolerance since exact float equality of
-    the two depth gaps is measure-zero.
+    inside cases use EPS_TIE: the diagonal case covers depth gaps within it
+    of each other, and opposite sides within it take the + side, as
+    ``nearest_face`` does.
     """
     alpha = abs(q0) - c1
     beta = abs(q1) - c2
@@ -62,6 +61,10 @@ def _rect_case(q0: float, q1: float, c1: float, c2: float
         return Region.TOP_BOTTOM_OUTSIDE, (q0, sy * c2), (0.0, sy)
     if alpha >= 0.0 and beta < 0.0:
         return Region.LEFT_RIGHT_OUTSIDE, (sx * c1, q1), (sx, 0.0)
+    # inside: nearest_face's rule, the - side only when nearer by more than
+    # EPS_TIE, so a center on an axis gets the face of its cuboid embedding
+    sx = -1.0 if c1 + q0 < c1 - q0 - EPS_TIE else 1.0
+    sy = -1.0 if c2 + q1 < c2 - q1 - EPS_TIE else 1.0
     if abs(alpha - beta) < EPS_TIE:
         return Region.INSIDE_DIAGONAL, (sx * c1, sy * c2), (sx, sy)
     if alpha > beta:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from .errors import UnknownScenario
 from .geometry import (
@@ -175,80 +175,143 @@ def build_scenario(name: str, overrides: Optional[Mapping] = None) -> Scenario:
         raise UnknownScenario(
             f"unknown scenario {name!r}; expected one of {', '.join(SCENARIO_NAMES)}"
         ) from None
-    if overrides:
+    if overrides is not None:
         scenario = apply_overrides(scenario, overrides)
     return scenario
 
 
-_SHAPE_BUILDERS = {
-    "circle": lambda spec: Circle(float(spec["radius"])),
-    "rectangle": lambda spec: Rectangle(float(spec["half_length"]),
-                                        float(spec["half_width"])),
-    "sphere": lambda spec: Sphere(float(spec["radius"])),
-    "cuboid": lambda spec: Cuboid(tuple(float(v) for v in spec["half_extents"])),
+# The override document.  A value kind is (what it accepts, converter): the
+# converter returns the value to build with, or raises ValueError (or
+# OverflowError, for an integer beyond the float range) on any other value.
+# A mapping lists the allowed keys of an object, a one-element list the kind
+# of every list entry (null keeps the registry entry), and _SHAPES holds one
+# table per shape type: class plus fields.
+
+def _number(value) -> float:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        number = float(value)
+        if math.isfinite(number):
+            return number
+    raise ValueError(value)
+
+
+def _positive(value) -> float:
+    number = _number(value)
+    if number > 0.0:
+        return number
+    raise ValueError(value)
+
+
+def _vector(value) -> tuple:
+    if isinstance(value, (list, tuple)):
+        return tuple(map(_number, value))
+    raise ValueError(value)
+
+
+def _integer(value) -> int:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(value)
+
+
+def _boolean(value) -> bool:
+    if isinstance(value, bool):
+        return value
+    raise ValueError(value)
+
+
+NUMBER = ("a finite number", _number)
+INTEGER = ("an integer", _integer)
+MARGIN = ("a finite number or null", lambda v: None if v is None else _number(v))
+_VECTOR = ("a list of finite numbers", _vector)
+_ANGLE = ("a finite number or a list of finite numbers",
+          lambda v: _vector(v) if isinstance(v, (list, tuple)) else _number(v))
+_SHAPES = {
+    "circle": (Circle, {"radius": NUMBER}),
+    "rectangle": (Rectangle, {"half_length": NUMBER, "half_width": NUMBER}),
+    "sphere": (Sphere, {"radius": NUMBER}),
+    "cuboid": (Cuboid, {"half_extents": _VECTOR}),
 }
 _SHAPE_DIMS = {Circle: 2, Rectangle: 2, Sphere: 3, Cuboid: 3}
+# the keys are BodyState fields, except shape
+_BODY = {"position": _VECTOR, "velocity": _VECTOR, "orientation": _ANGLE,
+         "angular_velocity": _ANGLE, "mass": NUMBER, "inertia": NUMBER,
+         "static": ("true or false", _boolean), "shape": _SHAPES}
+OVERRIDES = {
+    "gravity": _VECTOR,
+    "duration": ("a positive finite number", _positive),
+    "material": {"stiffness": NUMBER, "damping": NUMBER, "friction": NUMBER,
+                 "v_scale": NUMBER},
+    "bodies": [_BODY],
+}
 
 
-def _override_body(body: BodyState, spec: Mapping) -> BodyState:
-    kwargs = {}
-    for key in ("position", "velocity"):
-        if key in spec:
-            kwargs[key] = tuple(float(v) for v in spec[key])
-    if "orientation" in spec:
-        value = spec["orientation"]
-        kwargs["orientation"] = (tuple(float(v) for v in value)
-                                 if isinstance(value, Sequence) else float(value))
-    if "angular_velocity" in spec:
-        value = spec["angular_velocity"]
-        kwargs["angular_velocity"] = (tuple(float(v) for v in value)
-                                      if isinstance(value, Sequence) else float(value))
-    for key in ("mass", "inertia"):
-        if key in spec:
-            kwargs[key] = float(spec[key])
-    if "static" in spec:
-        kwargs["static"] = bool(spec["static"])
-    return replace(body, **kwargs)
+def checked(value, kind, where: str = ""):
+    """``value`` converted as ``kind`` says; ValueError naming the path
+    ``where`` unless it fits.  A kind of None passes the value on as it is."""
+    if kind is None:
+        return value
+    name = where or "the document"
+    if kind is _SHAPES:
+        shape = value.get("type") if isinstance(value, Mapping) else None
+        if not isinstance(shape, str) or shape not in _SHAPES:
+            raise ValueError(f"config: {name} must be an object whose type is "
+                             f"one of {', '.join(_SHAPES)}")
+        cls, fields = _SHAPES[shape]
+        for key in fields:
+            if key not in value:
+                raise ValueError(f"config: {name}: a {shape} needs {key!r}")
+        spec = checked({k: v for k, v in value.items() if k != "type"}, fields,
+                       where)
+        try:
+            return cls(**spec)
+        except ValueError as exc:
+            raise ValueError(f"config: {name}: {exc}") from None
+    if isinstance(kind, dict):
+        if not isinstance(value, Mapping):
+            raise ValueError(f"config: {name} must be an object")
+        result = {}
+        for key, item in value.items():
+            if key not in kind:
+                raise ValueError(f"config: unknown key {key!r} in {name}; "
+                                 f"expected one of {', '.join(kind)}")
+            result[key] = checked(item, kind[key], f"{where}.{key}" if where else key)
+        return result
+    if isinstance(kind, list):
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"config: {name} must be a list")
+        return [None if item is None else checked(item, kind[0], f"{where}[{index}]")
+                for index, item in enumerate(value)]
+    accepts, convert = kind
+    try:
+        return convert(value)
+    except (ValueError, OverflowError):
+        raise ValueError(f"config: {name} must be {accepts}, got {value!r}") from None
 
 
 def apply_overrides(scenario: Scenario, overrides: Mapping) -> Scenario:
-    """Apply a config mapping on top of registry defaults.
+    """Apply a config mapping, checked against ``OVERRIDES``, on top of
+    registry defaults.
 
-    Recognized keys: ``gravity``, ``duration``, ``material`` (mapping of
-    MaterialParams fields), ``bodies`` (list of per-body mappings, entries
-    may be null to keep a body unchanged, with optional ``shape`` mappings).
-    Gravity must be finite, and every body and shape must have as many
+    ``bodies`` entries may be null to keep a body unchanged; a ``shape``
+    replaces the body's shape.  Every body and shape must have as many
     dimensions as gravity.
     """
-    changes = {}
-    if "gravity" in overrides:
-        gravity = tuple(float(v) for v in overrides["gravity"])
-        if not all(map(math.isfinite, gravity)):
-            raise ValueError(f"gravity must be finite, got {gravity}")
-        changes["gravity"] = gravity
-    if "duration" in overrides:
-        changes["duration"] = float(overrides["duration"])
-    if "material" in overrides:
-        changes["material"] = replace(scenario.material, **{
-            k: float(v) for k, v in overrides["material"].items()
-        })
-    if "bodies" in overrides:
+    changes = checked(overrides, OVERRIDES)
+    if "material" in changes:
+        changes["material"] = replace(scenario.material, **changes["material"])
+    if "bodies" in changes:
         bodies = list(scenario.bodies)
         shapes = list(scenario.shapes)
-        for index, spec in enumerate(overrides["bodies"]):
+        for index, spec in enumerate(changes["bodies"]):
             if spec is None:
                 continue
             if index >= len(bodies):
                 raise ValueError(f"body override index {index} out of range")
+            if "shape" in spec:
+                shapes[index] = spec.pop("shape")
             try:
-                if "shape" in spec:
-                    shape_spec = dict(spec["shape"])
-                    kind = shape_spec.pop("type")
-                    if kind not in _SHAPE_BUILDERS:
-                        raise ValueError(f"unknown shape type {kind!r}")
-                    shapes[index] = _SHAPE_BUILDERS[kind](shape_spec)
-                body_spec = {k: v for k, v in spec.items() if k != "shape"}
-                bodies[index] = _override_body(bodies[index], body_spec)
+                bodies[index] = replace(bodies[index], **spec)
             except ValueError as exc:
                 raise ValueError(f"body {index}: {exc}") from None
         changes["bodies"] = tuple(bodies)

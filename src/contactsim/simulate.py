@@ -17,7 +17,7 @@ from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from . import convex, sat
 from .contact import ContactInfo
-from .errors import UnsupportedPair
+from .errors import ContactSimError, UnsupportedPair
 from .geometry import (
     BodyState,
     Circle,
@@ -56,22 +56,21 @@ class Backend(Enum):
 class SimConfig:
     """Run parameters.
 
-    ``gravity``, ``duration`` and ``material`` of None keep the scenario
-    defaults (a bare run_world falls back to 2 s and default materials).
+    ``duration`` and ``material`` of None keep the scenario defaults (a bare
+    run_world falls back to 2 s and default materials).  Gravity belongs to
+    the scenario: change it with ``run_scenario``'s ``{"gravity": [...]}``
+    override, which also checks its dimension against the bodies.
     """
 
     dt: float = 1e-3
     duration: Optional[float] = None
     backend: Backend = Backend.SAT
-    gravity: Optional[Vec] = None
     solver: convex.SolverSettings = field(default_factory=convex.SolverSettings)
     material: Optional[MaterialParams] = None
 
     def __post_init__(self):
         if isinstance(self.backend, str):
             self.backend = Backend(self.backend)
-        if self.gravity is not None and not all(map(math.isfinite, self.gravity)):
-            raise ValueError(f"gravity must be finite, got {self.gravity}")
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise ValueError(f"dt must be a positive finite number, got {self.dt}")
         if self.duration is not None:
@@ -289,12 +288,21 @@ def _integrate(states, wrenches, config: SimConfig, gravity: Vec,
     return new_states
 
 
+def _is_finite(state: BodyState) -> bool:
+    """Whether every number of a state's pose and velocity is finite."""
+    values = [*state.position, *state.velocity]
+    for value in (state.orientation, state.angular_velocity):
+        values.extend(value if isinstance(value, tuple) else (value,))
+    return all(map(math.isfinite, values))
+
+
 def run_world(states, shapes, config: SimConfig, gravity: Vec
               ) -> Tuple[Trajectory, float]:
     """Run the stepping loop; returns the trajectory and the loop wall time.
 
     The timer covers detection, resolution and integration only, not world
-    construction or any export.
+    construction or any export.  A run that ends with a non-finite value
+    raises ContactSimError naming the first body and time to hold one.
     """
     dt = config.dt
     duration = config.duration if config.duration is not None else 2.0
@@ -332,6 +340,13 @@ def run_world(states, shapes, config: SimConfig, gravity: Vec
         samples.append(((k + 1) * dt, tuple(states)))
     elapsed = time.perf_counter() - t_start
 
+    if not all(map(_is_finite, states)):
+        # a non-finite value never turns finite again: date the first one
+        t, body = next((t, body) for t, sample in samples
+                       for body, state in enumerate(sample) if not _is_finite(state))
+        raise ContactSimError(
+            f"the run diverged: body {body} has a non-finite pose or velocity "
+            f"at t={t:g} ({config.backend.value} backend)")
     return Trajectory(tuple(samples), tuple(events), tuple(shapes)), elapsed
 
 
@@ -353,8 +368,7 @@ def run_scenario_timed(name: str, config: Optional[SimConfig] = None,
         effective.material = scenario.material
     if effective.duration is None:
         effective.duration = scenario.duration
-    gravity = config.gravity if config.gravity is not None else scenario.gravity
-    return run_world(scenario.bodies, scenario.shapes, effective, gravity)
+    return run_world(scenario.bodies, scenario.shapes, effective, scenario.gravity)
 
 
 def kinetic_energy(states) -> float:

@@ -3,13 +3,14 @@
 Documents mix the known keys, unknown ones and junk (nulls, bools, strings,
 NaN, +-inf, integers beyond the float range).  ``--dt`` and ``--duration``
 are fixed on the command line, so every run takes five steps whatever the
-document says.
+document says.  A run that exits 0 must have printed finite positions.
 """
 import contextlib
 import io
 import json
+import math
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from contactsim.cli import main
@@ -73,7 +74,6 @@ documents = mostly(mapping({
     "solver": field(mapping({
         "tol": field(numbers), "max_iters": st.integers(-2, 30),
         "shrink_margin": field(st.one_of(st.none(), numbers)),
-        "record_history": field(st.booleans()),
     })),
     "material": field(mapping({name: field(numbers) for name in
                                ("stiffness", "damping", "friction", "v_scale")})),
@@ -85,6 +85,10 @@ documents = mostly(mapping({
           suppress_health_check=[HealthCheck.too_slow])
 @given(document=documents, scenario=st.sampled_from(SCENARIO_NAMES),
        backend=st.sampled_from(["sat", "co"]))
+# finite inputs that diverge: the circle's state turns nan within five steps
+@example(document={"bodies": [{"shape": {"type": "rectangle", "half_length": 1e200,
+                                         "half_width": 1e200}}]},
+         scenario="rect-circle", backend="sat")
 def test_config_documents_exit_with_a_code(tmp_path_factory, document,
                                            scenario, backend):
     path = tmp_path_factory.getbasetemp() / "fuzz-config.json"
@@ -97,3 +101,9 @@ def test_config_documents_exit_with_a_code(tmp_path_factory, document,
     assert code in (0, 1, 2)
     if code:
         assert err.getvalue().startswith("contactsim: ")
+    else:  # a diverged run exits 2, so every printed position is finite
+        lines = [line for line in out.getvalue().splitlines() if "position (" in line]
+        assert lines
+        for line in lines:
+            coords = line.split("position (")[1].rstrip(")").split(", ")
+            assert all(math.isfinite(float(c)) for c in coords), line

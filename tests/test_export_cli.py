@@ -13,8 +13,40 @@ from contactsim.export import (
     export_trajectory,
 )
 from contactsim.geometry import Circle, body2d
-from contactsim.scenarios import SCENARIO_NAMES
+from contactsim.scenarios import SCENARIO_NAMES, build_scenario
 from contactsim.simulate import SimConfig, Trajectory, run_scenario
+
+
+# config documents that exit 1, each with the text its message must hold
+MALFORMED_CONFIGS = [
+    ('[1, 2]', "document"),
+    ('{"solver": [1, 2]}', "solver"),
+    ('{"solver": {"bogus": 1}}', "bogus"),
+    ('{"solver": {"tol": "abc"}}', "solver.tol"),
+    ('{"solver": {"max_iters": 1.5}}', "solver.max_iters"),
+    ('{"solver": {"tol": Infinity}}', "solver.tol"),
+    ('{"material": 5}', "material"),
+    ('{"material": {"bogus": 1}}', "bogus"),
+    ('{"gravity": 5}', "gravity"),
+    ('{"gravity": [0, NaN]}', "gravity"),
+    ('{"gravity": [0, 1e400]}', "gravity"),
+    ('{"gravity": [0, 0, -9.81]}', "gravity"),
+    ('{"bodies": 3}', "bodies"),
+    ('{"dt": null}', "dt"),
+    ('{"bodies": [{"orientation": [1, 0, 0, 0]}]}', "body 0"),
+    ('{"bodies": [{"static": "no"}]}', "bodies[0].static"),
+    ('{"bodies": [null, {"shape": {"type": "circle"}}]}', "radius"),
+    ('{"bodies": [{"shape": {"type": [1]}}]}', "bodies[0].shape"),
+    ('{"bodies": [null, {"shape": {"type": "sphere", "radius": 1}}]}',
+     "body 1"),
+    ('{"bodies": [{"position": [0, 1e400]}]}', "bodies[0].position"),
+    ('{"bodies": [{"inertia": 0}]}', "inertia"),
+    ('{"gravty": [0, -9.81]}', "gravty"),
+    ('{"bodies": [{"positon": [5, 0]}]}', "positon"),
+    ('{"duration": 0}', "duration"),
+    ('{"duration": -1.0}', "duration"),
+    ('{"solver": {"record_history": true}}', "record_history"),
+]
 
 
 @pytest.fixture(scope="module")
@@ -278,30 +310,7 @@ class TestCli:
         assert "finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("backend", ["sat", "co"])
-    @pytest.mark.parametrize("text, names", [
-        ('[1, 2]', "document"),
-        ('{"solver": [1, 2]}', "solver"),
-        ('{"solver": {"bogus": 1}}', "bogus"),
-        ('{"solver": {"tol": "abc"}}', "solver.tol"),
-        ('{"solver": {"max_iters": 1.5}}', "solver.max_iters"),
-        ('{"solver": {"tol": Infinity}}', "solver.tol"),
-        ('{"material": 5}', "material"),
-        ('{"material": {"bogus": 1}}', "bogus"),
-        ('{"gravity": 5}', "gravity"),
-        ('{"gravity": [0, NaN]}', "gravity"),
-        ('{"gravity": [0, 1e400]}', "gravity"),
-        ('{"gravity": [0, 0, -9.81]}', "gravity"),
-        ('{"bodies": 3}', "bodies"),
-        ('{"dt": null}', "dt"),
-        ('{"bodies": [{"orientation": [1, 0, 0, 0]}]}', "body 0"),
-        ('{"bodies": [{"static": "no"}]}', "bodies[0].static"),
-        ('{"bodies": [null, {"shape": {"type": "circle"}}]}', "radius"),
-        ('{"bodies": [{"shape": {"type": [1]}}]}', "bodies[0].shape"),
-        ('{"bodies": [null, {"shape": {"type": "sphere", "radius": 1}}]}',
-         "body 1"),
-        ('{"bodies": [{"position": [0, 1e400]}]}', "bodies[0].position"),
-        ('{"bodies": [{"inertia": 0}]}', "inertia"),
-    ])
+    @pytest.mark.parametrize("text, names", MALFORMED_CONFIGS)
     def test_malformed_config_is_usage_error(self, text, names, backend,
                                              tmp_path, capsys):
         config = tmp_path / "config.json"
@@ -311,6 +320,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("contactsim: ") and names in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text, names", [
+        (text, names) for text, names in MALFORMED_CONFIGS
+        if isinstance(json.loads(text), dict)
+        and not {"dt", "solver"} & set(json.loads(text))
+    ])
+    def test_library_rejects_what_the_cli_rejects(self, text, names):
+        with pytest.raises(ValueError) as caught:
+            build_scenario("circle-circle", json.loads(text))
+        assert names in str(caught.value)
+
+    def test_diverged_run_is_runtime_error(self, tmp_path, capsys):
+        # finite inputs: a circle deep inside a 1e200 rectangle ends in nan
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"bodies": [{"shape": {
+            "type": "rectangle", "half_length": 1e200, "half_width": 1e200}}]}))
+        code = main(["simulate", "--scenario", "rect-circle", "--backend", "sat",
+                     "--duration", "0.005", "--config", str(config)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "diverged: body 0" in err and "t=0.001" in err
         assert "Traceback" not in err
 
     def test_overflowing_contact_force_is_runtime_error(self, tmp_path, capsys):

@@ -250,16 +250,17 @@ class TestDetectRectCircle:
         assert info.phi == -0.5 and info.rho == 2.0
         assert info.normal == (1.0, 0.0)
 
-    @pytest.mark.parametrize("theta", [0.0, 0.7, -2.3])
+    @pytest.mark.parametrize("theta", [0.0, 0.7, 0.9, 1.2, -2.3])
     def test_center_inside_matches_sphere_cuboid(self, theta):
         c1, c2, radius = 2.0, 1.2, 0.5
         position = (0.3, -0.4)
         c, s = math.cos(theta), math.sin(theta)
         checked = 0
-        # even counts keep the centers off the axes, where two opposite
-        # faces tie and the backends break the tie differently
-        for x in np.linspace(-1.95, 1.95, 26):
-            for y in np.linspace(-1.15, 1.15, 12):
+        # the even counts keep the grid off the axes; the appended 0.0 puts
+        # centers on them, where two opposite faces tie and both tables
+        # give the tie to the + face
+        for x in np.append(np.linspace(-1.95, 1.95, 26), 0.0):
+            for y in np.append(np.linspace(-1.15, 1.15, 12), 0.0):
                 if abs((c1 - abs(x)) - (c2 - abs(y))) < 1e-6:
                     continue  # diagonal tie: the 2D table takes the diagonal
                 center = (position[0] + c * x - s * y, position[1] + s * x + c * y)

@@ -223,9 +223,17 @@ class TestConfigChecks:
     @pytest.mark.parametrize("gravity", [(0.0, math.nan), (0.0, -math.inf)])
     def test_gravity_must_be_finite(self, gravity):
         with pytest.raises(ValueError, match="gravity"):
-            SimConfig(gravity=gravity)
-        with pytest.raises(ValueError, match="gravity"):
             build_scenario("circle-circle", {"gravity": gravity})
+
+    def test_override_duration_shorter_than_a_step_runs_one_step(self):
+        trajectory = run_scenario("circle-circle", SimConfig(), {"duration": 1e-4})
+        assert [t for t, _ in trajectory.samples] == [0.0, 1e-3]
+
+    @pytest.mark.parametrize("key", ["dt", "solver"])
+    def test_run_options_are_no_scenario_overrides(self, key):
+        # dt and solver belong to SimConfig; only the --config document has them
+        with pytest.raises(ValueError, match=f"unknown key '{key}'"):
+            build_scenario("circle-circle", {key: {}})
 
     def test_override_dimensions_must_match(self):
         with pytest.raises(ValueError, match="body 1"):
@@ -497,8 +505,8 @@ class TestScenarios:
         assert abs(v1[1] - v0[0]) / abs(v0[0]) < 0.02
 
     def test_gravity_override(self):
-        config = SimConfig(dt=1e-3, duration=0.2, gravity=(0.0, 0.0))
-        trajectory = run_scenario("bouncing-circle", config)
+        config = SimConfig(dt=1e-3, duration=0.2)
+        trajectory = run_scenario("bouncing-circle", config, {"gravity": [0, 0]})
         ball0 = trajectory.samples[0][1][1]
         ball1 = trajectory.samples[-1][1][1]
         # without gravity the initial downward speed is preserved before contact
