@@ -12,8 +12,9 @@ Deeper penetrations cannot be measured and are reported as saturated.
 Start points: a box–ball solve starts from the ball center, so its first
 clamp is the box point nearest that center and the following projection onto
 the ball completes the exact minimum-distance pair (two iterations).  A
-ball–ball solve starts from the projection of the first center onto the
-second ball, also exact after one sweep.  Only box–box starts from a warm
+ball–ball pair takes one projection: the point of the second ball nearest
+the first center, projected onto the first ball, completes the exact pair,
+so it does not iterate at all.  Only box–box starts from a warm
 start, the previous step's solution kept in the pair's ``PairContext``.
 
 The general quadratic-program form behind this (minimize a quadratic cost
@@ -182,11 +183,11 @@ def min_distance_pair(
     )
 
 
-# The box-ball and ball-ball solves alternate the same exact projections in
-# scalar arithmetic, each operation in the order the tuple helpers use, and
-# stop on the displacement test alone (balls are strictly convex).  Their
-# ball projection is the exact one onto the solid ball: a point inside, its
-# center included, stays where it is.
+# The box-ball solve alternates the same exact projections in scalar
+# arithmetic, each operation in the order the tuple helpers use, and stops on
+# the displacement test alone (balls are strictly convex).  Its ball
+# projection is the exact one onto the solid ball: a point inside, its center
+# included, stays where it is.
 
 def _box_ball(c1: float, c2: float, c3: float, cx: float, cy: float,
               cz: float, r: float, x: float, y: float, z: float,
@@ -238,51 +239,6 @@ def _box_ball(c1: float, c2: float, c3: float, cx: float, cy: float,
             if displacement < tol:
                 return px, py, pz, qx, qy, qz, d, iteration, history
         px_prev, py_prev, pz_prev, x, y, z = px, py, pz, qx, qy, qz
-    raise NotConverged(settings.max_iters, displacement)
-
-
-def _ball_ball_2d(ra: float, cx: float, cy: float, r: float, x: float,
-                  y: float, settings: SolverSettings) -> tuple:
-    """Ball of radius ra at the origin against the ball of radius r at (cx, cy).
-
-    ``(x, y)`` is the starting iterate on the second ball.  Returns the two
-    points, their distance and the iteration count.
-    """
-    tol = settings.tol
-    displacement = math.inf
-    px_prev = py_prev = 0.0
-    for iteration in range(1, settings.max_iters + 1):
-        dist = math.sqrt(x * x + y * y)
-        if dist <= ra:
-            px, py = x, y
-        else:
-            k = ra / dist
-            # 0.0 + keeps the zero sign of the generic add to the origin
-            px = 0.0 + x * k
-            py = 0.0 + y * k
-        dx = px - cx
-        dy = py - cy
-        dist = math.sqrt(dx * dx + dy * dy)
-        if dist <= r:
-            qx, qy = px, py
-        else:
-            k = r / dist
-            qx = cx + dx * k
-            qy = cy + dy * k
-        ex = px - qx
-        ey = py - qy
-        d = math.sqrt(ex * ex + ey * ey)
-        if iteration > 1:
-            ex = px - px_prev
-            ey = py - py_prev
-            step_p = math.sqrt(ex * ex + ey * ey)
-            ex = qx - x
-            ey = qy - y
-            step_q = math.sqrt(ex * ex + ey * ey)
-            displacement = step_q if step_q > step_p else step_p
-            if displacement < tol:
-                return px, py, qx, qy, d, iteration
-        px_prev, py_prev, x, y = px, py, qx, qy
     raise NotConverged(settings.max_iters, displacement)
 
 
@@ -428,17 +384,27 @@ def _convex_circle_circle(state_a: BodyState, circle_a: Circle, state_b: BodySta
     q1 = -s * rx + c * ry
     rb_star = rb - b
 
-    # start: the first center projected onto the shrunk second ball (the
-    # center itself when it lies inside)
+    # the point of the shrunk second ball nearest the first center (the
+    # center itself when it lies inside) and its projection onto the first
+    # ball are the minimum-distance pair: one projection, no iteration
     d_centers = math.sqrt(q0 * q0 + q1 * q1)
     if d_centers <= rb_star:
-        x, y = 0.0, 0.0
+        qx, qy = 0.0, 0.0
     else:
         k = rb_star / d_centers
-        x = q0 + (0.0 - q0) * k
-        y = q1 + (0.0 - q1) * k
-    px, py, qx, qy, phi_star, iterations = _ball_ball_2d(
-        ra, q0, q1, rb_star, x, y, settings)
+        qx = q0 + (0.0 - q0) * k
+        qy = q1 + (0.0 - q1) * k
+    dist = math.sqrt(qx * qx + qy * qy)
+    if dist <= ra:
+        px, py = qx, qy
+    else:
+        k = ra / dist
+        # 0.0 + keeps the zero sign of the generic add to the origin
+        px = 0.0 + qx * k
+        py = 0.0 + qy * k
+    ex = px - qx
+    ey = py - qy
+    phi_star = math.sqrt(ex * ex + ey * ey)
     rho, saturated = rho_from_surrogate(phi_star, b)
     if phi_star >= EPS_DEGENERATE:
         inv = 1.0 / phi_star
@@ -464,7 +430,7 @@ def _convex_circle_circle(state_a: BodyState, circle_a: Circle, state_b: BodySta
         my = -ny * rb
 
     if context is not None:
-        context.last_iterations = iterations
+        context.last_iterations = 1
     return ContactInfo(
         colliding=rho > 0.0,
         phi=phi_star - b,

@@ -99,11 +99,6 @@ def quat_multiply(a: Quat, b: Quat) -> Quat:
     )
 
 
-def quat_from_angle_z(theta: float) -> Quat:
-    h = 0.5 * theta
-    return (math.cos(h), 0.0, 0.0, math.sin(h))
-
-
 def quat_to_matrix(q: Quat) -> Mat3:
     """World-from-body rotation matrix of a unit quaternion."""
     w, x, y, z = q
@@ -180,7 +175,7 @@ def tangent3(nx: float, ny: float, nz: float) -> Vec3:
 
     Both backends apply it to the body-frame normal and rotate the result
     with the body, so the tangent turns with the cuboid.  A zero normal
-    (left by a pose whose offset overflowed) raises ValueError.
+    (left by a pose whose offset overflowed) raises OverflowError.
     """
     tx = 0.0 * nz - ny
     ty = nx - 0.0 * nz
@@ -192,7 +187,7 @@ def tangent3(nx: float, ny: float, nz: float) -> Vec3:
         tz = ny - 0.0 * nx
         t = math.sqrt(tx * tx + ty * ty + tz * tz)
         if t < EPS_DEGENERATE:
-            raise ValueError(f"no unit tangent for the normal ({nx}, {ny}, {nz})")
+            raise OverflowError(f"no unit tangent for the normal ({nx}, {ny}, {nz})")
     inv = 1.0 / t
     return (tx * inv, ty * inv, tz * inv)
 
@@ -370,8 +365,9 @@ def rect_inertia(mass: float, half_length: float, half_width: float) -> float:
     return mass * (half_length * half_length + half_width * half_width) / 3.0
 
 
-def sphere_inertia(mass: float, radius: float) -> float:
-    return 0.4 * mass * radius * radius
+def sphere_inertia(mass: float, radius: float) -> Mat3:
+    i = 0.4 * mass * radius * radius
+    return ((i, 0.0, 0.0), (0.0, i, 0.0), (0.0, 0.0, i))
 
 
 def cuboid_inertia(mass: float, half_extents: Vec3) -> Mat3:

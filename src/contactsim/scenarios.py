@@ -1,16 +1,18 @@
 """Benchmark scenario registry.
 
-Initial conditions, masses and material constants are engine choices, fixed
-here so every run is reproducible: bodies start separated by at least 0.5 m
-with closing speeds of 1-2 m/s (gravity supplies the approach in the two
-dropping scenarios), and stiffnesses keep peak penetrations well below each
-pair's shrink margin so both detection backends stay in their valid range.
-All values can be overridden through the config surface.
+Each scenario is one override document of the kind ``--config`` takes, and
+``build_scenario`` builds every world, a registry one or an overridden one,
+the same way.  Initial conditions, masses and material constants are engine
+choices, fixed here so every run is reproducible: bodies start separated by
+at least 0.5 m with closing speeds of 1-2 m/s (gravity supplies the approach
+in the two dropping scenarios), and stiffnesses keep peak penetrations well
+below each pair's shrink margin so both detection backends stay in their
+valid range.  A body's inertia is that of the solid shape with its mass.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .errors import UnknownScenario
@@ -21,8 +23,6 @@ from .geometry import (
     Rectangle,
     Sphere,
     Vec,
-    body2d,
-    body3d,
     cuboid_inertia,
     disc_inertia,
     rect_inertia,
@@ -30,154 +30,89 @@ from .geometry import (
 )
 from .penalty import MaterialParams
 
-SCENARIO_NAMES = (
-    "bouncing-circle",
-    "circle-circle",
-    "rect-circle",
-    "rect-rect",
-    "sphere-cuboid",
-)
-
 
 @dataclass(frozen=True)
 class Scenario:
     """A ready-to-run world: bodies, shapes and per-scenario defaults."""
 
-    name: str
     bodies: tuple
     shapes: tuple
     gravity: Vec
     duration: float
     material: MaterialParams
-    description: str = ""
 
 
-def _bouncing_circle() -> Scenario:
-    floor = Rectangle(2.0, 0.25)
-    ball = Circle(0.25)
-    bodies = (
-        body2d((0.0, 0.0), mass=100.0, inertia=rect_inertia(100.0, 2.0, 0.25),
-               static=True),
-        body2d((0.0, 1.0), velocity=(0.0, -1.0), mass=1.0,
-               inertia=disc_inertia(1.0, ball.radius)),
-    )
-    return Scenario(
-        name="bouncing-circle",
-        bodies=bodies,
-        shapes=(floor, ball),
-        gravity=(0.0, -9.81),
-        duration=2.0,
-        material=MaterialParams(stiffness=1e7, damping=0.2, friction=0.3),
-        description="circle dropped onto a static rectangular floor",
-    )
-
-
-def _circle_circle() -> Scenario:
-    left = Circle(0.5)
-    right = Circle(0.5)
-    bodies = (
-        body2d((-1.0, 0.0), velocity=(1.0, 0.0), mass=1.0,
-               inertia=disc_inertia(1.0, left.radius)),
-        body2d((1.0, 0.0), velocity=(-1.0, 0.0), mass=1.0,
-               inertia=disc_inertia(1.0, right.radius)),
-    )
-    return Scenario(
-        name="circle-circle",
-        bodies=bodies,
-        shapes=(left, right),
-        gravity=(0.0, 0.0),
-        duration=2.0,
-        material=MaterialParams(stiffness=1e5, damping=0.2, friction=0.3),
-        description="two equal circles in a head-on collision",
-    )
-
-
-def _rect_circle() -> Scenario:
-    rect = Rectangle(0.8, 0.5)
-    circle = Circle(0.5)
-    bodies = (
-        body2d((-1.0, 0.0), velocity=(1.0, 0.0), mass=2.0,
-               inertia=rect_inertia(2.0, rect.half_length, rect.half_width)),
-        body2d((1.0, 0.0), velocity=(-1.0, 0.0), mass=1.0,
-               inertia=disc_inertia(1.0, circle.radius)),
-    )
-    return Scenario(
-        name="rect-circle",
-        bodies=bodies,
-        shapes=(rect, circle),
-        gravity=(0.0, 0.0),
-        duration=2.0,
-        material=MaterialParams(stiffness=1e5, damping=0.2, friction=0.3),
-        description="free rectangle and circle meeting head-on",
-    )
-
-
-def _rect_rect() -> Scenario:
-    # The first body is a square rotated 45 degrees, so its leading corner
-    # meets the second body's face dead-center: the contact point is the
-    # unique deepest vertex, it lies on the line of centers (no torque), and
-    # both detection backends resolve the identical contact.  Near-parallel
-    # face-on-face poses are avoided because their minimum-distance pair is
-    # nearly non-unique, which neither backend resolves consistently.
-    rect_a = Rectangle(0.4, 0.4)
-    rect_b = Rectangle(0.4, 0.6)
-    bodies = (
-        body2d((-1.0, 0.0), angle=math.pi / 4, velocity=(1.0, 0.0), mass=1.0,
-               inertia=rect_inertia(1.0, rect_a.half_length, rect_a.half_width)),
-        body2d((1.0, 0.0), velocity=(-1.0, 0.0), mass=1.0,
-               inertia=rect_inertia(1.0, rect_b.half_length, rect_b.half_width)),
-    )
-    return Scenario(
-        name="rect-rect",
-        bodies=bodies,
-        shapes=(rect_a, rect_b),
-        gravity=(0.0, 0.0),
-        duration=2.0,
-        material=MaterialParams(stiffness=1e5, damping=0.2, friction=0.3),
-        description="rotated square striking a rectangle face corner-first",
-    )
-
-
-def _sphere_cuboid() -> Scenario:
-    slab = Cuboid((1.0, 1.0, 0.25))
-    ball = Sphere(0.25)
-    bodies = (
-        body3d((0.0, 0.0, 0.0), mass=100.0,
-               inertia=cuboid_inertia(100.0, slab.half_extents), static=True),
-        body3d((0.0, 0.0, 1.0), velocity=(0.0, 0.0, -1.0), mass=1.0,
-               inertia=sphere_inertia(1.0, ball.radius)),
-    )
-    return Scenario(
-        name="sphere-cuboid",
-        bodies=bodies,
-        shapes=(slab, ball),
-        gravity=(0.0, 0.0, -9.81),
-        duration=3.0,
-        material=MaterialParams(stiffness=1e7, damping=0.5, friction=0.3),
-        description="sphere dropped onto a static cuboid slab",
-    )
-
-
-_BUILDERS = {
-    "bouncing-circle": _bouncing_circle,
-    "circle-circle": _circle_circle,
-    "rect-circle": _rect_circle,
-    "rect-rect": _rect_rect,
-    "sphere-cuboid": _sphere_cuboid,
+_REGISTRY = {
+    # circle dropped onto a static rectangular floor
+    "bouncing-circle": {
+        "gravity": [0.0, -9.81],
+        "duration": 2.0,
+        "material": {"stiffness": 1e7, "damping": 0.2, "friction": 0.3},
+        "bodies": [
+            {"shape": {"type": "rectangle", "half_length": 2.0, "half_width": 0.25},
+             "position": [0.0, 0.0], "mass": 100.0, "static": True},
+            {"shape": {"type": "circle", "radius": 0.25},
+             "position": [0.0, 1.0], "velocity": [0.0, -1.0], "mass": 1.0},
+        ],
+    },
+    # two equal circles in a head-on collision
+    "circle-circle": {
+        "gravity": [0.0, 0.0],
+        "duration": 2.0,
+        "material": {"stiffness": 1e5, "damping": 0.2, "friction": 0.3},
+        "bodies": [
+            {"shape": {"type": "circle", "radius": 0.5},
+             "position": [-1.0, 0.0], "velocity": [1.0, 0.0], "mass": 1.0},
+            {"shape": {"type": "circle", "radius": 0.5},
+             "position": [1.0, 0.0], "velocity": [-1.0, 0.0], "mass": 1.0},
+        ],
+    },
+    # free rectangle and circle meeting head-on
+    "rect-circle": {
+        "gravity": [0.0, 0.0],
+        "duration": 2.0,
+        "material": {"stiffness": 1e5, "damping": 0.2, "friction": 0.3},
+        "bodies": [
+            {"shape": {"type": "rectangle", "half_length": 0.8, "half_width": 0.5},
+             "position": [-1.0, 0.0], "velocity": [1.0, 0.0], "mass": 2.0},
+            {"shape": {"type": "circle", "radius": 0.5},
+             "position": [1.0, 0.0], "velocity": [-1.0, 0.0], "mass": 1.0},
+        ],
+    },
+    # rotated square striking a rectangle face corner-first.  The square is
+    # turned 45 degrees, so its leading corner meets the second body's face
+    # dead-center: the contact point is the unique deepest vertex, it lies on
+    # the line of centers (no torque), and both detection backends resolve
+    # the identical contact.  Near-parallel face-on-face poses are avoided
+    # because their minimum-distance pair is nearly non-unique, which neither
+    # backend resolves consistently.
+    "rect-rect": {
+        "gravity": [0.0, 0.0],
+        "duration": 2.0,
+        "material": {"stiffness": 1e5, "damping": 0.2, "friction": 0.3},
+        "bodies": [
+            {"shape": {"type": "rectangle", "half_length": 0.4, "half_width": 0.4},
+             "position": [-1.0, 0.0], "orientation": math.pi / 4,
+             "velocity": [1.0, 0.0], "mass": 1.0},
+            {"shape": {"type": "rectangle", "half_length": 0.4, "half_width": 0.6},
+             "position": [1.0, 0.0], "velocity": [-1.0, 0.0], "mass": 1.0},
+        ],
+    },
+    # sphere dropped onto a static cuboid slab
+    "sphere-cuboid": {
+        "gravity": [0.0, 0.0, -9.81],
+        "duration": 3.0,
+        "material": {"stiffness": 1e7, "damping": 0.5, "friction": 0.3},
+        "bodies": [
+            {"shape": {"type": "cuboid", "half_extents": [1.0, 1.0, 0.25]},
+             "position": [0.0, 0.0, 0.0], "mass": 100.0, "static": True},
+            {"shape": {"type": "sphere", "radius": 0.25},
+             "position": [0.0, 0.0, 1.0], "velocity": [0.0, 0.0, -1.0],
+             "mass": 1.0},
+        ],
+    },
 }
-
-
-def build_scenario(name: str, overrides: Optional[Mapping] = None) -> Scenario:
-    """Instantiate a registry scenario, optionally applying config overrides."""
-    try:
-        scenario = _BUILDERS[name]()
-    except KeyError:
-        raise UnknownScenario(
-            f"unknown scenario {name!r}; expected one of {', '.join(SCENARIO_NAMES)}"
-        ) from None
-    if overrides is not None:
-        scenario = apply_overrides(scenario, overrides)
-    return scenario
+SCENARIO_NAMES = tuple(_REGISTRY)
 
 
 # The override document.  A value kind is (what it accepts, converter): the
@@ -232,10 +167,17 @@ _SHAPES = {
     "sphere": (Sphere, {"radius": NUMBER}),
     "cuboid": (Cuboid, {"half_extents": _VECTOR}),
 }
-_SHAPE_DIMS = {Circle: 2, Rectangle: 2, Sphere: 3, Cuboid: 3}
+# shape class: (dimensions, solid inertia of a body of that shape and mass)
+_SOLIDS = {
+    Circle: (2, lambda shape, mass: disc_inertia(mass, shape.radius)),
+    Rectangle: (2, lambda shape, mass: rect_inertia(mass, shape.half_length,
+                                                    shape.half_width)),
+    Sphere: (3, lambda shape, mass: sphere_inertia(mass, shape.radius)),
+    Cuboid: (3, lambda shape, mass: cuboid_inertia(mass, shape.half_extents)),
+}
 # the keys are BodyState fields, except shape
 _BODY = {"position": _VECTOR, "velocity": _VECTOR, "orientation": _ANGLE,
-         "angular_velocity": _ANGLE, "mass": NUMBER, "inertia": NUMBER,
+         "angular_velocity": _ANGLE, "mass": NUMBER,
          "static": ("true or false", _boolean), "shape": _SHAPES}
 OVERRIDES = {
     "gravity": _VECTOR,
@@ -289,38 +231,53 @@ def checked(value, kind, where: str = ""):
         raise ValueError(f"config: {name} must be {accepts}, got {value!r}") from None
 
 
-def apply_overrides(scenario: Scenario, overrides: Mapping) -> Scenario:
-    """Apply a config mapping, checked against ``OVERRIDES``, on top of
-    registry defaults.
+# what a body document may leave out, by dimension: a body at rest in the
+# identity orientation
+_AT_REST = {
+    2: {"orientation": 0.0, "velocity": (0.0, 0.0), "angular_velocity": 0.0},
+    3: {"orientation": (1.0, 0.0, 0.0, 0.0), "velocity": (0.0, 0.0, 0.0),
+        "angular_velocity": (0.0, 0.0, 0.0)},
+}
 
-    ``bodies`` entries may be null to keep a body unchanged; a ``shape``
-    replaces the body's shape.  Every body and shape must have as many
-    dimensions as gravity.
+
+def build_scenario(name: str, overrides: Optional[Mapping] = None) -> Scenario:
+    """Build a registry scenario with an override document laid over it.
+
+    The registry document and ``overrides`` are checked against
+    ``OVERRIDES`` alike.  Each override body replaces the keys it gives of
+    the registry body at its index; a null entry keeps the body.  Every body
+    and shape must have as many dimensions as gravity.
     """
-    changes = checked(overrides, OVERRIDES)
-    if "material" in changes:
-        changes["material"] = replace(scenario.material, **changes["material"])
-    if "bodies" in changes:
-        bodies = list(scenario.bodies)
-        shapes = list(scenario.shapes)
-        for index, spec in enumerate(changes["bodies"]):
-            if spec is None:
-                continue
-            if index >= len(bodies):
-                raise ValueError(f"body override index {index} out of range")
-            if "shape" in spec:
-                shapes[index] = spec.pop("shape")
-            try:
-                bodies[index] = replace(bodies[index], **spec)
-            except ValueError as exc:
-                raise ValueError(f"body {index}: {exc}") from None
-        changes["bodies"] = tuple(bodies)
-        changes["shapes"] = tuple(shapes)
-    scenario = replace(scenario, **changes)
-    dim = len(scenario.gravity)
-    for index, (body, shape) in enumerate(zip(scenario.bodies, scenario.shapes)):
-        if body.dim != dim or _SHAPE_DIMS[type(shape)] != dim:
+    if name not in _REGISTRY:
+        raise UnknownScenario(
+            f"unknown scenario {name!r}; expected one of {', '.join(SCENARIO_NAMES)}")
+    document = checked(_REGISTRY[name], OVERRIDES)
+    changes = checked(overrides, OVERRIDES) if overrides is not None else {}
+    gravity = changes.get("gravity", document["gravity"])
+    material = MaterialParams(**{**document["material"],
+                                 **changes.get("material", {})})
+    specs = document["bodies"]
+    for index, spec in enumerate(changes.get("bodies", ())):
+        if spec is None:
+            continue
+        if index >= len(specs):
+            raise ValueError(f"body override index {index} out of range")
+        specs[index] = {**specs[index], **spec}
+    dim = len(gravity)
+    bodies = []
+    shapes = []
+    for index, spec in enumerate(specs):
+        shape = spec.pop("shape")
+        shape_dim, inertia = _SOLIDS[type(shape)]
+        if shape_dim != dim or len(spec["position"]) != dim:
             raise ValueError(
-                f"body {index}: a {body.dim}D body with a {type(shape).__name__} "
-                f"does not fit a world with {dim}D gravity")
-    return scenario
+                f"body {index}: a {len(spec['position'])}D body with a "
+                f"{type(shape).__name__} does not fit a world with {dim}D gravity")
+        try:
+            bodies.append(BodyState(**{**_AT_REST[dim], **spec},
+                                    inertia=inertia(shape, spec["mass"])))
+        except ValueError as exc:
+            raise ValueError(f"body {index}: {exc}") from None
+        shapes.append(shape)
+    return Scenario(tuple(bodies), tuple(shapes), gravity,
+                    changes.get("duration", document["duration"]), material)

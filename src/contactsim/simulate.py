@@ -57,9 +57,11 @@ class SimConfig:
     """Run parameters.
 
     ``duration`` and ``material`` of None keep the scenario defaults (a bare
-    run_world falls back to 2 s and default materials).  Gravity belongs to
-    the scenario: change it with ``run_scenario``'s ``{"gravity": [...]}``
-    override, which also checks its dimension against the bodies.
+    run_world falls back to 2 s and default materials).  A duration shorter
+    than ``dt`` runs one step, as every run takes at least one.  Gravity
+    belongs to the scenario: change it with ``run_scenario``'s
+    ``{"gravity": [...]}`` override, which also checks its dimension against
+    the bodies.
     """
 
     dt: float = 1e-3
@@ -73,11 +75,10 @@ class SimConfig:
             self.backend = Backend(self.backend)
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise ValueError(f"dt must be a positive finite number, got {self.dt}")
-        if self.duration is not None:
-            if not math.isfinite(self.duration):
-                raise ValueError(f"duration must be finite, got {self.duration}")
-            if self.duration < self.dt:
-                raise ValueError("duration must be at least one step")
+        if self.duration is not None and not (self.duration > 0.0
+                                              and math.isfinite(self.duration)):
+            raise ValueError(f"duration must be a positive finite number, got "
+                             f"{self.duration}")
 
 
 class ContactEvent(NamedTuple):
@@ -168,40 +169,44 @@ def collision_response(states, shapes, config: SimConfig,
     forces = [None] * n
     moments = [None] * n
     diagnostics: List[PairDiagnostic] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            pair = (i, j)
-            context = None
-            if warm:
-                context = contexts.get(pair)
-                if context is None:
-                    context = contexts[pair] = convex.PairContext()
-            info = _detect_pair(backend, states[i], shapes[i],
-                                states[j], shapes[j], config.solver, context)
-            if not info.colliding:
-                diagnostics.append(PairDiagnostic(pair, info))
-                continue
-            kin = relative_velocity_at_contact(states[i], info.anchor_a,
-                                               states[j], info.anchor_b,
-                                               info.normal, info.tangent)
-            f_n, f_t = contact_force(info.rho, kin, material)
-            wrench_i, wrench_j = wrench_on_bodies(f_n, f_t, info.normal,
-                                                  info.tangent, info.anchor_a,
-                                                  info.anchor_b)
-            for index, wrench in ((i, wrench_i), (j, wrench_j)):
-                if forces[index] is None:
-                    forces[index] = wrench.force
-                    moments[index] = wrench.moment
-                elif len(wrench.force) == 2:
-                    fx, fy = forces[index]
-                    forces[index] = (fx + wrench.force[0], fy + wrench.force[1])
-                    moments[index] += wrench.moment
-                else:
-                    forces[index] = tuple(a + b for a, b in
-                                          zip(forces[index], wrench.force))
-                    moments[index] = tuple(a + b for a, b in
-                                           zip(moments[index], wrench.moment))
-            diagnostics.append(PairDiagnostic(pair, info, f_n, f_t))
+    try:  # names the pair whose values overflowed
+        for i in range(n):
+            for j in range(i + 1, n):
+                pair = (i, j)
+                context = None
+                if warm:
+                    context = contexts.get(pair)
+                    if context is None:
+                        context = contexts[pair] = convex.PairContext()
+                info = _detect_pair(backend, states[i], shapes[i],
+                                    states[j], shapes[j], config.solver, context)
+                if not info.colliding:
+                    diagnostics.append(PairDiagnostic(pair, info))
+                    continue
+                kin = relative_velocity_at_contact(states[i], info.anchor_a,
+                                                   states[j], info.anchor_b,
+                                                   info.normal, info.tangent)
+                f_n, f_t = contact_force(info.rho, kin, material)
+                wrench_i, wrench_j = wrench_on_bodies(f_n, f_t, info.normal,
+                                                      info.tangent, info.anchor_a,
+                                                      info.anchor_b)
+                for index, wrench in ((i, wrench_i), (j, wrench_j)):
+                    if forces[index] is None:
+                        forces[index] = wrench.force
+                        moments[index] = wrench.moment
+                    elif len(wrench.force) == 2:
+                        fx, fy = forces[index]
+                        forces[index] = (fx + wrench.force[0],
+                                         fy + wrench.force[1])
+                        moments[index] += wrench.moment
+                    else:
+                        forces[index] = tuple(a + b for a, b in
+                                              zip(forces[index], wrench.force))
+                        moments[index] = tuple(a + b for a, b in
+                                               zip(moments[index], wrench.moment))
+                diagnostics.append(PairDiagnostic(pair, info, f_n, f_t))
+    except OverflowError as exc:
+        raise OverflowError(f"pair {pair}: {exc}") from None
     wrenches: List[Optional[BodyWrench]] = [
         BodyWrench(forces[k], moments[k]) if forces[k] is not None else None
         for k in range(n)
@@ -234,7 +239,7 @@ def _integrate(states, wrenches, config: SimConfig, gravity: Vec,
     Successors are built without the construction checks: dimensions, mass
     and inertia are carried over, and a 3D orientation is ``quat_normalize``
     output, whose norm is checked here because it is not a unit quaternion
-    once the components overflow.
+    once the components overflow (OverflowError, naming the body).
     """
     if constants is None:
         constants = _body_constants(states)
@@ -281,7 +286,8 @@ def _integrate(states, wrenches, config: SimConfig, gravity: Vec,
                                       q[3] + half_dt * spin[3]))
         o0, o1, o2, o3 = orientation
         if not abs(math.sqrt(o0 * o0 + o1 * o1 + o2 * o2 + o3 * o3) - 1.0) <= 1e-9:
-            raise ValueError("quaternion must be normalized")
+            raise OverflowError(f"body {len(new_states)}: the quaternion "
+                                "overflowed, so it cannot be normalized")
         new_states.append(state._successor(
             (position[0] + dt * vx, position[1] + dt * vy, position[2] + dt * vz),
             orientation, (vx, vy, vz), omega))
@@ -302,7 +308,9 @@ def run_world(states, shapes, config: SimConfig, gravity: Vec
 
     The timer covers detection, resolution and integration only, not world
     construction or any export.  A run that ends with a non-finite value
-    raises ContactSimError naming the first body and time to hold one.
+    raises ContactSimError naming the first body and time to hold one; one
+    whose values overflow on the way raises it naming the time and the pair
+    or body.
     """
     dt = config.dt
     duration = config.duration if config.duration is not None else 2.0
@@ -321,23 +329,30 @@ def run_world(states, shapes, config: SimConfig, gravity: Vec
     saturation_seen = False
 
     t_start = time.perf_counter()
-    for k in range(n_steps):
-        t = k * dt
-        wrenches, diagnostics = collision_response(states, shapes, config, contexts)
-        for diag in diagnostics:
-            info = diag.info
-            if info.colliding:
-                events.append(ContactEvent(t, diag.pair, info.phi, info.rho,
-                                           diag.f_normal, diag.f_tangent,
-                                           info.saturated))
-                if info.saturated and not saturation_seen:
-                    saturation_seen = True
-                    logger.warning(
-                        "penetration exceeded the measurable range at t=%.6f "
-                        "for pair %s; depth clamped to the shrink margin",
-                        t, diag.pair)
-        states = _integrate(states, wrenches, config, gravity, constants)
-        samples.append(((k + 1) * dt, tuple(states)))
+    try:
+        for k in range(n_steps):
+            t = k * dt
+            wrenches, diagnostics = collision_response(states, shapes, config,
+                                                       contexts)
+            for diag in diagnostics:
+                info = diag.info
+                if info.colliding:
+                    events.append(ContactEvent(t, diag.pair, info.phi, info.rho,
+                                               diag.f_normal, diag.f_tangent,
+                                               info.saturated))
+                    if info.saturated and not saturation_seen:
+                        saturation_seen = True
+                        logger.warning(
+                            "penetration exceeded the measurable range at "
+                            "t=%.6f for pair %s; depth clamped to the shrink "
+                            "margin",
+                            t, diag.pair)
+            states = _integrate(states, wrenches, config, gravity, constants)
+            samples.append(((k + 1) * dt, tuple(states)))
+    except OverflowError as exc:
+        raise ContactSimError(
+            f"the run diverged at t={t:g}: numerical overflow in {exc} "
+            f"({config.backend.value} backend)") from None
     elapsed = time.perf_counter() - t_start
 
     if not all(map(_is_finite, states)):

@@ -20,6 +20,12 @@ def frame_coords(theta: float, v) -> np.ndarray:
     return np.array([v @ a1, v @ a2])
 
 
+def quat_from_angle_z(theta: float):
+    """Unit quaternion (w, x, y, z) of a rotation by theta about the z axis."""
+    h = 0.5 * theta
+    return (math.cos(h), 0.0, 0.0, math.sin(h))
+
+
 def rot_ccw(theta: float) -> np.ndarray:
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, -s], [s, c]])

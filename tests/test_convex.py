@@ -531,17 +531,20 @@ class TestColdBallPairings:
         warm_start = convex._warm_start
         monkeypatch.setattr(convex, "_warm_start",
                             lambda *args: calls.append(args) or warm_start(*args))
+        # each case with its iteration count: box-ball solves take two,
+        # the ball-ball pair one projection
         cases = [
-            (body2d((0.0, 0.0)), Rectangle(1.0, 1.0), body2d((2.4, 0.9)), Circle(0.8)),
-            (body2d((0.0, 0.0)), Circle(0.5), body2d((0.9, 0.1)), Circle(0.5)),
-            (body3d((0.0, 0.0, 0.0)), Cuboid((1.0, 1.0, 0.5)),
-             body3d((0.5, 0.2, 0.7)), Sphere(0.3)),
+            ((body2d((0.0, 0.0)), Rectangle(1.0, 1.0), body2d((2.4, 0.9)),
+              Circle(0.8)), 2),
+            ((body2d((0.0, 0.0)), Circle(0.5), body2d((0.9, 0.1)), Circle(0.5)), 1),
+            ((body3d((0.0, 0.0, 0.0)), Cuboid((1.0, 1.0, 0.5)),
+              body3d((0.5, 0.2, 0.7)), Sphere(0.3)), 2),
         ]
-        for case in cases:
+        for case, iterations in cases:
             context = PairContext()
             for _ in range(2):
                 detect_convex(*case, context=context)
-                assert context.last_iterations == 2
+                assert context.last_iterations == iterations
         assert calls == []
         context = PairContext()
         detect_convex(body2d((0.0, 0.0)), Rectangle(0.4, 0.6),

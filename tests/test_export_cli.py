@@ -13,7 +13,7 @@ from contactsim.export import (
     export_trajectory,
 )
 from contactsim.geometry import Circle, body2d
-from contactsim.scenarios import SCENARIO_NAMES, build_scenario
+from contactsim.scenarios import _REGISTRY, SCENARIO_NAMES, build_scenario
 from contactsim.simulate import SimConfig, Trajectory, run_scenario
 
 
@@ -256,11 +256,49 @@ class TestCli:
         assert math.isclose(ts[1] - ts[0], 0.002, abs_tol=1e-15)
 
     def test_runtime_error_exit_code(self, tmp_path):
+        # a box-ball solve needs two iterations; a ball-ball pair none
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"solver": {"max_iters": 1}}))
-        code = main(["simulate", "--scenario", "circle-circle", "--backend",
+        code = main(["simulate", "--scenario", "rect-circle", "--backend",
                      "co", "--duration", "0.5", "--config", str(config)])
         assert code == 2
+
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_registry_document_as_config_exports_the_same_bytes(self, name,
+                                                                 tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(_REGISTRY[name]))
+        outputs = []
+        for extra in ([], ["--config", str(config)]):
+            out = tmp_path / f"run{len(extra)}.csv"
+            code = main(["simulate", "--scenario", name, "--backend", "sat",
+                         "--out", str(out)] + extra)
+            assert code == 0
+            outputs.append((out.read_bytes(),
+                            (tmp_path / f"{out.name}.events.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("argv, config", [
+        (["--duration", "0.0001"], None),
+        ([], {"duration": 0.0001}),
+    ])
+    def test_duration_shorter_than_a_step_runs_one_step(self, argv, config,
+                                                        tmp_path, capsys):
+        if config is not None:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+            argv = argv + ["--config", str(path)]
+        code = main(["simulate", "--scenario", "circle-circle", "--backend",
+                     "sat"] + argv)
+        assert code == 0
+        assert "2 samples" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_duration_must_be_positive(self, value, capsys):
+        code = main(["simulate", "--scenario", "circle-circle", "--backend",
+                     "sat", "--duration", value])
+        assert code == 1
+        assert "duration" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--duration", "--dt"])
     @pytest.mark.parametrize("value", ["inf", "nan"])
@@ -333,15 +371,16 @@ class TestCli:
         assert names in str(caught.value)
 
     def test_diverged_run_is_runtime_error(self, tmp_path, capsys):
-        # finite inputs: a circle deep inside a 1e200 rectangle ends in nan
+        # finite inputs: overlapping circles push a body whose subnormal
+        # mass has an infinite inverse, so its velocity ends in nan
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"bodies": [{"shape": {
-            "type": "rectangle", "half_length": 1e200, "half_width": 1e200}}]}))
-        code = main(["simulate", "--scenario", "rect-circle", "--backend", "sat",
+        config.write_text(json.dumps({"bodies": [
+            None, {"position": [-0.5, 0.0], "mass": 1e-310}]}))
+        code = main(["simulate", "--scenario", "circle-circle", "--backend", "sat",
                      "--duration", "0.005", "--config", str(config)])
         err = capsys.readouterr().err
         assert code == 2
-        assert "diverged: body 0" in err and "t=0.001" in err
+        assert "diverged: body 1" in err and "t=0.001" in err
         assert "Traceback" not in err
 
     def test_overflowing_contact_force_is_runtime_error(self, tmp_path, capsys):
@@ -356,16 +395,34 @@ class TestCli:
         assert "overflow" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("backend", ["sat", "co"])
-    def test_overflowed_sphere_pose_is_usage_error(self, backend, tmp_path,
-                                                    capsys):
+    def test_overflowed_sphere_pose_is_runtime_error(self, backend, tmp_path,
+                                                      capsys):
         # the sphere's offset squares to inf: its normal degenerates to zero
         config = tmp_path / "config.json"
         config.write_text('{"gravity": [1.0, 1.0, 1.3407807929942597e+159]}')
         code = main(["simulate", "--scenario", "sphere-cuboid", "--backend",
                      backend, "--duration", "0.005", "--config", str(config)])
         err = capsys.readouterr().err
-        assert code == 1
+        assert code == 2
         assert "tangent" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("text, backend, code, names", [
+        ('{"bodies": [null, {"angular_velocity": [1e300, 0, 0]}]}', "sat", 2,
+         ("diverged at t=0:", "body 1", "normalized")),
+        ('{"bodies": [null, {"velocity": [1e300, 0, 0]}]}', "co", 2,
+         ("diverged at t=0.001:", "pair (0, 1)", "tangent")),
+        ('{"solver": {"shrink_margin": 5}}', "co", 1, ("shrink margin",)),
+    ])
+    def test_diverged_3d_run_names_time_and_culprit(self, text, backend, code,
+                                                     names, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        assert main(["simulate", "--scenario", "sphere-cuboid", "--backend",
+                     backend, "--duration", "0.005", "--config",
+                     str(config)]) == code
+        err = capsys.readouterr().err
+        assert all(name in err for name in names), err
+        assert "Traceback" not in err
 
     def test_missing_config_file_is_runtime_error(self):
         code = main(["simulate", "--scenario", "circle-circle", "--backend",

@@ -12,13 +12,12 @@ from contactsim.geometry import (
     Sphere,
     body2d,
     body3d,
-    quat_from_angle_z,
     quat_to_matrix,
     rot2_apply,
     rot2_apply_t,
 )
 
-from oracles import frame_coords
+from oracles import frame_coords, quat_from_angle_z
 
 
 def rotation_matrix(theta):

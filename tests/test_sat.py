@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from contactsim.geometry import body2d, body3d, quat_from_angle_z
+from contactsim.geometry import body2d, body3d
 from contactsim.geometry import Circle, Cuboid, Rectangle, Sphere
 from contactsim.sat import (
     Region,
@@ -22,6 +22,7 @@ from oracles import (
     min_pair_distance,
     polygon_area,
     polygon_sat,
+    quat_from_angle_z,
     rect_boundary_points,
     rect_corners,
     rot_ccw,

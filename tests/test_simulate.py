@@ -198,7 +198,8 @@ class TestSuccessorStates:
 class TestConfigChecks:
     @pytest.mark.parametrize("kwargs", [
         {"dt": math.inf}, {"dt": math.nan}, {"dt": 0.0}, {"dt": -1e-3},
-        {"duration": math.inf}, {"duration": math.nan}, {"duration": 1e-4},
+        {"duration": math.inf}, {"duration": math.nan}, {"duration": 0.0},
+        {"duration": -1.0},
     ])
     def test_sim_config_rejects(self, kwargs):
         with pytest.raises(ValueError):
@@ -272,7 +273,7 @@ class TestConfigChecks:
     def test_overflowing_quaternion_is_rejected(self):
         # the squared norm overflows, so quat_normalize returns no unit quaternion
         states = [body3d((0.0, 0.0, 0.0), angular_velocity=(1e300, 0.0, 0.0))]
-        with pytest.raises(ValueError, match="normalized"):
+        with pytest.raises(OverflowError, match="body 0: .*normalized"):
             _integrate(states, [None], SimConfig(), (0.0, 0.0, 0.0))
 
 
@@ -511,6 +512,16 @@ class TestScenarios:
         ball1 = trajectory.samples[-1][1][1]
         # without gravity the initial downward speed is preserved before contact
         assert math.isclose(ball1.velocity[1], ball0.velocity[1], abs_tol=1e-12)
+
+    def test_inertia_follows_shape_and_mass(self):
+        # a solid sphere of 8 kg and radius 0.5 has 0.4 * 8 * 0.25 = 0.8
+        scenario = build_scenario("sphere-cuboid", {"bodies": [
+            None, {"mass": 8.0, "shape": {"type": "sphere", "radius": 0.5}}]})
+        inertia = scenario.bodies[1].inertia
+        assert [inertia[k][k] for k in range(3)] == [0.8, 0.8, 0.8]
+        scenario = build_scenario("bouncing-circle",
+                                  {"bodies": [None, {"mass": 10.0}]})
+        assert scenario.bodies[1].inertia == disc_inertia(10.0, 0.25)
 
     def test_body_override_surface(self):
         overrides = {"bodies": [None, {"position": [0.0, 2.0],
