@@ -15,7 +15,9 @@ the ball completes the exact minimum-distance pair (two iterations).  A
 ball–ball pair takes one projection: the point of the second ball nearest
 the first center, projected onto the first ball, completes the exact pair,
 so it does not iterate at all.  Only box–box starts from a warm
-start, the previous step's solution kept in the pair's ``PairContext``.
+start: the solution of the pair's last solve, kept in its ``PairContext``.
+In a run that is the last step whose world-axis boxes overlapped, since a
+pair with disjoint boxes skips the narrow phase.
 
 The general quadratic-program form behind this (minimize a quadratic cost
 subject to linear and norm inequality constraints) is documented here only;
@@ -97,8 +99,8 @@ class PairContext:
     """Solver state owned by a single simulation stepper, one per pair.
 
     Every call records its iteration count in ``last_iterations``; only a
-    box-box pair keeps its solution, pose and normal for the next step's
-    warm start.
+    box-box pair keeps its solution, pose and normal to warm-start its next
+    solve.
     """
 
     last_q_star: Optional[Vec] = None
@@ -286,9 +288,14 @@ def detect_convex(state_a: BodyState, shape_a, state_b: BodyState, shape_b,
         ) from None
 
 
-def _resolve_margin(settings: SolverSettings, limit: float, what: str) -> float:
+def _resolve_margin(settings: SolverSettings, shape) -> float:
+    """Shrink margin b of a pair whose second body, the shrunk one, has
+    ``shape``: ValueError unless 0 < b < its radius or smaller half-extent."""
+    box = isinstance(shape, Rectangle)
+    limit = min(shape.half_length, shape.half_width) if box else shape.radius
     b = settings.shrink_margin if settings.shrink_margin is not None else 0.5 * limit
     if not 0.0 < b < limit:
+        what = "rectangle erosion" if box else f"{type(shape).__name__.lower()} shrink"
         raise ValueError(f"shrink margin must lie in (0, {limit}) for {what}, got {b}")
     return b
 
@@ -318,7 +325,7 @@ def _convex_rect_circle(state_a: BodyState, rect: Rectangle, state_b: BodyState,
                         context: Optional[PairContext]) -> ContactInfo:
     c1, c2 = rect.half_length, rect.half_width
     radius = circle.radius
-    b = _resolve_margin(settings, radius, "circle shrink")
+    b = _resolve_margin(settings, circle)
     theta = state_a.orientation
     c = math.cos(theta)
     s = math.sin(theta)
@@ -372,7 +379,7 @@ def _convex_circle_circle(state_a: BodyState, circle_a: Circle, state_b: BodySta
                           circle_b: Circle, settings: SolverSettings,
                           context: Optional[PairContext]) -> ContactInfo:
     ra, rb = circle_a.radius, circle_b.radius
-    b = _resolve_margin(settings, rb, "circle shrink")
+    b = _resolve_margin(settings, circle_b)
     theta = state_a.orientation
     c = math.cos(theta)
     s = math.sin(theta)
@@ -450,7 +457,7 @@ def _convex_rect_rect(state_a: BodyState, rect_a: Rectangle, state_b: BodyState,
                       context: Optional[PairContext]) -> ContactInfo:
     ha1, ha2 = ext_a = (rect_a.half_length, rect_a.half_width)
     hb1, hb2 = rect_b.half_length, rect_b.half_width
-    b = _resolve_margin(settings, min(hb1, hb2), "rectangle erosion")
+    b = _resolve_margin(settings, rect_b)
     e1, e2 = ext_b_eroded = (hb1 - b, hb2 - b)
     theta_a = state_a.orientation
     theta_b = state_b.orientation
@@ -582,7 +589,7 @@ def _convex_cuboid_sphere(state_a: BodyState, cuboid: Cuboid, state_b: BodyState
                           context: Optional[PairContext]) -> ContactInfo:
     e0, e1, e2 = ext = cuboid.half_extents
     radius = sphere.radius
-    b = _resolve_margin(settings, radius, "sphere shrink")
+    b = _resolve_margin(settings, sphere)
     # world from cuboid frame
     (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = \
         quat_to_matrix(state_a.orientation)

@@ -25,6 +25,7 @@ from .geometry import (
     Vec,
     cuboid_inertia,
     disc_inertia,
+    mat3_inverse,
     rect_inertia,
     sphere_inertia,
 )
@@ -246,7 +247,8 @@ def build_scenario(name: str, overrides: Optional[Mapping] = None) -> Scenario:
     The registry document and ``overrides`` are checked against
     ``OVERRIDES`` alike.  Each override body replaces the keys it gives of
     the registry body at its index; a null entry keeps the body.  Every body
-    and shape must have as many dimensions as gravity.
+    and shape must have as many dimensions as gravity, and a moving 3D body's
+    inertia tensor must be invertible.
     """
     if name not in _REGISTRY:
         raise UnknownScenario(
@@ -274,10 +276,19 @@ def build_scenario(name: str, overrides: Optional[Mapping] = None) -> Scenario:
                 f"body {index}: a {len(spec['position'])}D body with a "
                 f"{type(shape).__name__} does not fit a world with {dim}D gravity")
         try:
-            bodies.append(BodyState(**{**_AT_REST[dim], **spec},
-                                    inertia=inertia(shape, spec["mass"])))
+            body = BodyState(**{**_AT_REST[dim], **spec},
+                             inertia=inertia(shape, spec["mass"]))
         except ValueError as exc:
             raise ValueError(f"body {index}: {exc}") from None
+        if dim == 3 and not body.static:
+            try:  # the integrator inverts a moving body's inertia tensor
+                mat3_inverse(body.inertia)
+            except ValueError:
+                raise ValueError(
+                    f"body {index}: mass {spec['mass']!r} gives the "
+                    f"{type(shape).__name__.lower()} a singular inertia tensor"
+                ) from None
+        bodies.append(body)
         shapes.append(shape)
     return Scenario(tuple(bodies), tuple(shapes), gravity,
                     changes.get("duration", document["duration"]), material)

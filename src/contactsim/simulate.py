@@ -1,10 +1,12 @@
 """Fixed-step rigid-body simulator: detection, resolution, state update.
 
-Each step runs the selected narrow-phase backend over all body pairs, feeds
-colliding contacts through the penalty resolver, accumulates the resulting
-center-of-mass wrenches in body order (fixed summation order keeps runs
-bit-deterministic) and advances the states with a semi-implicit Euler step:
-velocities first, then positions with the updated velocities.
+Each step visits every body pair.  A pair whose padded world-axis boxes are
+apart on some axis cannot touch, so it skips the narrow phase; every other
+pair goes through the selected backend.  Colliding contacts feed the penalty
+resolver, the resulting center-of-mass wrenches accumulate in body order
+(fixed summation order keeps runs bit-deterministic) and a semi-implicit
+Euler step advances the states: velocities first, then positions with the
+updated velocities.
 """
 from __future__ import annotations
 
@@ -30,6 +32,7 @@ from .geometry import (
     mat3_vec,
     quat_multiply,
     quat_normalize,
+    quat_to_matrix,
 )
 from .penalty import (
     BodyWrench,
@@ -94,12 +97,12 @@ class ContactEvent(NamedTuple):
 
 
 class PairDiagnostic(NamedTuple):
-    """Narrow-phase result for one pair, with resolver forces when colliding."""
+    """Narrow-phase result of one colliding pair and its resolver forces."""
 
     pair: Tuple[int, int]
     info: ContactInfo
-    f_normal: float = 0.0
-    f_tangent: float = 0.0
+    f_normal: float
+    f_tangent: float
 
 
 @dataclass(frozen=True)
@@ -150,38 +153,112 @@ def _detect_pair(backend: Backend, state_a: BodyState, shape_a: Shape,
     return info.flipped() if swapped else info
 
 
+def _pair_contexts(shapes, config: SimConfig) -> Optional[Dict]:
+    """Check every pair once, before a run; the co backend's pair contexts.
+
+    A pair whose boxes stay apart never reaches the narrow phase, which is
+    where an unsupported pairing or a co shrink margin out of range would
+    otherwise surface, so both are raised here naming the pair.  Returns one
+    ``PairContext`` per pair for co, None for sat.
+    """
+    co = config.backend is Backend.CO
+    contexts = {}
+    n = len(shapes)
+    for i in range(n):
+        for j in range(i + 1, n):
+            key = (type(shapes[i]), type(shapes[j]))
+            if _SWAPPED.get(key, key) not in _DETECTORS_SAT:
+                raise UnsupportedPair(f"pair ({i}, {j}): no narrow phase for "
+                                      f"{key[0].__name__}-{key[1].__name__}")
+            if co:
+                try:  # the canonical second body is the shrunk one
+                    convex._resolve_margin(config.solver,
+                                           shapes[i] if key in _SWAPPED else shapes[j])
+                except ValueError as exc:
+                    raise ValueError(f"pair ({i}, {j}): {exc}") from None
+                contexts[(i, j)] = convex.PairContext()
+    return contexts if co else None
+
+
+# Relative padding of a world-axis box, far above the rounding of the box's
+# own arithmetic and of either backend's verdict on a pose near touching.
+_BOX_PAD = 1e-9
+
+
+def _world_box(state: BodyState, shape: Shape) -> tuple:
+    """Padded world-axis box of a body: low and high x, y and z in turn.
+
+    The half-extents are the radius of a circle or sphere and |R|·e of a
+    rectangle or cuboid; each side is padded by ``_BOX_PAD`` times the
+    coordinate's magnitude plus the half-extent.  A 2D box spans z = 0.
+    """
+    if isinstance(shape, (Circle, Sphere)):
+        hx = hy = hz = shape.radius
+    elif isinstance(shape, Rectangle):
+        c = abs(math.cos(state.orientation))
+        s = abs(math.sin(state.orientation))
+        hl, hw = shape.half_length, shape.half_width
+        hx = c * hl + s * hw
+        hy = s * hl + c * hw
+    else:
+        e0, e1, e2 = shape.half_extents
+        (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = \
+            quat_to_matrix(state.orientation)
+        hx = abs(m00) * e0 + abs(m01) * e1 + abs(m02) * e2
+        hy = abs(m10) * e0 + abs(m11) * e1 + abs(m12) * e2
+        hz = abs(m20) * e0 + abs(m21) * e1 + abs(m22) * e2
+    position = state.position
+    x, y = position[0], position[1]
+    hx += _BOX_PAD * (abs(x) + hx)
+    hy += _BOX_PAD * (abs(y) + hy)
+    if len(position) == 2:
+        return (x - hx, x + hx, y - hy, y + hy, 0.0, 0.0)
+    z = position[2]
+    hz += _BOX_PAD * (abs(z) + hz)
+    return (x - hx, x + hx, y - hy, y + hy, z - hz, z + hz)
+
+
 # material of pairs the config gives none; frozen, so one instance serves all
 _DEFAULT_MATERIAL = MaterialParams()
 
 
 def collision_response(states, shapes, config: SimConfig,
-                       contexts: Optional[Dict] = None
+                       contexts: Optional[Dict] = None,
+                       static_boxes: Optional[List[Optional[tuple]]] = None
                        ) -> Tuple[List[Optional[BodyWrench]], List[PairDiagnostic]]:
     """Detect and resolve every pair; returns per-body wrenches and diagnostics.
 
-    Non-colliding pairs contribute no wrench but their proximity is kept in
-    the diagnostics.  Wrenches accumulate per body in pair order.
+    A pair whose ``_world_box``es are apart on some axis skips the narrow
+    phase: both backends call such a pair non-colliding, so it adds no wrench.
+    The diagnostics hold one ``PairDiagnostic`` per colliding pair, in pair
+    order, and nothing for the other pairs.  Wrenches accumulate per body in
+    pair order.  ``contexts`` maps each pair to its co ``PairContext`` (see
+    ``_pair_contexts``); without it co solves cold.  ``static_boxes`` holds
+    the boxes of static bodies, computed once per run, and None for the
+    others; without it every box is computed.
     """
     backend = config.backend
     material = config.material or _DEFAULT_MATERIAL
-    warm = contexts is not None and backend is Backend.CO
     n = len(states)
+    boxes = [box or _world_box(state, shape) for state, shape, box
+             in zip(states, shapes, static_boxes or [None] * n)]
     forces = [None] * n
     moments = [None] * n
     diagnostics: List[PairDiagnostic] = []
     try:  # names the pair whose values overflowed
         for i in range(n):
+            box_a = boxes[i]
             for j in range(i + 1, n):
+                box_b = boxes[j]
+                if (box_a[1] < box_b[0] or box_b[1] < box_a[0]
+                        or box_a[3] < box_b[2] or box_b[3] < box_a[2]
+                        or box_a[5] < box_b[4] or box_b[5] < box_a[4]):
+                    continue
                 pair = (i, j)
-                context = None
-                if warm:
-                    context = contexts.get(pair)
-                    if context is None:
-                        context = contexts[pair] = convex.PairContext()
+                context = contexts[pair] if contexts is not None else None
                 info = _detect_pair(backend, states[i], shapes[i],
                                     states[j], shapes[j], config.solver, context)
                 if not info.colliding:
-                    diagnostics.append(PairDiagnostic(pair, info))
                     continue
                 kin = relative_velocity_at_contact(states[i], info.anchor_a,
                                                    states[j], info.anchor_b,
@@ -323,7 +400,10 @@ def run_world(states, shapes, config: SimConfig, gravity: Vec
                          f"the {MAX_STEPS} a run may take: {duration} / {dt}")
     states = list(states)
     constants = _body_constants(states)
-    contexts: Dict = {}
+    contexts = _pair_contexts(shapes, config)
+    # a static body's state is the same object on every step
+    static_boxes = [_world_box(state, shape) if state.static else None
+                    for state, shape in zip(states, shapes)]
     samples = [(0.0, tuple(states))]
     events: List[ContactEvent] = []
     saturation_seen = False
@@ -333,20 +413,19 @@ def run_world(states, shapes, config: SimConfig, gravity: Vec
         for k in range(n_steps):
             t = k * dt
             wrenches, diagnostics = collision_response(states, shapes, config,
-                                                       contexts)
+                                                       contexts, static_boxes)
             for diag in diagnostics:
                 info = diag.info
-                if info.colliding:
-                    events.append(ContactEvent(t, diag.pair, info.phi, info.rho,
-                                               diag.f_normal, diag.f_tangent,
-                                               info.saturated))
-                    if info.saturated and not saturation_seen:
-                        saturation_seen = True
-                        logger.warning(
-                            "penetration exceeded the measurable range at "
-                            "t=%.6f for pair %s; depth clamped to the shrink "
-                            "margin",
-                            t, diag.pair)
+                events.append(ContactEvent(t, diag.pair, info.phi, info.rho,
+                                           diag.f_normal, diag.f_tangent,
+                                           info.saturated))
+                if info.saturated and not saturation_seen:
+                    saturation_seen = True
+                    logger.warning(
+                        "penetration exceeded the measurable range at "
+                        "t=%.6f for pair %s; depth clamped to the shrink "
+                        "margin",
+                        t, diag.pair)
             states = _integrate(states, wrenches, config, gravity, constants)
             samples.append(((k + 1) * dt, tuple(states)))
     except OverflowError as exc:

@@ -80,6 +80,59 @@ def cuboid_face_points(half_extents, n_per_axis: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# world-axis boxes
+
+def quat_rotate(q, v) -> np.ndarray:
+    """A vector rotated by a unit quaternion (w, x, y, z), as q v q*."""
+    w, x, y, z = q
+
+    def product(a, b):
+        return (a[0] * b[0] - a[1] * b[1] - a[2] * b[2] - a[3] * b[3],
+                a[0] * b[1] + a[1] * b[0] + a[2] * b[3] - a[3] * b[2],
+                a[0] * b[2] - a[1] * b[3] + a[2] * b[0] + a[3] * b[1],
+                a[0] * b[3] + a[1] * b[2] - a[2] * b[1] + a[3] * b[0])
+
+    rotated = product(product((w, x, y, z), (0.0, *v)), (w, -x, -y, -z))
+    return np.array(rotated[1:])
+
+
+def world_box(position, orientation, shape):
+    """Unpadded world-axis box (low, high) of a body, from its extreme points:
+    the center plus or minus the radius of a ball, the corners of a box."""
+    center = np.asarray(position, dtype=float)
+    if hasattr(shape, "radius"):
+        return center - shape.radius, center + shape.radius
+    if hasattr(shape, "half_length"):
+        corners = rect_corners(center, orientation, shape.half_length,
+                               shape.half_width)
+    else:
+        corners = np.array([center + quat_rotate(orientation, (sx * shape.half_extents[0],
+                                                               sy * shape.half_extents[1],
+                                                               sz * shape.half_extents[2]))
+                            for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)])
+    return corners.min(axis=0), corners.max(axis=0)
+
+
+def boxes_overlap(box_a, box_b) -> bool:
+    """Whether two closed world-axis boxes share a point."""
+    (low_a, high_a), (low_b, high_b) = box_a, box_b
+    return bool(np.all(low_a <= high_b) and np.all(low_b <= high_a))
+
+
+def overlapping_box_pair_steps(trajectory) -> int:
+    """Pair-steps of a run whose pair's world-axis boxes overlap, counted from
+    the states each step starts from (every sample but the last)."""
+    shapes = trajectory.shapes
+    count = 0
+    for _, states in trajectory.samples[:-1]:
+        boxes = [world_box(s.position, s.orientation, shape)
+                 for s, shape in zip(states, shapes)]
+        count += sum(boxes_overlap(boxes[i], boxes[j])
+                     for i in range(len(boxes)) for j in range(i + 1, len(boxes)))
+    return count
+
+
+# ---------------------------------------------------------------------------
 # polygon oracles
 
 def clip_polygon(subject, clip):

@@ -394,24 +394,69 @@ class TestCli:
         assert code == 2
         assert "overflow" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("backend", ["sat", "co"])
-    def test_overflowed_sphere_pose_is_runtime_error(self, backend, tmp_path,
-                                                      capsys):
-        # the sphere's offset squares to inf: its normal degenerates to zero
+    @pytest.mark.parametrize("text, backend", [
+        ('{"gravity": [1.0, 1.0, 1.3407807929942597e+159]}', "sat"),
+        ('{"gravity": [1.0, 1.0, 1.3407807929942597e+159]}', "co"),
+        ('{"bodies": [null, {"velocity": [1e300, 0, 0]}]}', "co"),
+    ])
+    def test_sphere_flung_off_the_slab_skips_the_narrow_phase(self, text, backend,
+                                                              tmp_path, capsys):
+        # the sphere's offset from the slab would square to inf in a
+        # detector, but its box never meets the slab's, so none runs
         config = tmp_path / "config.json"
-        config.write_text('{"gravity": [1.0, 1.0, 1.3407807929942597e+159]}')
+        config.write_text(text)
+        out = tmp_path / "run.csv"
         code = main(["simulate", "--scenario", "sphere-cuboid", "--backend",
+                     backend, "--duration", "0.005", "--config", str(config),
+                     "--out", str(out)])
+        assert code == 0, capsys.readouterr().err
+        lines = out.read_text().splitlines()
+        assert len(lines) == 1 + 2 * 6
+        assert all(math.isfinite(float(field))
+                   for line in lines[1:] for field in line.split(","))
+        assert (tmp_path / "run.csv.events.csv").read_text().count("\n") == 1
+
+    @pytest.mark.parametrize("backend", ["sat", "co"])
+    def test_overflowing_detection_names_the_pair(self, backend, tmp_path,
+                                                  capsys):
+        # the two overlapping circles' radii sum to a depth whose cube overflows
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"bodies": [
+            {"shape": {"type": "circle", "radius": 1e150}, "mass": 1e-250}] * 2}))
+        code = main(["simulate", "--scenario", "circle-circle", "--backend",
                      backend, "--duration", "0.005", "--config", str(config)])
         err = capsys.readouterr().err
         assert code == 2
-        assert "tangent" in err and "Traceback" not in err
+        assert "diverged at t=0:" in err and "numerical overflow in pair (0, 1)" in err
+        assert "Traceback" not in err
+
+    def test_singular_inertia_names_body_and_mass(self, tmp_path, capsys):
+        # 0.4 * 1e-310 * 0.25**2 on the diagonal: the determinant underflows
+        config = tmp_path / "config.json"
+        config.write_text('{"bodies": [null, {"mass": 1e-310}]}')
+        code = main(["simulate", "--scenario", "sphere-cuboid", "--backend",
+                     "sat", "--duration", "0.5", "--config", str(config)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "body 1" in err and "mass 1e-310" in err and "singular" in err
+        assert "Traceback" not in err
+
+    def test_unsupported_pairing_names_the_pair(self, tmp_path, capsys):
+        # the two spheres never come near each other
+        config = tmp_path / "config.json"
+        config.write_text('{"bodies": [{"shape": {"type": "sphere", "radius": 0.5},'
+                          ' "position": [10, 0, 0]}, null]}')
+        code = main(["simulate", "--scenario", "sphere-cuboid", "--backend",
+                     "sat", "--duration", "0.005", "--config", str(config)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "pair (0, 1)" in err and "Sphere-Sphere" in err
 
     @pytest.mark.parametrize("text, backend, code, names", [
         ('{"bodies": [null, {"angular_velocity": [1e300, 0, 0]}]}', "sat", 2,
          ("diverged at t=0:", "body 1", "normalized")),
-        ('{"bodies": [null, {"velocity": [1e300, 0, 0]}]}', "co", 2,
-         ("diverged at t=0.001:", "pair (0, 1)", "tangent")),
-        ('{"solver": {"shrink_margin": 5}}', "co", 1, ("shrink margin",)),
+        ('{"solver": {"shrink_margin": 5}}', "co", 1,
+         ("pair (0, 1)", "shrink margin")),
     ])
     def test_diverged_3d_run_names_time_and_culprit(self, text, backend, code,
                                                      names, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from dataclasses import replace
@@ -5,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from contactsim import convex
+from contactsim import convex, simulate
 from contactsim.convex import SolverSettings
 from contactsim.errors import UnknownScenario, UnsupportedPair
 from contactsim.geometry import (
@@ -37,7 +38,7 @@ from contactsim.simulate import (
 )
 from contactsim.scenarios import SCENARIO_NAMES, build_scenario
 
-from oracles import rk4_free_body_2d
+from oracles import rk4_free_body_2d, world_box
 
 
 class TestIntegrator:
@@ -284,9 +285,7 @@ class TestCollisionResponse:
         shapes = [Circle(0.5), Circle(0.5)]
         wrenches, diagnostics = collision_response(states, shapes, config)
         assert wrenches == [None, None]
-        assert len(diagnostics) == 1
-        assert not diagnostics[0].info.colliding
-        assert math.isclose(diagnostics[0].info.phi, 4.0, abs_tol=1e-12)
+        assert diagnostics == []
 
     def test_wrench_composes_module_results(self):
         material = MaterialParams()
@@ -347,6 +346,22 @@ class TestCollisionResponse:
         with pytest.raises(UnsupportedPair):
             collision_response(states, shapes, config)
 
+    def test_pairs_are_checked_before_the_first_step(self, monkeypatch):
+        # the pairs stay 10 m apart, so no narrow phase would ever see them
+        steps = []
+        monkeypatch.setattr(simulate, "collision_response",
+                            lambda *args: steps.append(args))
+        with pytest.raises(UnsupportedPair, match=r"pair \(0, 1\): .*Sphere-Sphere"):
+            run_world([body3d((0.0, 0.0, 0.0)), body3d((10.0, 0.0, 0.0))],
+                      [Sphere(0.5), Sphere(0.5)], SimConfig(duration=0.01),
+                      (0.0, 0.0, 0.0))
+        config = SimConfig(backend="co", duration=0.01,
+                           solver=SolverSettings(shrink_margin=5.0))
+        with pytest.raises(ValueError, match=r"pair \(0, 1\): shrink margin"):
+            run_world([body2d((0.0, 0.0)), body2d((10.0, 0.0))],
+                      [Circle(0.5), Circle(0.5)], config, (0.0, 0.0))
+        assert steps == []
+
     def test_swapped_shape_order_gives_same_physics(self):
         config = SimConfig()
         rect_state = body2d((0.0, 0.0))
@@ -386,6 +401,75 @@ class TestCollisionResponse:
         assert len(trajectory.samples) == 2
         out = trajectory.samples[-1][1]
         assert math.isclose(out[0].position[0], 1e-3, abs_tol=1e-15)
+
+
+# one shape pair per pairing; each runs in both body orders
+BOX_REJECT_PAIRS = {
+    "rect-circle": (Rectangle(0.8, 0.5), Circle(0.5)),
+    "circle-circle": (Circle(0.5), Circle(0.3)),
+    "rect-rect": (Rectangle(0.4, 0.4), Rectangle(0.4, 0.6)),
+    "sphere-cuboid": (Cuboid((1.0, 0.6, 0.25)), Sphere(0.25)),
+}
+# signed gap between the two bodies' unpadded boxes along the separating axis
+BOX_GAPS = (-1e-3, -1e-6, -1e-12, 0.0, 1e-12, 1e-9, 1e-6, 1e-3, 1e-2)
+
+
+def _random_orientation(rng, dim, rotated):
+    if dim == 2:
+        return rng.uniform(-math.pi, math.pi) if rotated else 0.0
+    if not rotated:
+        return (1.0, 0.0, 0.0, 0.0)
+    q = [rng.gauss(0.0, 1.0) for _ in range(4)]
+    length = math.sqrt(sum(x * x for x in q))
+    return tuple(x / length for x in q)
+
+
+class TestBoxReject:
+    """A pair the box reject skips is one both backends call apart."""
+
+    @pytest.mark.parametrize("pairing", BOX_REJECT_PAIRS)
+    def test_skipped_poses_do_not_collide(self, pairing, monkeypatch):
+        reached = []  # the sat verdict of every pose that reached a detector
+        detect_pair = simulate._detect_pair
+
+        def recording(*args):
+            info = detect_pair(*args)
+            reached.append(info.colliding)
+            return info
+
+        monkeypatch.setattr(simulate, "_detect_pair", recording)
+        rng = random.Random(f"box-reject-{pairing}")
+        first, second = BOX_REJECT_PAIRS[pairing]
+        dim = 3 if isinstance(first, Cuboid) else 2
+        make = body3d if dim == 3 else body2d
+        skipped = 0
+        for shapes, rotated, _ in itertools.product(
+                ((first, second), (second, first)), (False, True), range(4)):
+            q_a = _random_orientation(rng, dim, rotated)
+            q_b = _random_orientation(rng, dim, rotated)
+            center_a = tuple(rng.uniform(-2.0, 2.0) for _ in range(dim))
+            low_a, high_a = world_box(center_a, q_a, shapes[0])
+            reach = (high_a - low_a) / 2.0 + world_box((0.0,) * dim, q_b, shapes[1])[1]
+            for axis, sign, gap in itertools.product(range(dim), (1.0, -1.0),
+                                                     BOX_GAPS):
+                # across the axis, mostly near the line of centers
+                offset = [rng.uniform(-1.0, 1.0) ** 3 * r for r in reach]
+                offset[axis] = sign * (reach[axis] + gap)
+                center_b = tuple(float(c + o) for c, o in zip(center_a, offset))
+                states = [make(center_a, q_a), make(center_b, q_b)]
+                before = len(reached)
+                collision_response(states, list(shapes), SimConfig())
+                if len(reached) > before:
+                    assert gap < 1e-6, (states, shapes)
+                    continue
+                skipped += 1
+                assert gap > 0.0, (states, shapes)
+                for backend in Backend:
+                    info = detect_pair(backend, states[0], shapes[0], states[1],
+                                       shapes[1], SolverSettings(), None)
+                    assert not info.colliding, (backend, states)
+        # the sweep straddles the boundary: skipped, reached and colliding poses
+        assert skipped > 0 and len(reached) > 0 and any(reached)
 
 
 class TestScenarios:
