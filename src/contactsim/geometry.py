@@ -8,7 +8,7 @@ world-from-body map is its transpose.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Tuple, Union
 
 Vec2 = Tuple[float, float]
@@ -80,24 +80,6 @@ def rot2_apply_t(theta: float, v: Vec2) -> Vec2:
 
 # ---------------------------------------------------------------------------
 # quaternions (w, x, y, z), used for 3D orientation
-
-def quat_normalize(q: Quat) -> Quat:
-    n = math.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
-    if n == 0.0:
-        return (1.0, 0.0, 0.0, 0.0)
-    return (q[0] / n, q[1] / n, q[2] / n, q[3] / n)
-
-
-def quat_multiply(a: Quat, b: Quat) -> Quat:
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return (
-        aw * bw - ax * bx - ay * by - az * bz,
-        aw * bx + ax * bw + ay * bz - az * by,
-        aw * by - ax * bz + ay * bw + az * bx,
-        aw * bz + ax * by - ay * bx + az * bw,
-    )
-
 
 def quat_to_matrix(q: Quat) -> Mat3:
     """World-from-body rotation matrix of a unit quaternion."""
@@ -248,7 +230,7 @@ Shape = Union[Circle, Rectangle, Sphere, Cuboid]
 # ---------------------------------------------------------------------------
 # rigid-body state
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BodyState:
     """Pose and velocity of one rigid body.
 
@@ -260,7 +242,8 @@ class BodyState:
     The invariants (dimensions, finite entries, positive mass and planar
     inertia, a unit quaternion) are checked when a state is constructed; the
     integrator derives each step's states through ``_successor``, which
-    keeps them without checking again.
+    keeps them without checking again.  The fields are slots, so a state
+    carries no ``__dict__``.
     """
 
     position: Vec
@@ -319,22 +302,25 @@ class BodyState:
 
         Skips ``__post_init__``: the caller guarantees that the dimensions
         match this state's and that a 3D orientation is a unit quaternion.
-        ``quat_normalize`` output is one only while the squared norm stays
+        A normalized quaternion is one only while its squared norm stays
         finite, so the integrator checks its norm before calling this.
         """
-        state = object.__new__(BodyState)
-        # object.__setattr__ as in the generated __init__; writing to
-        # state.__dict__ instead would give every state a dict object of its
-        # own, which costs memory and garbage-collector work
-        set_field = object.__setattr__
-        set_field(state, "position", position)
-        set_field(state, "orientation", orientation)
-        set_field(state, "velocity", velocity)
-        set_field(state, "angular_velocity", angular_velocity)
-        set_field(state, "mass", self.mass)
-        set_field(state, "inertia", self.inertia)
-        set_field(state, "static", self.static)
+        # each slot is set through its descriptor, as frozen blocks setattr
+        state = _new_state(BodyState)
+        _set_position(state, position)
+        _set_orientation(state, orientation)
+        _set_velocity(state, velocity)
+        _set_angular_velocity(state, angular_velocity)
+        _set_mass(state, self.mass)
+        _set_inertia(state, self.inertia)
+        _set_static(state, self.static)
         return state
+
+
+_new_state = object.__new__
+(_set_position, _set_orientation, _set_velocity, _set_angular_velocity, _set_mass,
+ _set_inertia, _set_static) = (getattr(BodyState, field.name).__set__
+                               for field in fields(BodyState))
 
 
 def body2d(position: Vec2, angle: float = 0.0, velocity: Vec2 = (0.0, 0.0),

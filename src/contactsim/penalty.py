@@ -97,13 +97,18 @@ def contact_force(rho: float, kin: ContactKinematics,
     """Normal and tangential force magnitudes for a penetration depth.
 
     The normal force is clamped at zero when fast separation would make the
-    damped spring attractive.  The friction sigmoid 2/(1+exp(-v/vs)) - 1 is
+    damped spring attractive; a depth whose cube overflows raises
+    OverflowError naming it.  The friction sigmoid 2/(1+exp(-v/vs)) - 1 is
     evaluated as tanh(v/(2 vs)), which is the same function without overflow
     for large sliding speeds.
     """
     if rho < 0.0:
         raise ValueError("penetration depth must be nonnegative")
-    f_n = mat.stiffness * rho ** 3 * (1.0 - mat.damping * kin.v_normal)
+    try:  # a float power is the one operation here that raises on overflow
+        f_n = mat.stiffness * rho ** 3 * (1.0 - mat.damping * kin.v_normal)
+    except OverflowError:
+        raise OverflowError("the cubic penalty force overflows at depth "
+                            f"{rho!r}") from None
     if f_n < 0.0:
         f_n = 0.0
     f_t = -mat.friction * f_n * math.tanh(kin.v_tangent / (2.0 * mat.v_scale))

@@ -23,7 +23,6 @@ from .geometry import (
     Sphere,
     Vec2,
     mat3_t_vec,
-    mat3_vec,
     nearest_face,
     normalize,
     quat_to_matrix,
@@ -315,15 +314,19 @@ def detect_sphere_cuboid(state_a: BodyState, cuboid: Cuboid,
         n_local = (-ux, -uy, -uz)  # center toward cuboid, negated
         p_tilde = (k0, k1, k2)
 
-    q_m = (ux * radius, uy * radius, uz * radius)
+    mx, my, mz = ux * radius, uy * radius, uz * radius
+    px, py, pz = p_tilde
+    nx, ny, nz = n_local
+    tx, ty, tz = tangent3(nx, ny, nz)
+    # the world frame: rot times each vector, in the order of mat3_vec
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rot
     return ContactInfo(
-        colliding=rho > 0.0,
-        phi=phi,
-        rho=rho,
-        p_tilde=p_tilde,
-        q_tilde=(q0 + q_m[0], q1 + q_m[1], q2 + q_m[2]),
-        anchor_a=mat3_vec(rot, p_tilde),
-        anchor_b=mat3_vec(rot, q_m),
-        normal=mat3_vec(rot, n_local),
-        tangent=mat3_vec(rot, tangent3(*n_local)),
-    )
+        rho > 0.0, phi, rho, p_tilde, (q0 + mx, q1 + my, q2 + mz),
+        (r00 * px + r01 * py + r02 * pz, r10 * px + r11 * py + r12 * pz,
+         r20 * px + r21 * py + r22 * pz),
+        (r00 * mx + r01 * my + r02 * mz, r10 * mx + r11 * my + r12 * mz,
+         r20 * mx + r21 * my + r22 * mz),
+        (r00 * nx + r01 * ny + r02 * nz, r10 * nx + r11 * ny + r12 * nz,
+         r20 * nx + r21 * ny + r22 * nz),
+        (r00 * tx + r01 * ty + r02 * tz, r10 * tx + r11 * ty + r12 * tz,
+         r20 * tx + r21 * ty + r22 * tz))

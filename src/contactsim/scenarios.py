@@ -247,8 +247,8 @@ def build_scenario(name: str, overrides: Optional[Mapping] = None) -> Scenario:
     The registry document and ``overrides`` are checked against
     ``OVERRIDES`` alike.  Each override body replaces the keys it gives of
     the registry body at its index; a null entry keeps the body.  Every body
-    and shape must have as many dimensions as gravity, and a moving 3D body's
-    inertia tensor must be invertible.
+    and shape must have as many dimensions as gravity, and a moving body's
+    mass and inertia must have finite inverses.
     """
     if name not in _REGISTRY:
         raise UnknownScenario(
@@ -280,14 +280,17 @@ def build_scenario(name: str, overrides: Optional[Mapping] = None) -> Scenario:
                              inertia=inertia(shape, spec["mass"]))
         except ValueError as exc:
             raise ValueError(f"body {index}: {exc}") from None
-        if dim == 3 and not body.static:
-            try:  # the integrator inverts a moving body's inertia tensor
-                mat3_inverse(body.inertia)
-            except ValueError:
+        if not body.static:
+            try:  # the integrator inverts a moving body's mass and inertia
+                inverse = (1.0 / body.mass, *((1.0 / body.inertia,) if dim == 2
+                                              else sum(mat3_inverse(body.inertia), ())))
+            except ValueError:  # a singular inertia tensor
+                inverse = (math.inf,)
+            if not all(map(math.isfinite, inverse)):
                 raise ValueError(
                     f"body {index}: mass {spec['mass']!r} gives the "
-                    f"{type(shape).__name__.lower()} a singular inertia tensor"
-                ) from None
+                    f"{type(shape).__name__.lower()} a singular mass or inertia, "
+                    "whose inverse is not finite")
         bodies.append(body)
         shapes.append(shape)
     return Scenario(tuple(bodies), tuple(shapes), gravity,

@@ -1,12 +1,12 @@
 """Fixed-step rigid-body simulator: detection, resolution, state update.
 
-Each step visits every body pair.  A pair whose padded world-axis boxes are
-apart on some axis cannot touch, so it skips the narrow phase; every other
-pair goes through the selected backend.  Colliding contacts feed the penalty
-resolver, the resulting center-of-mass wrenches accumulate in body order
-(fixed summation order keeps runs bit-deterministic) and a semi-implicit
-Euler step advances the states: velocities first, then positions with the
-updated velocities.
+A run builds one step plan (per pair its detector, order and co context, per
+body its box function), then each step visits every pair of the plan.  A
+pair whose padded world-axis boxes are apart on some axis cannot touch, so
+it skips the narrow phase.  Colliding contacts feed the penalty resolver,
+the center-of-mass wrenches accumulate per body in pair order (fixed order
+keeps runs bit-deterministic) and a semi-implicit Euler step advances the
+states: velocities first, then positions with the updated velocities.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
+from typing import List, Mapping, NamedTuple, Optional, Tuple
 
 from . import convex, sat
 from .contact import ContactInfo
@@ -30,8 +30,6 @@ from .geometry import (
     Vec,
     mat3_inverse,
     mat3_vec,
-    quat_multiply,
-    quat_normalize,
     quat_to_matrix,
 )
 from .penalty import (
@@ -129,165 +127,174 @@ _DETECTORS_SAT = {
 _SWAPPED = {(Circle, Rectangle): (Rectangle, Circle),
             (Sphere, Cuboid): (Cuboid, Sphere)}
 
-
-def _detect_pair(backend: Backend, state_a: BodyState, shape_a: Shape,
-                 state_b: BodyState, shape_b: Shape,
-                 solver: convex.SolverSettings,
-                 context: Optional[convex.PairContext]) -> ContactInfo:
-    key = (type(shape_a), type(shape_b))
-    swapped = key in _SWAPPED
-    if swapped:
-        state_a, state_b = state_b, state_a
-        shape_a, shape_b = shape_b, shape_a
-        key = (type(shape_a), type(shape_b))
-    detector = _DETECTORS_SAT.get(key)
-    if detector is None:
-        raise UnsupportedPair(
-            f"no narrow phase for {key[0].__name__}-{key[1].__name__}"
-        )
-    if backend is Backend.SAT:
-        info = detector(state_a, shape_a, state_b, shape_b)
-    else:
-        info = convex.detect_convex(state_a, shape_a, state_b, shape_b,
-                                    solver, context)
-    return info.flipped() if swapped else info
-
-
-def _pair_contexts(shapes, config: SimConfig) -> Optional[Dict]:
-    """Check every pair once, before a run; the co backend's pair contexts.
-
-    A pair whose boxes stay apart never reaches the narrow phase, which is
-    where an unsupported pairing or a co shrink margin out of range would
-    otherwise surface, so both are raised here naming the pair.  Returns one
-    ``PairContext`` per pair for co, None for sat.
-    """
-    co = config.backend is Backend.CO
-    contexts = {}
-    n = len(shapes)
-    for i in range(n):
-        for j in range(i + 1, n):
-            key = (type(shapes[i]), type(shapes[j]))
-            if _SWAPPED.get(key, key) not in _DETECTORS_SAT:
-                raise UnsupportedPair(f"pair ({i}, {j}): no narrow phase for "
-                                      f"{key[0].__name__}-{key[1].__name__}")
-            if co:
-                try:  # the canonical second body is the shrunk one
-                    convex._resolve_margin(config.solver,
-                                           shapes[i] if key in _SWAPPED else shapes[j])
-                except ValueError as exc:
-                    raise ValueError(f"pair ({i}, {j}): {exc}") from None
-                contexts[(i, j)] = convex.PairContext()
-    return contexts if co else None
-
-
 # Relative padding of a world-axis box, far above the rounding of the box's
 # own arithmetic and of either backend's verdict on a pose near touching.
 _BOX_PAD = 1e-9
 
 
-def _world_box(state: BodyState, shape: Shape) -> tuple:
-    """Padded world-axis box of a body: low and high x, y and z in turn.
+# Padded world-axis boxes, one function per shape type: low and high x, y and
+# z in turn.  The half-extents are the radius of a circle or sphere and |R|·e
+# of a rectangle or cuboid; each side is padded by ``_BOX_PAD`` times the
+# coordinate's magnitude plus the half-extent.  A 2D box spans z = 0.
 
-    The half-extents are the radius of a circle or sphere and |R|·e of a
-    rectangle or cuboid; each side is padded by ``_BOX_PAD`` times the
-    coordinate's magnitude plus the half-extent.  A 2D box spans z = 0.
-    """
-    if isinstance(shape, (Circle, Sphere)):
-        hx = hy = hz = shape.radius
-    elif isinstance(shape, Rectangle):
-        c = abs(math.cos(state.orientation))
-        s = abs(math.sin(state.orientation))
-        hl, hw = shape.half_length, shape.half_width
-        hx = c * hl + s * hw
-        hy = s * hl + c * hw
-    else:
-        e0, e1, e2 = shape.half_extents
-        (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = \
-            quat_to_matrix(state.orientation)
-        hx = abs(m00) * e0 + abs(m01) * e1 + abs(m02) * e2
-        hy = abs(m10) * e0 + abs(m11) * e1 + abs(m12) * e2
-        hz = abs(m20) * e0 + abs(m21) * e1 + abs(m22) * e2
+def _ball_box(state: BodyState, ball) -> tuple:
     position = state.position
     x, y = position[0], position[1]
-    hx += _BOX_PAD * (abs(x) + hx)
-    hy += _BOX_PAD * (abs(y) + hy)
+    r = ball.radius
+    hx = r + _BOX_PAD * (abs(x) + r)
+    hy = r + _BOX_PAD * (abs(y) + r)
     if len(position) == 2:
         return (x - hx, x + hx, y - hy, y + hy, 0.0, 0.0)
     z = position[2]
+    hz = r + _BOX_PAD * (abs(z) + r)
+    return (x - hx, x + hx, y - hy, y + hy, z - hz, z + hz)
+
+
+def _rect_box(state: BodyState, rect: Rectangle) -> tuple:
+    x, y = state.position
+    c = abs(math.cos(state.orientation))
+    s = abs(math.sin(state.orientation))
+    hx = c * rect.half_length + s * rect.half_width
+    hy = s * rect.half_length + c * rect.half_width
+    hx += _BOX_PAD * (abs(x) + hx)
+    hy += _BOX_PAD * (abs(y) + hy)
+    return (x - hx, x + hx, y - hy, y + hy, 0.0, 0.0)
+
+
+def _cuboid_box(state: BodyState, cuboid: Cuboid) -> tuple:
+    x, y, z = state.position
+    e0, e1, e2 = cuboid.half_extents
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = \
+        quat_to_matrix(state.orientation)
+    hx = abs(m00) * e0 + abs(m01) * e1 + abs(m02) * e2
+    hy = abs(m10) * e0 + abs(m11) * e1 + abs(m12) * e2
+    hz = abs(m20) * e0 + abs(m21) * e1 + abs(m22) * e2
+    hx += _BOX_PAD * (abs(x) + hx)
+    hy += _BOX_PAD * (abs(y) + hy)
     hz += _BOX_PAD * (abs(z) + hz)
     return (x - hx, x + hx, y - hy, y + hy, z - hz, z + hz)
+
+
+_BOXES = {Circle: _ball_box, Rectangle: _rect_box, Sphere: _ball_box,
+          Cuboid: _cuboid_box}
+
+
+class _StepPlan(NamedTuple):
+    """What a run fixes before its first step; see ``_step_plan``."""
+
+    pairs: tuple   # (pair, i, j, detector, swapped, shape_a, shape_b, context)
+    boxes: tuple   # a static body's box, None for a moving one
+    moving: tuple  # (k, box function, shape) of each moving body
+
+
+def _step_plan(states, shapes, config: SimConfig) -> _StepPlan:
+    """Check every pair once and fix what each step of a run reuses.
+
+    Per pair: the detector, read now from ``_DETECTORS_SAT`` or
+    ``convex.detect_convex``; whether it takes the bodies in swapped order;
+    the shapes in its order; and for co a ``PairContext``.  A pair whose
+    boxes stay apart never reaches the narrow phase, which is where an
+    unsupported pairing or a co shrink margin out of range would otherwise
+    surface, so both are raised here naming the pair.  Per body: its box
+    function, and the box of a static body, whose state is the same object
+    on every step.
+    """
+    co = config.backend is Backend.CO
+    pairs = []
+    n = len(shapes)
+    for i in range(n):
+        for j in range(i + 1, n):
+            key = (type(shapes[i]), type(shapes[j]))
+            swapped = key in _SWAPPED
+            detector = _DETECTORS_SAT.get(_SWAPPED.get(key, key))
+            if detector is None:
+                raise UnsupportedPair(f"pair ({i}, {j}): no narrow phase for "
+                                      f"{key[0].__name__}-{key[1].__name__}")
+            first, second = (j, i) if swapped else (i, j)
+            context = None
+            if co:
+                try:  # the canonical second body is the shrunk one
+                    convex._resolve_margin(config.solver, shapes[second])
+                except ValueError as exc:
+                    raise ValueError(f"pair ({i}, {j}): {exc}") from None
+                detector = convex.detect_convex
+                context = convex.PairContext()
+            pairs.append(((i, j), i, j, detector, swapped, shapes[first],
+                          shapes[second], context))
+    boxes = tuple(_BOXES[type(shape)](state, shape) if state.static else None
+                  for state, shape in zip(states, shapes))
+    moving = tuple((k, _BOXES[type(shape)], shape)
+                   for k, (state, shape) in enumerate(zip(states, shapes))
+                   if not state.static)
+    return _StepPlan(tuple(pairs), boxes, moving)
 
 
 # material of pairs the config gives none; frozen, so one instance serves all
 _DEFAULT_MATERIAL = MaterialParams()
 
 
+def _wrench_sum(first: BodyWrench, second: BodyWrench) -> BodyWrench:
+    """Two wrenches on one body added component by component, first + second."""
+    f, g = first.force, second.force
+    if len(f) == 2:
+        return BodyWrench((f[0] + g[0], f[1] + g[1]), first.moment + second.moment)
+    m, n = first.moment, second.moment
+    return BodyWrench((f[0] + g[0], f[1] + g[1], f[2] + g[2]),
+                      (m[0] + n[0], m[1] + n[1], m[2] + n[2]))
+
+
 def collision_response(states, shapes, config: SimConfig,
-                       contexts: Optional[Dict] = None,
-                       static_boxes: Optional[List[Optional[tuple]]] = None
+                       plan: Optional[_StepPlan] = None
                        ) -> Tuple[List[Optional[BodyWrench]], List[PairDiagnostic]]:
     """Detect and resolve every pair; returns per-body wrenches and diagnostics.
 
-    A pair whose ``_world_box``es are apart on some axis skips the narrow
-    phase: both backends call such a pair non-colliding, so it adds no wrench.
-    The diagnostics hold one ``PairDiagnostic`` per colliding pair, in pair
-    order, and nothing for the other pairs.  Wrenches accumulate per body in
-    pair order.  ``contexts`` maps each pair to its co ``PairContext`` (see
-    ``_pair_contexts``); without it co solves cold.  ``static_boxes`` holds
-    the boxes of static bodies, computed once per run, and None for the
-    others; without it every box is computed.
+    ``plan`` is the run's ``_step_plan``; a bare call builds one, so its co
+    pairs solve cold.  A pair whose boxes are apart on some axis skips the
+    narrow phase: both backends call such a pair non-colliding, so it adds no
+    wrench.  The diagnostics hold one ``PairDiagnostic`` per colliding pair,
+    in pair order, and nothing for the other pairs.  A body's wrench is None
+    without a contact, the ``wrench_on_bodies`` result of its one contact,
+    or the sum over its contacts in pair order.
     """
-    backend = config.backend
+    if plan is None:
+        plan = _step_plan(states, shapes, config)
+    boxes = list(plan.boxes)
+    for k, box_of, shape in plan.moving:
+        boxes[k] = box_of(states[k], shape)
+    solver = config.solver
     material = config.material or _DEFAULT_MATERIAL
-    n = len(states)
-    boxes = [box or _world_box(state, shape) for state, shape, box
-             in zip(states, shapes, static_boxes or [None] * n)]
-    forces = [None] * n
-    moments = [None] * n
+    wrenches: List[Optional[BodyWrench]] = [None] * len(states)
     diagnostics: List[PairDiagnostic] = []
     try:  # names the pair whose values overflowed
-        for i in range(n):
-            box_a = boxes[i]
-            for j in range(i + 1, n):
-                box_b = boxes[j]
-                if (box_a[1] < box_b[0] or box_b[1] < box_a[0]
-                        or box_a[3] < box_b[2] or box_b[3] < box_a[2]
-                        or box_a[5] < box_b[4] or box_b[5] < box_a[4]):
-                    continue
-                pair = (i, j)
-                context = contexts[pair] if contexts is not None else None
-                info = _detect_pair(backend, states[i], shapes[i],
-                                    states[j], shapes[j], config.solver, context)
-                if not info.colliding:
-                    continue
-                kin = relative_velocity_at_contact(states[i], info.anchor_a,
-                                                   states[j], info.anchor_b,
-                                                   info.normal, info.tangent)
-                f_n, f_t = contact_force(info.rho, kin, material)
-                wrench_i, wrench_j = wrench_on_bodies(f_n, f_t, info.normal,
-                                                      info.tangent, info.anchor_a,
-                                                      info.anchor_b)
-                for index, wrench in ((i, wrench_i), (j, wrench_j)):
-                    if forces[index] is None:
-                        forces[index] = wrench.force
-                        moments[index] = wrench.moment
-                    elif len(wrench.force) == 2:
-                        fx, fy = forces[index]
-                        forces[index] = (fx + wrench.force[0],
-                                         fy + wrench.force[1])
-                        moments[index] += wrench.moment
-                    else:
-                        forces[index] = tuple(a + b for a, b in
-                                              zip(forces[index], wrench.force))
-                        moments[index] = tuple(a + b for a, b in
-                                               zip(moments[index], wrench.moment))
-                diagnostics.append(PairDiagnostic(pair, info, f_n, f_t))
+        for pair, i, j, detect, swapped, shape_a, shape_b, context in plan.pairs:
+            box_a, box_b = boxes[i], boxes[j]
+            if (box_a[1] < box_b[0] or box_b[1] < box_a[0]
+                    or box_a[3] < box_b[2] or box_b[3] < box_a[2]
+                    or box_a[5] < box_b[4] or box_b[5] < box_a[4]):
+                continue
+            state_i, state_j = states[i], states[j]
+            state_a, state_b = (state_j, state_i) if swapped else (state_i, state_j)
+            if context is None:
+                info = detect(state_a, shape_a, state_b, shape_b)
+            else:
+                info = detect(state_a, shape_a, state_b, shape_b, solver, context)
+            if not info.colliding:
+                continue
+            if swapped:
+                info = info.flipped()
+            kin = relative_velocity_at_contact(state_i, info.anchor_a, state_j,
+                                               info.anchor_b, info.normal,
+                                               info.tangent)
+            f_n, f_t = contact_force(info.rho, kin, material)
+            wrench_i, wrench_j = wrench_on_bodies(f_n, f_t, info.normal, info.tangent,
+                                                  info.anchor_a, info.anchor_b)
+            prior = wrenches[i]
+            wrenches[i] = wrench_i if prior is None else _wrench_sum(prior, wrench_i)
+            prior = wrenches[j]
+            wrenches[j] = wrench_j if prior is None else _wrench_sum(prior, wrench_j)
+            diagnostics.append(PairDiagnostic(pair, info, f_n, f_t))
     except OverflowError as exc:
         raise OverflowError(f"pair {pair}: {exc}") from None
-    wrenches: List[Optional[BodyWrench]] = [
-        BodyWrench(forces[k], moments[k]) if forces[k] is not None else None
-        for k in range(n)
-    ]
     return wrenches, diagnostics
 
 
@@ -297,30 +304,28 @@ def _body_constants(states) -> List[Optional[tuple]]:
     None for a static body, else ``(1/mass, angular)`` where ``angular`` is
     the planar inertia (2D) or the inverse inertia tensor (3D).
     """
-    constants: List[Optional[tuple]] = []
-    for state in states:
-        if state.static:
-            constants.append(None)
-        elif state.dim == 2:
-            constants.append((1.0 / state.mass, state.inertia))
-        else:
-            constants.append((1.0 / state.mass, mat3_inverse(state.inertia)))
-    return constants
+    return [None if state.static else
+            (1.0 / state.mass,
+             state.inertia if state.dim == 2 else mat3_inverse(state.inertia))
+            for state in states]
 
 
 def _integrate(states, wrenches, config: SimConfig, gravity: Vec,
-               constants: Optional[List[Optional[tuple]]] = None):
+               constants: Optional[List[Optional[tuple]]] = None) -> tuple:
     """Semi-implicit Euler update: velocities first, then poses.
 
-    ``constants`` are the bodies' ``_body_constants``; None computes them.
-    Successors are built without the construction checks: dimensions, mass
-    and inertia are carried over, and a 3D orientation is ``quat_normalize``
-    output, whose norm is checked here because it is not a unit quaternion
-    once the components overflow (OverflowError, naming the body).
+    Returns the new states as a tuple.  ``constants`` are the bodies'
+    ``_body_constants``; None computes them.  Successors are built without
+    the construction checks: dimensions, mass and inertia are carried over.
+    A 3D orientation advances by the spin (0, omega) * q and is normalized
+    (a zero quaternion becomes the identity); its norm is checked, because it
+    is not a unit quaternion once the components overflow (OverflowError,
+    naming the body).
     """
     if constants is None:
         constants = _body_constants(states)
     dt = config.dt
+    half_dt = dt * 0.5
     new_states = []
     for state, wrench, constant in zip(states, wrenches, constants):
         if constant is None:
@@ -343,32 +348,34 @@ def _integrate(states, wrenches, config: SimConfig, gravity: Vec,
                 state.orientation + dt * omega, (vx, vy), omega))
             continue
         if wrench is None:
-            fx = fy = fz = 0.0
-            moment = (0.0, 0.0, 0.0)
+            fx = fy = fz = mx = my = mz = 0.0
         else:
             fx, fy, fz = wrench.force
-            moment = wrench.moment
+            mx, my, mz = wrench.moment
         vx = velocity[0] + dt * (fx * inv_m + gravity[0])
         vy = velocity[1] + dt * (fy * inv_m + gravity[1])
         vz = velocity[2] + dt * (fz * inv_m + gravity[2])
-        alpha = mat3_vec(angular, moment)
-        w = state.angular_velocity
-        omega = (w[0] + dt * alpha[0], w[1] + dt * alpha[1], w[2] + dt * alpha[2])
-        q = state.orientation
-        spin = quat_multiply((0.0,) + omega, q)
-        half_dt = dt * 0.5
-        orientation = quat_normalize((q[0] + half_dt * spin[0],
-                                      q[1] + half_dt * spin[1],
-                                      q[2] + half_dt * spin[2],
-                                      q[3] + half_dt * spin[3]))
-        o0, o1, o2, o3 = orientation
-        if not abs(math.sqrt(o0 * o0 + o1 * o1 + o2 * o2 + o3 * o3) - 1.0) <= 1e-9:
+        (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = angular
+        wx, wy, wz = state.angular_velocity
+        wx = wx + dt * (a00 * mx + a01 * my + a02 * mz)
+        wy = wy + dt * (a10 * mx + a11 * my + a12 * mz)
+        wz = wz + dt * (a20 * mx + a21 * my + a22 * mz)
+        qw, qx, qy, qz = state.orientation
+        # the spin (0, omega) * q, then q + dt/2 * spin
+        pw = qw + half_dt * (0.0 * qw - wx * qx - wy * qy - wz * qz)
+        px = qx + half_dt * (0.0 * qx + wx * qw + wy * qz - wz * qy)
+        py = qy + half_dt * (0.0 * qy - wx * qz + wy * qw + wz * qx)
+        pz = qz + half_dt * (0.0 * qz + wx * qy - wy * qx + wz * qw)
+        n = math.sqrt(pw * pw + px * px + py * py + pz * pz)
+        orientation = (pw / n, px / n, py / n, pz / n) if n else (1.0, 0.0, 0.0, 0.0)
+        ow, ox, oy, oz = orientation
+        if not abs(math.sqrt(ow * ow + ox * ox + oy * oy + oz * oz) - 1.0) <= 1e-9:
             raise OverflowError(f"body {len(new_states)}: the quaternion "
                                 "overflowed, so it cannot be normalized")
         new_states.append(state._successor(
             (position[0] + dt * vx, position[1] + dt * vy, position[2] + dt * vz),
-            orientation, (vx, vy, vz), omega))
-    return new_states
+            orientation, (vx, vy, vz), (wx, wy, wz)))
+    return tuple(new_states)
 
 
 def _is_finite(state: BodyState) -> bool:
@@ -398,13 +405,10 @@ def run_world(states, shapes, config: SimConfig, gravity: Vec
     if n_steps > MAX_STEPS:
         raise ValueError(f"duration / dt asks for {steps:.6g} steps, more than "
                          f"the {MAX_STEPS} a run may take: {duration} / {dt}")
-    states = list(states)
+    states = tuple(states)
     constants = _body_constants(states)
-    contexts = _pair_contexts(shapes, config)
-    # a static body's state is the same object on every step
-    static_boxes = [_world_box(state, shape) if state.static else None
-                    for state, shape in zip(states, shapes)]
-    samples = [(0.0, tuple(states))]
+    plan = _step_plan(states, shapes, config)
+    samples = [(0.0, states)]
     events: List[ContactEvent] = []
     saturation_seen = False
 
@@ -412,8 +416,7 @@ def run_world(states, shapes, config: SimConfig, gravity: Vec
     try:
         for k in range(n_steps):
             t = k * dt
-            wrenches, diagnostics = collision_response(states, shapes, config,
-                                                       contexts, static_boxes)
+            wrenches, diagnostics = collision_response(states, shapes, config, plan)
             for diag in diagnostics:
                 info = diag.info
                 events.append(ContactEvent(t, diag.pair, info.phi, info.rho,
@@ -427,7 +430,7 @@ def run_world(states, shapes, config: SimConfig, gravity: Vec
                         "margin",
                         t, diag.pair)
             states = _integrate(states, wrenches, config, gravity, constants)
-            samples.append(((k + 1) * dt, tuple(states)))
+            samples.append(((k + 1) * dt, states))
     except OverflowError as exc:
         raise ContactSimError(
             f"the run diverged at t={t:g}: numerical overflow in {exc} "

@@ -26,6 +26,26 @@ def quat_from_angle_z(theta: float):
     return (math.cos(h), 0.0, 0.0, math.sin(h))
 
 
+def quat_normalize(q):
+    """Unit quaternion along q, or the identity for a zero q."""
+    n = math.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
+    if n == 0.0:
+        return (1.0, 0.0, 0.0, 0.0)
+    return (q[0] / n, q[1] / n, q[2] / n, q[3] / n)
+
+
+def quat_multiply(a, b):
+    """Hamilton product a * b of two quaternions (w, x, y, z)."""
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return (
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
+    )
+
+
 def rot_ccw(theta: float) -> np.ndarray:
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, -s], [s, c]])

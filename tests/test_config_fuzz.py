@@ -85,8 +85,9 @@ documents = mostly(mapping({
           suppress_health_check=[HealthCheck.too_slow])
 @given(document=documents, scenario=st.sampled_from(SCENARIO_NAMES),
        backend=st.sampled_from(["sat", "co"]))
-# finite inputs that diverge: the light circle's state turns nan in one step
-@example(document={"bodies": [None, {"position": [-0.5, 0.0], "mass": 1e-310}]},
+# finite inputs that diverge: body 1's velocity turns inf in one step
+@example(document={"gravity": [0.0, 1.7e308],
+                   "bodies": [None, {"velocity": [0.0, 1.797e308]}]},
          scenario="circle-circle", backend="sat")
 def test_config_documents_exit_with_a_code(tmp_path_factory, document,
                                            scenario, backend):

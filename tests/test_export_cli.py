@@ -371,11 +371,11 @@ class TestCli:
         assert names in str(caught.value)
 
     def test_diverged_run_is_runtime_error(self, tmp_path, capsys):
-        # finite inputs: overlapping circles push a body whose subnormal
-        # mass has an infinite inverse, so its velocity ends in nan
+        # finite inputs: a step of gravity pushes body 1's velocity, already
+        # near the float maximum, past it, so the velocity ends in inf
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"bodies": [
-            None, {"position": [-0.5, 0.0], "mass": 1e-310}]}))
+        config.write_text(json.dumps({"gravity": [0.0, 1.7e308], "bodies": [
+            None, {"velocity": [0.0, 1.797e308]}]}))
         code = main(["simulate", "--scenario", "circle-circle", "--backend", "sat",
                      "--duration", "0.005", "--config", str(config)])
         err = capsys.readouterr().err
@@ -428,6 +428,9 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 2
         assert "diverged at t=0:" in err and "numerical overflow in pair (0, 1)" in err
+        # co clamps the depth to its shrink margin, half the radius
+        depth = {"sat": "2e+150", "co": "5e+149"}[backend]
+        assert f"the cubic penalty force overflows at depth {depth} " in err
         assert "Traceback" not in err
 
     def test_singular_inertia_names_body_and_mass(self, tmp_path, capsys):
@@ -439,6 +442,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 1
         assert "body 1" in err and "mass 1e-310" in err and "singular" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("body", [
+        {"position": [-0.5, 0.0], "mass": 1e-310},  # 1 / mass is inf
+        {"shape": {"type": "circle", "radius": 1e-160}, "mass": 1.0},  # 1 / inertia
+    ])
+    def test_planar_mass_without_a_finite_inverse_names_body_and_mass(
+            self, body, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"bodies": [None, body]}))
+        code = main(["simulate", "--scenario", "circle-circle", "--backend",
+                     "sat", "--duration", "0.005", "--config", str(config)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"body 1: mass {body['mass']!r}" in err and "singular" in err
         assert "Traceback" not in err
 
     def test_unsupported_pairing_names_the_pair(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -154,6 +155,22 @@ class TestShapesAndBodies:
     def test_body_rejects_non_finite_or_malformed_entries(self, build):
         with pytest.raises(ValueError):
             build()
+
+    def test_body_state_is_slotted_and_replace_checks(self):
+        state = body3d((0.0, 0.0, 1.0), velocity=(0.5, 0.0, 0.0))
+        assert not hasattr(state, "__dict__")
+        with pytest.raises(AttributeError):
+            state.mass = 2.0
+        successor = state._successor((1.0, 0.0, 0.0), state.orientation,
+                                     (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+        assert not hasattr(successor, "__dict__")
+        assert successor == replace(state, position=(1.0, 0.0, 0.0),
+                                    velocity=(0.0, 0.0, 0.0))
+        for change in ({"mass": -1.0}, {"position": (math.nan, 0.0, 0.0)},
+                       {"orientation": (2.0, 0.0, 0.0, 0.0)},
+                       {"velocity": (0.0, 0.0)}):
+            with pytest.raises(ValueError):
+                replace(state, **change)
 
     def test_quaternion_matches_planar_rotation(self):
         rng = random.Random(29)

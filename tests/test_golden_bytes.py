@@ -2,9 +2,11 @@
 
 The ten registry cells run at their default durations and export CSV plus
 the events sibling.  A change that keeps the physics must keep these bytes;
-one that changes it on purpose pins new digests and says why.  A second
-digest pins every ``ContactInfo`` field of a seeded sweep of co rect-rect
-poses, cold and warm.  The digests depend on the platform's libm (sin, cos
+one that changes it on purpose pins new digests and says why.  Two
+hand-built worlds pin what no two-body registry world reaches: a body with
+several contacts, pairs in swapped order and a static body inside the body
+list.  A second digest pins every ``ContactInfo`` field of a seeded sweep of
+co rect-rect poses, cold and warm.  The digests depend on the platform's libm (sin, cos
 and sqrt rounding), so the tests run only on Linux x86-64, where they were
 taken.
 """
@@ -18,9 +20,19 @@ import pytest
 from contactsim import convex
 from contactsim.convex import PairContext, detect_convex
 from contactsim.export import export_trajectory
-from contactsim.geometry import Rectangle, body2d
+from contactsim.geometry import (
+    Circle,
+    Cuboid,
+    Rectangle,
+    Sphere,
+    body2d,
+    body3d,
+    disc_inertia,
+    rect_inertia,
+    sphere_inertia,
+)
 from contactsim.scenarios import SCENARIO_NAMES
-from contactsim.simulate import SimConfig, run_scenario
+from contactsim.simulate import SimConfig, run_scenario, run_world
 
 pytestmark = pytest.mark.skipif(
     platform.system() != "Linux" or platform.machine() not in ("x86_64", "AMD64"),
@@ -89,6 +101,79 @@ def test_export_bytes(cell, tmp_path):
     export_trajectory(trajectory, "csv", str(path))
     events = tmp_path / f"{cell}.csv.events.csv"
     assert (_sha256(path), _sha256(events)) == GOLDEN[cell]
+
+
+def _four_body_world():
+    """A ball on a static floor (body 1) between a square and a pebble.
+
+    Pairs (0, 1) and (0, 2) are circle-rectangle, the swapped order; (1, 3)
+    and (2, 3) are rectangle-circle.  Ball 0 touches the floor, the square
+    and the pebble, so it sums up to three wrenches in one step.  The square
+    falls corner-first, as face-on-face rect-rect poses are avoided.
+    """
+    states = [
+        body2d((0.0, 0.28), velocity=(0.1, 0.0), angular_velocity=0.5,
+               inertia=disc_inertia(1.0, 0.3)),
+        body2d((0.0, -0.2), static=True),
+        body2d((0.62, 0.36), angle=math.pi / 4, velocity=(-0.3, 0.0), mass=2.0,
+               inertia=rect_inertia(2.0, 0.25, 0.25)),
+        body2d((-0.7, 0.5), velocity=(1.0, -1.0), mass=0.5,
+               inertia=disc_inertia(0.5, 0.2)),
+    ]
+    shapes = [Circle(0.3), Rectangle(3.0, 0.2), Rectangle(0.25, 0.25), Circle(0.2)]
+    return states, shapes, (0.0, -9.81)
+
+
+def _sphere_on_tilted_cuboid():
+    """A spinning sphere (body 0, the swapped order) on a tilted static cuboid.
+
+    Every 3D pairing but sphere-cuboid lacks a narrow phase, so a 3D world
+    holds one sphere and one cuboid.
+    """
+    tilt = (math.cos(0.15), math.sin(0.15), 0.0, 0.0)
+    states = [
+        body3d((0.1, 0.0, 0.3), velocity=(0.2, 0.0, -0.5),
+               angular_velocity=(0.0, 1.0, 0.5), inertia=sphere_inertia(1.0, 0.25)),
+        body3d((0.0, 0.0, -0.25), orientation=tilt, static=True),
+    ]
+    return states, [Sphere(0.25), Cuboid((1.0, 1.0, 0.25))], (0.0, 0.0, -9.81)
+
+
+WORLDS = {"four-body": _four_body_world, "sphere-on-tilt": _sphere_on_tilted_cuboid}
+# world-backend: (CSV digest, events CSV digest) of a 0.5 s run
+GOLDEN_WORLDS = {
+    "four-body-sat": (
+        "6abd91a9f427033d3ab425d35d9bb5f7e26a1312aa9bee9108a08d0de8f44188",
+        "586fd7b73bed311ca5e08f42627647135c7c4a62b35d6872626576caa6ad5baf",
+    ),
+    "four-body-co": (
+        "d435ae48124788da5ceb6e3050d3b5454736ed03620d7952c78cf4067e72528f",
+        "892e708fc055b9d1662aa1dfc52f7c15fffad75a6087b3736c8c89a18ceccde9",
+    ),
+    "sphere-on-tilt-sat": (
+        "5b672cc42093bf08e9b31ba363c04c961fc56f16ce6d0a537ebf8bfa8a0aa5fe",
+        "7dff7ba441f05b945d6f688729a25c2310cac32add670d665c1a5665ffaa402d",
+    ),
+    "sphere-on-tilt-co": (
+        "5c8cf7be532ec36d1fdb597fa71df5d922ee0b9c3765295bc155dde004a10444",
+        "be40031f154c11b817a548e7869618dad3d3d6abde4b33cd2f21510a1c358e61",
+    ),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(GOLDEN_WORLDS))
+def test_hand_built_world_bytes(cell, tmp_path):
+    name, backend = cell.rsplit("-", 1)
+    states, shapes, gravity = WORLDS[name]()
+    trajectory, _ = run_world(states, shapes,
+                              SimConfig(backend=backend, duration=0.5), gravity)
+    if name == "four-body":  # ball 0 meets all three other bodies
+        assert {event.pair for event in trajectory.events} == {
+            (0, 1), (0, 2), (0, 3), (1, 2), (1, 3)}
+    path = tmp_path / f"{cell}.csv"
+    export_trajectory(trajectory, "csv", str(path))
+    events = tmp_path / f"{cell}.csv.events.csv"
+    assert (_sha256(path), _sha256(events)) == GOLDEN_WORLDS[cell]
 
 
 # SHA-256 over the repr of each call's ContactInfo fields and iteration count,

@@ -20,8 +20,6 @@ from contactsim.geometry import (
     disc_inertia,
     mat3_inverse,
     mat3_vec,
-    quat_multiply,
-    quat_normalize,
 )
 from contactsim.penalty import BodyWrench, ContactKinematics, MaterialParams, contact_force
 from contactsim.simulate import (
@@ -38,7 +36,7 @@ from contactsim.simulate import (
 )
 from contactsim.scenarios import SCENARIO_NAMES, build_scenario
 
-from oracles import rk4_free_body_2d, world_box
+from oracles import quat_multiply, quat_normalize, rk4_free_body_2d, world_box
 
 
 class TestIntegrator:
@@ -430,14 +428,19 @@ class TestBoxReject:
     @pytest.mark.parametrize("pairing", BOX_REJECT_PAIRS)
     def test_skipped_poses_do_not_collide(self, pairing, monkeypatch):
         reached = []  # the sat verdict of every pose that reached a detector
-        detect_pair = simulate._detect_pair
+        canonical = dict(simulate._DETECTORS_SAT)
+        detect_convex = convex.detect_convex
 
-        def recording(*args):
-            info = detect_pair(*args)
-            reached.append(info.colliding)
-            return info
+        def recording(detect):
+            def wrapper(*args):
+                info = detect(*args)
+                reached.append(info.colliding)
+                return info
+            return wrapper
 
-        monkeypatch.setattr(simulate, "_detect_pair", recording)
+        for key, detector in canonical.items():
+            monkeypatch.setitem(simulate._DETECTORS_SAT, key, recording(detector))
+        monkeypatch.setattr(convex, "detect_convex", recording(detect_convex))
         rng = random.Random(f"box-reject-{pairing}")
         first, second = BOX_REJECT_PAIRS[pairing]
         dim = 3 if isinstance(first, Cuboid) else 2
@@ -464,9 +467,13 @@ class TestBoxReject:
                     continue
                 skipped += 1
                 assert gap > 0.0, (states, shapes)
-                for backend in Backend:
-                    info = detect_pair(backend, states[0], shapes[0], states[1],
-                                       shapes[1], SolverSettings(), None)
+                # the canonical detectors take the pair in their own order
+                key = (type(shapes[0]), type(shapes[1]))
+                order = (1, 0) if key in simulate._SWAPPED else (0, 1)
+                args = [value for k in order for value in (states[k], shapes[k])]
+                verdicts = (canonical[simulate._SWAPPED.get(key, key)](*args),
+                            detect_convex(*args, SolverSettings(), None))
+                for backend, info in zip(Backend, verdicts):
                     assert not info.colliding, (backend, states)
         # the sweep straddles the boundary: skipped, reached and colliding poses
         assert skipped > 0 and len(reached) > 0 and any(reached)
