@@ -5,8 +5,9 @@ the events sibling.  A change that keeps the physics must keep these bytes;
 one that changes it on purpose pins new digests and says why.  Two
 hand-built worlds pin what no two-body registry world reaches: a body with
 several contacts, pairs in swapped order and a static body inside the body
-list.  A second digest pins every ``ContactInfo`` field of a seeded sweep of
-co rect-rect poses, cold and warm.  The digests depend on the platform's libm (sin, cos
+list.  Two more digests pin every ``ContactInfo`` field of a seeded sweep:
+co rect-rect poses, cold and warm, and cold co rect-circle and
+sphere-cuboid poses.  The digests depend on the platform's libm (sin, cos
 and sqrt rounding), so the tests run only on Linux x86-64, where they were
 taken.
 """
@@ -28,6 +29,7 @@ from contactsim.geometry import (
     body2d,
     body3d,
     disc_inertia,
+    quat_to_matrix,
     rect_inertia,
     sphere_inertia,
 )
@@ -289,3 +291,104 @@ def test_rect_rect_co_contact_bytes_under_zero_threshold(monkeypatch):
         return b, True
     monkeypatch.setattr(convex, "rho_from_surrogate", rho_from_surrogate)
     assert _rect_rect_co_sweep()[0] == RECT_RECT_CO_DIGEST_ZERO_THRESHOLD
+
+
+# SHA-256 over the repr of each call's ContactInfo fields, cold co
+# rect-circle and sphere-cuboid, taken while the box-ball solve still
+# iterated; the closed-form solve keeps every byte
+BALL_CO_DIGEST = \
+    "4f1752b8806d744b1ab5c8ccd532aa7148899e8eb83408cc59d8954fa216578c"
+BALL_RECT, BALL_CIRCLE = Rectangle(0.5, 0.3), Circle(0.2)  # shrink margin 0.1
+BALL_CUBOID, BALL_SPHERE = Cuboid((0.5, 0.3, 0.4)), Sphere(0.2)
+BALL_KINDS = ("face", "edge", "corner", "inside", "touching", "concentric",
+              "saturated")
+
+
+def _ball_local_centers(rng, ext, radius, per_class=30):
+    """Seeded (kind, ball center in the box frame) pairs.
+
+    ``face``, ``edge`` (3D only) and ``corner``: beyond one, two or every
+    face, from the shrunk ball touching the box to two radii out.  ``inside``: anywhere in the
+    box.  ``touching``: on a face or at a corner, the true or the shrunk
+    ball touching the box, or the center on it.  ``concentric``: at the box
+    center.  ``saturated``: the shrunk ball overlapping the box from
+    outside.
+    """
+    dim = len(ext)
+    b = radius / 2.0
+    for kind in BALL_KINDS:
+        if kind == "edge" and dim == 2:
+            continue
+        for _ in range(per_class):
+            active = {"face": 1, "edge": 2, "corner": dim}.get(
+                kind, rng.choice((1, dim)))
+            axes = rng.sample(range(dim), active)
+            point = [rng.uniform(-e, e) for e in ext]
+            direction = [0.0] * dim
+            for axis in axes:
+                sign = rng.choice((1.0, -1.0))
+                point[axis] = sign * ext[axis]
+                direction[axis] = sign * (rng.uniform(0.1, 1.0) if kind in
+                                          ("face", "edge", "corner") else 1.0)
+            length = math.sqrt(sum(d * d for d in direction))
+            direction = [d / length for d in direction]
+            if kind == "inside":
+                yield kind, tuple(rng.uniform(-e, e) for e in ext)
+                continue
+            if kind == "concentric":
+                yield kind, (0.0,) * dim
+                continue
+            gap = {"touching": rng.choice((radius, radius - b, 0.0)),
+                   "saturated": rng.uniform(0.0, radius - b)}.get(
+                kind, rng.uniform(radius - b, 2.0 * radius))
+            yield kind, tuple(p + d * gap for p, d in zip(point, direction))
+
+
+def _random_unit_quaternion(rng):
+    q = [rng.gauss(0.0, 1.0) for _ in range(4)]
+    n = math.sqrt(sum(v * v for v in q))
+    return tuple(v / n for v in q)
+
+
+def _ball_co_sweep():
+    """Digest and results of cold co calls on both box-ball pairings: every
+    other pose axis-aligned with the box at the origin, so that face, edge
+    and touching poses are exact in the box frame, the rest turned and
+    moved."""
+    digest = hashlib.sha256()
+    rng = random.Random(406)
+    infos = []
+    for trial, local in enumerate(_ball_local_centers(rng, (0.5, 0.3), 0.2)):
+        kind, (qx, qy) = local
+        aligned = trial % 2 == 0
+        angle = 0.0 if aligned else rng.uniform(-math.pi, math.pi)
+        center = (0.0, 0.0) if aligned else (rng.uniform(-1, 1), rng.uniform(-1, 1))
+        c, s = math.cos(angle), math.sin(angle)
+        world = (center[0] + c * qx - s * qy, center[1] + s * qx + c * qy)
+        info = detect_convex(body2d(center, angle), BALL_RECT, body2d(world),
+                             BALL_CIRCLE, context=PairContext())
+        digest.update(repr((kind, tuple(info))).encode())
+        infos.append(info)
+    for trial, local in enumerate(_ball_local_centers(rng, (0.5, 0.3, 0.4), 0.2)):
+        kind, q = local
+        aligned = trial % 2 == 0
+        quat = (1.0, 0.0, 0.0, 0.0) if aligned else _random_unit_quaternion(rng)
+        center = (0.0, 0.0, 0.0) if aligned else tuple(rng.uniform(-1, 1)
+                                                       for _ in range(3))
+        rows = quat_to_matrix(quat)
+        world = tuple(center[i] + sum(rows[i][k] * q[k] for k in range(3))
+                      for i in range(3))
+        info = detect_convex(body3d(center, quat), BALL_CUBOID, body3d(world),
+                             BALL_SPHERE, context=PairContext())
+        digest.update(repr((kind, tuple(info))).encode())
+        infos.append(info)
+    return digest.hexdigest(), infos
+
+
+def test_ball_co_contact_bytes():
+    digest, infos = _ball_co_sweep()
+    assert len(infos) == 30 * (len(BALL_KINDS) - 1) + 30 * len(BALL_KINDS)
+    assert sum(i.saturated for i in infos) >= 150
+    assert sum(i.colliding and not i.saturated for i in infos) >= 40
+    assert sum(not i.colliding for i in infos) >= 80
+    assert digest == BALL_CO_DIGEST
