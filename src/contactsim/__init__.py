@@ -3,10 +3,8 @@
 from .contact import ContactInfo
 from .convex import (
     PairContext,
-    SolverResult,
     SolverSettings,
     detect_convex,
-    min_distance_pair,
     rho_from_surrogate,
 )
 from .errors import (

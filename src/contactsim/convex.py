@@ -1,23 +1,22 @@
 """Narrow-phase detection as a convex minimum-distance program.
 
-The minimum-distance pair between the two convex sets is found by
-alternating exact Euclidean projections (clamp onto a box, radial scaling
-onto a ball), which converges for convex sets without any external solver.
+The minimum-distance pair between the two convex sets is found from exact
+Euclidean projections (clamp onto a box, radial scaling onto a ball).
 Interpenetration is recovered through the fictitious-radius construction:
 the second body is shrunk by a margin ``b`` (radius reduction for
 circles/spheres, half-extent erosion for rectangles), so the solver keeps a
 positive surrogate separation while the true shapes overlap by up to ``b``.
 Deeper penetrations cannot be measured and are reported as saturated.
 
-Start points: a box–ball solve starts from the ball center, so its first
-clamp is the box point nearest that center and the following projection onto
-the ball completes the exact minimum-distance pair (two iterations).  A
-ball–ball pair takes one projection: the point of the second ball nearest
-the first center, projected onto the first ball, completes the exact pair,
-so it does not iterate at all.  Only box–box starts from a warm
-start: the solution of the pair's last solve, kept in its ``PairContext``.
-In a run that is the last step whose world-axis boxes overlapped, since a
-pair with disjoint boxes skips the narrow phase.
+A ball is a point core plus a radius, so a pairing with a ball needs no
+iteration.  Box–ball: the box point nearest the ball center is its per-axis
+clamp, and that point projected onto the ball completes the exact pair.
+Ball–ball: the point of the second ball nearest the first center, projected
+onto the first ball, completes it.  Only box–box alternates the two box
+projections until the iterates stall, starting from the solution of the
+pair's last solve, kept in its ``PairContext``.  In a run that is the last
+step whose world-axis boxes overlapped, since a pair with disjoint boxes
+skips the narrow phase.
 
 The general quadratic-program form behind this (minimize a quadratic cost
 subject to linear and norm inequality constraints) is documented here only;
@@ -27,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .contact import ContactInfo
 from .errors import NotConverged, UnsupportedPair
@@ -46,7 +45,6 @@ from .geometry import (
     quat_to_matrix,
     rot2_apply,
     rot2_apply_t,
-    scale,
     sub,
     tangent3,
 )
@@ -57,17 +55,19 @@ _ACTIVE_SET_EPS = 1e-7  # slack for deciding which eroded-box constraints bind
 
 @dataclass
 class SolverSettings:
-    """Tuning knobs for the alternating-projection solver.
+    """Tuning knobs of the co backend.
 
-    ``shrink_margin`` is the difference b between the true and fictitious
-    radius (or half-extent); ``None`` selects the per-pair default of half
-    the second body's radius or smallest half-extent.
+    ``tol`` and ``max_iters`` are the stopping test and the budget of the
+    box-box alternating projections; the ball pairings solve in closed form
+    and read neither.  ``shrink_margin`` is the difference b between the
+    true and fictitious radius (or half-extent); ``None`` selects the
+    per-pair default of half the second body's radius or smallest
+    half-extent.
     """
 
     tol: float = 1e-10
     max_iters: int = 10_000
     shrink_margin: Optional[float] = None
-    record_history: bool = False
 
     def __post_init__(self):
         if not (isinstance(self.tol, (int, float)) and 0.0 < self.tol < math.inf):
@@ -83,24 +83,13 @@ class SolverSettings:
                              f"got {margin!r}")
 
 
-class SolverResult(NamedTuple):
-    """Converged minimum-distance pair and the surrogate separation."""
-
-    p_tilde: Vec
-    q_star: Vec
-    phi_star: float
-    iterations: int
-    converged: bool
-    history: Optional[tuple] = None
-
-
 @dataclass
 class PairContext:
     """Solver state owned by a single simulation stepper, one per pair.
 
-    Every call records its iteration count in ``last_iterations``; only a
-    box-box pair keeps its solution, pose and normal to warm-start its next
-    solve.
+    Every call records its iteration count in ``last_iterations``, 1 for
+    the closed-form ball pairings; only a box-box pair keeps its solution,
+    pose and normal to warm-start its next solve.
     """
 
     last_q_star: Optional[Vec] = None
@@ -118,8 +107,11 @@ def _alternating_projections(
     project_second: Callable[[Vec], Vec],
     start: Vec,
     settings: SolverSettings,
-) -> SolverResult:
+) -> tuple:
     """Alternate exact projections until the iterates or the distance stall.
+
+    Returns the point of the first set, the point of the second, their
+    distance and the iteration count.
 
     The pair distance is Fejer-monotone (each exact projection cannot
     increase it), so the displacement test terminates for convex sets;
@@ -140,108 +132,40 @@ def _alternating_projections(
         if p_prev is not None:
             displacement = max(distance(p, p_prev), distance(q, q_prev))
             if displacement < settings.tol or abs(d_prev - d) < settings.tol:
-                return SolverResult(p_tilde=p, q_star=q, phi_star=d,
-                                    iterations=iteration, converged=True)
+                return p, q, d, iteration
         p_prev, q_prev, d_prev = p, q, d
     raise NotConverged(settings.max_iters, displacement)
 
 
-def min_distance_pair(
-    half_extents: Sequence[float],
-    center: Vec,
-    radius: float,
-    settings: Optional[SolverSettings] = None,
-    initial: Optional[Vec] = None,
-) -> SolverResult:
-    """Minimum-distance pair between a centered 2D or 3D box and a ball.
-
-    The default starting iterate is the ball center: its clamp onto the box
-    is the box point nearest the ball, so the pair is exact after two
-    iterations.  ``initial`` overrides the start.
-    """
-    settings = settings or SolverSettings()
-    start = center if initial is None else initial
-    if len(half_extents) == 2:
-        c1, c2 = half_extents
-        px, py, _, qx, qy, _, d, iterations, history = _box_ball(
-            float(c1), float(c2), 0.0, center[0], center[1], 0.0, radius,
-            start[0], start[1], 0.0, settings)
-        p_tilde, q_star = (px, py), (qx, qy)
-    elif len(half_extents) == 3:
-        c1, c2, c3 = half_extents
-        px, py, pz, qx, qy, qz, d, iterations, history = _box_ball(
-            float(c1), float(c2), float(c3), center[0], center[1], center[2],
-            radius, start[0], start[1], start[2], settings)
-        p_tilde, q_star = (px, py, pz), (qx, qy, qz)
-    else:
-        raise ValueError(f"box must be 2D or 3D, got {len(half_extents)} half-extents")
-    return SolverResult(
-        p_tilde=p_tilde,
-        q_star=q_star,
-        phi_star=d,
-        iterations=iterations,
-        converged=True,
-        history=tuple(history) if history is not None else None,
-    )
-
-
-# The box-ball solve alternates the same exact projections in scalar
-# arithmetic, each operation in the order the tuple helpers use, and stops on
-# the displacement test alone (balls are strictly convex).  Its ball
-# projection is the exact one onto the solid ball: a point inside, its center
-# included, stays where it is.
-
 def _box_ball(c1: float, c2: float, c3: float, cx: float, cy: float,
-              cz: float, r: float, x: float, y: float, z: float,
-              settings: SolverSettings) -> tuple:
-    """Box |x| <= c1, |y| <= c2, |z| <= c3 against the ball of radius r at
-    (cx, cy, cz), from the ball iterate (x, y, z).
+              cz: float, r: float) -> tuple:
+    """Minimum-distance pair of the box |x| <= c1, |y| <= c2, |z| <= c3 and
+    the ball of radius r at (cx, cy, cz).
 
-    Returns the box point, the ball point, their distance, the iteration
-    count and the distance history (None unless ``settings.record_history``).
-    A 2D box runs as c3 = cz = z = 0.0: every z term is then +0.0, which
-    leaves each x and y result bit for bit as 2D arithmetic gives it.
+    The box point nearest the ball center is its per-axis clamp, and the
+    ball point nearest that box point is its radial projection onto the
+    solid ball (the point itself when inside).  Returns the box point, the
+    ball point, their distance and the distance from the ball center to the
+    box point.  A 2D box runs as c3 = cz = 0.0: every z term is then +0.0,
+    which leaves each x and y result bit for bit as 2D arithmetic gives it.
     """
-    history = [] if settings.record_history else None
-    tol = settings.tol
-    m1, m2, m3 = -c1, -c2, -c3
-    displacement = math.inf
-    px_prev = py_prev = pz_prev = 0.0
-    for iteration in range(1, settings.max_iters + 1):
-        px = m1 if x < m1 else (x if x < c1 else c1)
-        py = m2 if y < m2 else (y if y < c2 else c2)
-        pz = m3 if z < m3 else (z if z < c3 else c3)
-        dx = px - cx
-        dy = py - cy
-        dz = pz - cz
-        dist = math.sqrt(dx * dx + dy * dy + dz * dz)
-        if dist <= r:
-            qx, qy, qz = px, py, pz
-        else:
-            k = r / dist
-            qx = cx + dx * k
-            qy = cy + dy * k
-            qz = cz + dz * k
-        ex = px - qx
-        ey = py - qy
-        ez = pz - qz
-        d = math.sqrt(ex * ex + ey * ey + ez * ez)
-        if history is not None:
-            history.append(d)
-        if iteration > 1:
-            ex = px - px_prev
-            ey = py - py_prev
-            ez = pz - pz_prev
-            step_p = math.sqrt(ex * ex + ey * ey + ez * ez)
-            ex = qx - x
-            ey = qy - y
-            ez = qz - z
-            step_q = math.sqrt(ex * ex + ey * ey + ez * ez)
-            displacement = step_q if step_q > step_p else step_p
-            if displacement < tol:
-                return px, py, pz, qx, qy, qz, d, iteration, history
-        px_prev, py_prev, pz_prev, x, y, z = px, py, pz, qx, qy, qz
-    raise NotConverged(settings.max_iters, displacement)
+    px = -c1 if cx < -c1 else (cx if cx < c1 else c1)
+    py = -c2 if cy < -c2 else (cy if cy < c2 else c2)
+    pz = -c3 if cz < -c3 else (cz if cz < c3 else c3)
+    dx = px - cx
+    dy = py - cy
+    dz = pz - cz
+    dist = math.sqrt(dx * dx + dy * dy + dz * dz)
+    if dist <= r:
+        return px, py, pz, px, py, pz, 0.0, dist
+    k = r / dist
+    qx = cx + dx * k
+    qy = cy + dy * k
+    qz = cz + dz * k
+    ex = px - qx
+    ey = py - qy
+    ez = pz - qz
+    return px, py, pz, qx, qy, qz, math.sqrt(ex * ex + ey * ey + ez * ez), dist
 
 
 def rho_from_surrogate(phi_star: float, b: float) -> tuple[float, bool]:
@@ -268,7 +192,7 @@ def detect_convex(state_a: BodyState, shape_a, state_b: BodyState, shape_b,
     """Convex-program narrow phase for the four supported shape pairings.
 
     A ``NotConverged`` from the solver is raised again with the pairing and
-    both bodies' position and orientation.
+    both bodies' position and orientation set.
     """
     entry = _PAIRINGS.get((type(shape_a), type(shape_b)))
     if entry is None:
@@ -281,11 +205,10 @@ def detect_convex(state_a: BodyState, shape_a, state_b: BodyState, shape_b,
         return detect(state_a, shape_a, state_b, shape_b,
                       settings or SolverSettings(), context)
     except NotConverged as exc:
-        raise NotConverged(
-            exc.iterations, exc.displacement, pairing,
-            (state_a.position, state_a.orientation),
-            (state_b.position, state_b.orientation),
-        ) from None
+        exc.pairing = pairing
+        exc.pose_a = (state_a.position, state_a.orientation)
+        exc.pose_b = (state_b.position, state_b.orientation)
+        raise
 
 
 def _resolve_margin(settings: SolverSettings, shape) -> float:
@@ -336,8 +259,8 @@ def _convex_rect_circle(state_a: BodyState, rect: Rectangle, state_b: BodyState,
     q0 = c * rx + s * ry  # circle center in the rectangle frame
     q1 = -s * rx + c * ry
 
-    px, py, _, qx, qy, _, phi_star, iterations, _ = _box_ball(
-        c1, c2, 0.0, q0, q1, 0.0, radius - b, q0, q1, 0.0, settings)
+    px, py, _, qx, qy, _, phi_star, dist = _box_ball(
+        c1, c2, 0.0, q0, q1, 0.0, radius - b)
     rho, saturated = rho_from_surrogate(phi_star, b)
     if phi_star < EPS_DEGENERATE:
         (nx, ny), _ = rect_circle_normal((q0, q1), c1, c2)
@@ -348,19 +271,16 @@ def _convex_rect_circle(state_a: BodyState, rect: Rectangle, state_b: BodyState,
     tx, ty = -ny, nx
 
     # minimum-distance point and force anchor on the true (unshrunk) circle
-    dx = px - q0
-    dy = py - q1
-    d = math.sqrt(dx * dx + dy * dy)
-    if d >= EPS_DEGENERATE:
-        inv = 1.0 / d
-        mx = dx * inv * radius
-        my = dy * inv * radius
+    if dist >= EPS_DEGENERATE:
+        inv = 1.0 / dist
+        mx = (px - q0) * inv * radius
+        my = (py - q1) * inv * radius
     else:
         mx = nx * radius
         my = ny * radius
 
     if context is not None:
-        context.last_iterations = iterations
+        context.last_iterations = 1
     return ContactInfo(
         colliding=rho > 0.0,
         phi=phi_star - b,
@@ -478,15 +398,13 @@ def _convex_rect_rect(state_a: BodyState, rect_a: Rectangle, state_b: BodyState,
     start = _warm_start(context, pose, b)
     if start is None:
         start = project_b((0.0, 0.0))
-    result = _alternating_projections(
+    p_tilde, q_star, phi_star, iterations = _alternating_projections(
         lambda y: _clamp_box(y, ext_a),
         project_b,
         start,
         settings,
     )
-    p_tilde = result.p_tilde
-    q_star = result.q_star
-    rho, saturated = rho_from_surrogate(result.phi_star, b)
+    rho, saturated = rho_from_surrogate(phi_star, b)
 
     # The tail repeats the frame maps above in explicit 2D arithmetic, one
     # cos/sin pair per body, each operation in the order of the tuple
@@ -568,10 +486,10 @@ def _convex_rect_rect(state_a: BodyState, rect_a: Rectangle, state_b: BodyState,
         context.last_q_star = q_star
         context.last_pose = pose
         context.last_normal = normal_world
-        context.last_iterations = result.iterations
+        context.last_iterations = iterations
     return ContactInfo(
         colliding=colliding,
-        phi=result.phi_star - b,
+        phi=phi_star - b,
         rho=rho,
         p_tilde=p_tilde,
         q_tilde=q_tilde,
@@ -587,7 +505,7 @@ def _convex_rect_rect(state_a: BodyState, rect_a: Rectangle, state_b: BodyState,
 def _convex_cuboid_sphere(state_a: BodyState, cuboid: Cuboid, state_b: BodyState,
                           sphere: Sphere, settings: SolverSettings,
                           context: Optional[PairContext]) -> ContactInfo:
-    e0, e1, e2 = ext = cuboid.half_extents
+    e0, e1, e2 = cuboid.half_extents
     radius = sphere.radius
     b = _resolve_margin(settings, sphere)
     # world from cuboid frame
@@ -602,40 +520,36 @@ def _convex_cuboid_sphere(state_a: BodyState, cuboid: Cuboid, state_b: BodyState
     q1 = m01 * rx + m11 * ry + m21 * rz
     q2 = m02 * rx + m12 * ry + m22 * rz
 
-    px, py, pz, qx, qy, qz, phi_star, iterations, _ = _box_ball(
-        e0, e1, e2, q0, q1, q2, radius - b, q0, q1, q2, settings)
+    px, py, pz, qx, qy, qz, phi_star, dist = _box_ball(
+        e0, e1, e2, q0, q1, q2, radius - b)
     rho, saturated = rho_from_surrogate(phi_star, b)
     if phi_star >= EPS_DEGENERATE:
         inv = 1.0 / phi_star
         nx = (qx - px) * inv
         ny = (qy - py) * inv
         nz = (qz - pz) * inv
+    elif dist >= EPS_DEGENERATE:  # from the box toward the sphere center
+        inv = 1.0 / dist
+        nx = (q0 - px) * inv
+        ny = (q1 - py) * inv
+        nz = (q2 - pz) * inv
     else:
-        q = (q0, q1, q2)
-        clamped = _clamp_box(q, ext)
-        d = distance(q, clamped)
-        if d >= EPS_DEGENERATE:
-            nx, ny, nz = scale(sub(q, clamped), 1.0 / d)
-        else:
-            _, (nx, ny, nz) = nearest_face(q, ext)
+        _, (nx, ny, nz) = nearest_face((q0, q1, q2), cuboid.half_extents)
     tx, ty, tz = tangent3(nx, ny, nz)
 
-    dx = px - q0
-    dy = py - q1
-    dz = pz - q2
-    d = math.sqrt(dx * dx + dy * dy + dz * dz)
-    if d >= EPS_DEGENERATE:
-        inv = 1.0 / d
-        mx = dx * inv * radius
-        my = dy * inv * radius
-        mz = dz * inv * radius
+    # minimum-distance point and force anchor on the true (unshrunk) sphere
+    if dist >= EPS_DEGENERATE:
+        inv = 1.0 / dist
+        mx = (px - q0) * inv * radius
+        my = (py - q1) * inv * radius
+        mz = (pz - q2) * inv * radius
     else:
         mx = nx * radius
         my = ny * radius
         mz = nz * radius
 
     if context is not None:
-        context.last_iterations = iterations
+        context.last_iterations = 1
     return ContactInfo(
         colliding=rho > 0.0,
         phi=phi_star - b,

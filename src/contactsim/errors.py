@@ -9,25 +9,34 @@ class ContactSimError(Exception):
 class NotConverged(ContactSimError):
     """The minimum-distance solver exhausted its iteration budget.
 
-    Raised by ``detect_convex`` with the pairing and each body's pose, a
-    ``(position, orientation)`` pair; raised by the bare solver without.
+    ``detect_convex`` sets the pairing and each body's pose, a
+    ``(position, orientation)`` pair; a run adds the time ``t``, the pair's
+    body indices and the backend.  The message names every one that is set.
     """
 
-    def __init__(self, iterations: int, displacement: float,
-                 pairing: Optional[str] = None, pose_a: Optional[tuple] = None,
-                 pose_b: Optional[tuple] = None):
+    def __init__(self, iterations: int, displacement: float):
+        super().__init__(iterations, displacement)
         self.iterations = iterations
         self.displacement = displacement
-        self.pairing = pairing
-        self.pose_a = pose_a
-        self.pose_b = pose_b
-        message = (f"solver did not converge after {iterations} iterations "
-                   f"(last displacement {displacement:.3e})")
-        if pairing is not None:
-            message += (f" on {pairing}: body A at {pose_a[0]} orientation "
+        self.pairing: Optional[str] = None
+        self.pose_a: Optional[tuple] = None
+        self.pose_b: Optional[tuple] = None
+        self.t: Optional[float] = None
+        self.pair: Optional[tuple] = None
+        self.backend: Optional[str] = None
+
+    def __str__(self) -> str:
+        message = (f"solver did not converge after {self.iterations} iterations "
+                   f"(last displacement {self.displacement:.3e})")
+        if self.pairing is not None:
+            pose_a, pose_b = self.pose_a, self.pose_b
+            message += (f" on {self.pairing}: body A at {pose_a[0]} orientation "
                         f"{pose_a[1]}, body B at {pose_b[0]} orientation "
                         f"{pose_b[1]}")
-        super().__init__(message)
+        if self.t is not None:
+            message = (f"the run stopped at t={self.t:g} in pair {self.pair} "
+                       f"({self.backend} backend): {message}")
+        return message
 
 
 class UnsupportedPair(ContactSimError):

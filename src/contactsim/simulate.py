@@ -19,7 +19,7 @@ from typing import List, Mapping, NamedTuple, Optional, Tuple
 
 from . import convex, sat
 from .contact import ContactInfo
-from .errors import ContactSimError, UnsupportedPair
+from .errors import ContactSimError, NotConverged, UnsupportedPair
 from .geometry import (
     BodyState,
     Circle,
@@ -295,6 +295,9 @@ def collision_response(states, shapes, config: SimConfig,
             diagnostics.append(PairDiagnostic(pair, info, f_n, f_t))
     except OverflowError as exc:
         raise OverflowError(f"pair {pair}: {exc}") from None
+    except NotConverged as exc:
+        exc.pair = pair
+        raise
     return wrenches, diagnostics
 
 
@@ -391,10 +394,12 @@ def run_world(states, shapes, config: SimConfig, gravity: Vec
     """Run the stepping loop; returns the trajectory and the loop wall time.
 
     The timer covers detection, resolution and integration only, not world
-    construction or any export.  A run that ends with a non-finite value
-    raises ContactSimError naming the first body and time to hold one; one
-    whose values overflow on the way raises it naming the time and the pair
-    or body.
+    construction or any export.  A run that ends with a non-finite value, or
+    stops on a math domain error such as the cosine of an angle that turned
+    inf, raises ContactSimError naming the first body and time to hold one;
+    one whose values overflow on the way raises it naming the time and the
+    pair or body.  A ``NotConverged`` gets the time, the pair and the
+    backend set.
     """
     dt = config.dt
     duration = config.duration if config.duration is not None else 2.0
@@ -435,6 +440,14 @@ def run_world(states, shapes, config: SimConfig, gravity: Vec
         raise ContactSimError(
             f"the run diverged at t={t:g}: numerical overflow in {exc} "
             f"({config.backend.value} backend)") from None
+    except NotConverged as exc:
+        exc.t = t
+        exc.backend = config.backend.value
+        raise
+    except ValueError:
+        if all(map(_is_finite, states)):
+            raise
+        # a state turned non-finite: dated below, as at the end of a run
     elapsed = time.perf_counter() - t_start
 
     if not all(map(_is_finite, states)):

@@ -85,10 +85,13 @@ documents = mostly(mapping({
           suppress_health_check=[HealthCheck.too_slow])
 @given(document=documents, scenario=st.sampled_from(SCENARIO_NAMES),
        backend=st.sampled_from(["sat", "co"]))
-# finite inputs that diverge: body 1's velocity turns inf in one step
+# finite inputs that diverge: body 1's velocity turns inf in one step, or
+# body 0's angle, whose cosine the next step cannot take
 @example(document={"gravity": [0.0, 1.7e308],
                    "bodies": [None, {"velocity": [0.0, 1.797e308]}]},
          scenario="circle-circle", backend="sat")
+@example(document={"bodies": [{"orientation": 1.797e308, "angular_velocity": 1e308}]},
+         scenario="rect-circle", backend="co")
 def test_config_documents_exit_with_a_code(tmp_path_factory, document,
                                            scenario, backend):
     path = tmp_path_factory.getbasetemp() / "fuzz-config.json"

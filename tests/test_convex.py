@@ -8,7 +8,6 @@ from contactsim.convex import (
     PairContext,
     SolverSettings,
     detect_convex,
-    min_distance_pair,
     rho_from_surrogate,
 )
 from contactsim.errors import NotConverged, UnsupportedPair
@@ -28,6 +27,7 @@ from contactsim.sat import (
     detect_rect_rect,
     detect_sphere_cuboid,
 )
+from contactsim.simulate import SimConfig, run_scenario
 
 from oracles import frame_coords
 
@@ -35,17 +35,29 @@ SQRT2 = math.sqrt(2.0)
 
 
 def solver_ball_projection(p, center, radius):
-    """The solver's ball projection of p.
+    """The box-ball solve's ball projection of p.
 
-    Against a box that contains p and the ball, the box clamp leaves every
-    iterate where it is, so the minimum-distance pair started from p ends on
-    the ball projection of p.
+    Shifted by -p, a box shrunk to the point p sits at the origin: the clamp
+    of the ball center is the origin, so the ball point of the pair, shifted
+    back, is the ball projection of p.
     """
-    return min_distance_pair((10.0, 10.0), center, radius, initial=p).q_star
+    _, _, _, qx, qy, _, _, _ = convex._box_ball(
+        0.0, 0.0, 0.0, center[0] - p[0], center[1] - p[1], 0.0, radius)
+    return (qx + p[0], qy + p[1])
+
+
+def box_ball(half_extents, center, radius):
+    """``convex._box_ball`` on a 2D or 3D box: the box point, the ball point
+    and their distance."""
+    dim = len(half_extents)
+    pad = (0.0,) * (3 - dim)
+    px, py, pz, qx, qy, qz, d, _ = convex._box_ball(
+        *half_extents, *pad, *center, *pad, radius)
+    return (px, py, pz)[:dim], (qx, qy, qz)[:dim], d
 
 
 class TestProjections:
-    """The two exact projections the solver alternates."""
+    """The two exact projections of the solver: box clamp and ball."""
 
     def test_rectangle_corner_clamp(self):
         assert convex._clamp_box((3.0, 2.0), (1.0, 1.0)) == (1.0, 1.0)
@@ -86,60 +98,36 @@ class TestProjections:
             assert math.dist(once, twice) < 1e-12
 
 
-class TestMinDistancePair:
+class TestBoxBall:
+    """The closed-form box-ball pair: one clamp, one ball projection."""
+
     def test_collinear_by_hand(self):
-        res = min_distance_pair((1.0, 1.0), (3.0, 0.0), 0.5)
-        assert res.converged
-        assert np.allclose(res.p_tilde, (1.0, 0.0), atol=1e-9)
-        assert np.allclose(res.q_star, (2.5, 0.0), atol=1e-9)
-        assert math.isclose(res.phi_star, 1.5, abs_tol=1e-9)
+        p, q, d = box_ball((1.0, 1.0), (3.0, 0.0), 0.5)
+        assert (p, q, d) == ((1.0, 0.0), (2.5, 0.0), 1.5)
 
     def test_corner_case_matches_closed_form(self):
-        res = min_distance_pair((1.0, 1.0), (2.0, 2.0), 0.5)
-        # closed form on the shrunk circle: corner distance sqrt(2) minus radius
-        assert math.isclose(res.phi_star, SQRT2 - 0.5, abs_tol=1e-8)
-        assert np.allclose(res.p_tilde, (1.0, 1.0), atol=1e-7)
+        p, q, d = box_ball((1.0, 1.0), (2.0, 2.0), 0.5)
+        # the corner distance sqrt(2) minus the radius
+        assert math.isclose(d, SQRT2 - 0.5, abs_tol=1e-12)
+        assert p == (1.0, 1.0)
 
     def test_intersecting_sets_reach_zero(self):
-        res = min_distance_pair((1.0, 1.0), (1.2, 0.0), 0.5)
-        assert res.converged
-        assert res.phi_star == 0.0
-        assert np.allclose(res.p_tilde, res.q_star)
+        p, q, d = box_ball((1.0, 1.0), (1.2, 0.0), 0.5)
+        assert d == 0.0 and p == q == (1.0, 0.0)
 
-    def test_feasibility_on_convergence_sweep(self):
+    def test_three_dimensional_box(self):
+        p, q, d = box_ball((1.0, 1.0, 1.0), (3.0, 0.0, 0.0), 0.5)
+        assert (p, q, d) == ((1.0, 0.0, 0.0), (2.5, 0.0, 0.0), 1.5)
+
+    def test_feasibility_sweep(self):
         rng = np.random.default_rng(11)
         for _ in range(300):
             c1, c2 = rng.uniform(0.3, 2.0, 2)
             center = tuple(rng.uniform(-4, 4, 2))
             radius = rng.uniform(0.1, 1.0)
-            res = min_distance_pair((c1, c2), center, radius)
-            assert res.converged
-            assert abs(res.p_tilde[0]) <= c1 + 1e-12
-            assert abs(res.p_tilde[1]) <= c2 + 1e-12
-            assert math.dist(res.q_star, center) <= radius + 1e-12
-
-    def test_pair_distance_is_fejer_monotone(self):
-        rng = np.random.default_rng(13)
-        settings = SolverSettings(record_history=True)
-        for _ in range(200):
-            c1, c2 = rng.uniform(0.3, 2.0, 2)
-            center = tuple(rng.uniform(-4, 4, 2))
-            radius = rng.uniform(0.1, 1.0)
-            res = min_distance_pair((c1, c2), center, radius, settings)
-            history = res.history
-            for before, after in zip(history, history[1:]):
-                assert after <= before + 1e-12 * (1.0 + before)
-
-    def test_not_converged_raises_with_budget_of_one(self):
-        with pytest.raises(NotConverged) as excinfo:
-            min_distance_pair((1.0, 1.0), (3.0, 0.5), 0.5,
-                              SolverSettings(max_iters=1))
-        assert excinfo.value.iterations == 1
-
-    def test_three_dimensional_box(self):
-        res = min_distance_pair((1.0, 1.0, 1.0), (3.0, 0.0, 0.0), 0.5)
-        assert np.allclose(res.p_tilde, (1.0, 0.0, 0.0), atol=1e-9)
-        assert math.isclose(res.phi_star, 1.5, abs_tol=1e-9)
+            p, q, _ = box_ball((c1, c2), center, radius)
+            assert abs(p[0]) <= c1 and abs(p[1]) <= c2
+            assert math.dist(q, center) <= radius + 1e-12
 
     def test_stationarity_certificate_sweep(self):
         # at the optimum the normal must lie in the cone of the active
@@ -151,16 +139,16 @@ class TestMinDistancePair:
             c1, c2 = rng.uniform(0.3, 2.0, 2)
             center = tuple(rng.uniform(-4, 4, 2))
             radius = rng.uniform(0.1, 1.0)
-            res = min_distance_pair((c1, c2), center, radius)
-            if res.phi_star < 1e-3:
+            p, q, d = box_ball((c1, c2), center, radius)
+            if d < 1e-3:
                 continue
             checked += 1
-            n = np.subtract(res.q_star, res.p_tilde) / res.phi_star
+            n = np.subtract(q, p) / d
             for axis, extent in ((0, c1), (1, c2)):
-                if abs(res.p_tilde[axis]) < extent - 1e-7:
+                if abs(p[axis]) < extent - 1e-7:
                     assert abs(n[axis]) < 1e-6
                 else:
-                    assert n[axis] * math.copysign(1.0, res.p_tilde[axis]) > -1e-9
+                    assert n[axis] * math.copysign(1.0, p[axis]) > -1e-9
 
 
 class TestRhoFromSurrogate:
@@ -351,13 +339,12 @@ class TestDetectConvex:
     def test_warm_start_reduces_iterations(self):
         context = PairContext()
         state_a = body2d((0.0, 0.0))
-        rect, circle = Rectangle(1.0, 1.0), Circle(0.8)
-        detect_convex(state_a, rect, body2d((2.4, 0.9)), circle, context=context)
+        rect, other = Rectangle(0.4, 0.6), Rectangle(0.4, 0.3)
+        detect_convex(state_a, rect, body2d((1.0, 0.5), 0.2), other, context=context)
         cold_iterations = context.last_iterations
-        detect_convex(state_a, rect, body2d((2.4005, 0.9003)), circle,
+        detect_convex(state_a, rect, body2d((1.0005, 0.5003), 0.2), other,
                       context=context)
-        assert context.last_iterations <= cold_iterations
-        assert context.last_iterations < 20
+        assert context.last_iterations < cold_iterations
 
     def test_saturated_rect_circle_uses_case_table_normal(self):
         settings = SolverSettings(shrink_margin=0.4)
@@ -366,38 +353,6 @@ class TestDetectConvex:
         assert info.saturated
         assert math.isclose(info.rho, 0.4, abs_tol=1e-12)
         assert info.normal == (1.0, 0.0)
-
-
-class TestFarStartFejer:
-    """Monotone pair distance over long histories from a far start.
-
-    Started from the ball center a box-ball solve stops after two
-    iterations, so the far ``initial`` iterate is what exercises the
-    Fejer property over many steps.
-    """
-
-    @pytest.mark.parametrize("dim", [2, 3])
-    def test_monotone_history(self, dim):
-        rng = np.random.default_rng(37 + dim)
-        settings = SolverSettings(record_history=True)
-        longest = 0
-        for _ in range(300):
-            ext = tuple(rng.uniform(0.3, 2.0, dim))
-            center = tuple(rng.uniform(-4, 4, dim))
-            radius = rng.uniform(0.1, 1.0)
-            far = tuple(rng.uniform(-40, 40, dim))
-            res = min_distance_pair(ext, center, radius, settings, initial=far)
-            history = res.history
-            longest = max(longest, len(history))
-            for before, after in zip(history, history[1:]):
-                assert after <= before + 1e-12 * (1.0 + before)
-            reference = min_distance_pair(ext, center, radius)
-            assert math.isclose(res.phi_star, reference.phi_star, abs_tol=1e-8)
-        assert longest > 2
-
-    def test_box_must_be_two_or_three_dimensional(self):
-        with pytest.raises(ValueError):
-            min_distance_pair((1.0, 1.0, 1.0, 1.0), (3.0, 0.0, 0.0, 0.0), 0.5)
 
 
 def _random_quat(rng):
@@ -429,9 +384,9 @@ def _box_local_centers(rng, ext, radius, b):
 
 
 def _check_cold(info, context, reference, b, inside, where):
-    """At most three iterations; sat's phi and rho within the measurable
-    range, and the margin b beyond it or with the center inside the box."""
-    assert context.last_iterations <= 3, where
+    """One iteration; sat's phi and rho within the measurable range, and
+    the margin b beyond it or with the center inside the box."""
+    assert context.last_iterations == 1, where
     if inside or reference.rho >= b - 1e-12:
         assert abs(info.rho - b) <= 1e-12, where
     else:
@@ -441,7 +396,7 @@ def _check_cold(info, context, reference, b, inside, where):
 
 
 class TestColdBallPairings:
-    """Cold ball pairings stop within three iterations at sat's exact answer.
+    """Cold ball pairings take one closed-form step to sat's exact answer.
 
     Where the shrunk ball still separates from the other body, ``phi`` and
     ``rho`` equal the closed-form backend's to 1e-12; deeper contacts are
@@ -523,7 +478,7 @@ class TestColdBallPairings:
         context = PairContext()
         info = detect_convex(state_a, rect, state_b, circle, None, context)
         reference = detect_rect_circle(state_a, rect, state_b, circle)
-        assert context.last_iterations <= 3
+        assert context.last_iterations == 1
         assert abs(info.rho - reference.rho) <= 1e-12
 
     def test_only_box_box_queries_the_warm_start(self, monkeypatch):
@@ -531,20 +486,18 @@ class TestColdBallPairings:
         warm_start = convex._warm_start
         monkeypatch.setattr(convex, "_warm_start",
                             lambda *args: calls.append(args) or warm_start(*args))
-        # each case with its iteration count: box-ball solves take two,
-        # the ball-ball pair one projection
+        # every ball pairing solves in closed form: one iteration
         cases = [
-            ((body2d((0.0, 0.0)), Rectangle(1.0, 1.0), body2d((2.4, 0.9)),
-              Circle(0.8)), 2),
-            ((body2d((0.0, 0.0)), Circle(0.5), body2d((0.9, 0.1)), Circle(0.5)), 1),
-            ((body3d((0.0, 0.0, 0.0)), Cuboid((1.0, 1.0, 0.5)),
-              body3d((0.5, 0.2, 0.7)), Sphere(0.3)), 2),
+            (body2d((0.0, 0.0)), Rectangle(1.0, 1.0), body2d((2.4, 0.9)), Circle(0.8)),
+            (body2d((0.0, 0.0)), Circle(0.5), body2d((0.9, 0.1)), Circle(0.5)),
+            (body3d((0.0, 0.0, 0.0)), Cuboid((1.0, 1.0, 0.5)),
+             body3d((0.5, 0.2, 0.7)), Sphere(0.3)),
         ]
-        for case, iterations in cases:
+        for case in cases:
             context = PairContext()
             for _ in range(2):
                 detect_convex(*case, context=context)
-                assert context.last_iterations == iterations
+                assert context.last_iterations == 1
         assert calls == []
         context = PairContext()
         detect_convex(body2d((0.0, 0.0)), Rectangle(0.4, 0.6),
@@ -571,8 +524,33 @@ class TestNotConvergedNamesThePose:
         for value in (*pose_a[0], pose_a[1], *pose_b[0], pose_b[1]):
             assert repr(value) in message
 
-    def test_bare_solver_names_no_pose(self):
+    def test_budget_of_one(self):
+        # the box-box stopping test compares two iterates, so one never passes
         with pytest.raises(NotConverged) as excinfo:
-            min_distance_pair((1.0, 1.0), (3.0, 0.5), 0.5, SolverSettings(max_iters=1))
-        assert excinfo.value.pairing is None
-        assert "body" not in str(excinfo.value)
+            detect_convex(body2d((0.0, 0.0)), Rectangle(0.4, 0.6),
+                          body2d((0.76, 0.3)), Rectangle(0.4, 0.3),
+                          SolverSettings(max_iters=1))
+        assert excinfo.value.iterations == 1
+        assert excinfo.value.t is None and "the run" not in str(excinfo.value)
+
+    def test_a_run_adds_time_pair_and_backend(self):
+        # a rectangle settling on a static floor: the box-box solve exhausts
+        # its budget on a face-on pose the run reaches
+        overrides = {"gravity": [0.0, -9.81], "bodies": [
+            {"shape": {"type": "rectangle", "half_length": 3.0, "half_width": 0.2},
+             "position": [0.0, -0.2], "orientation": 0.0, "velocity": [0.0, 0.0],
+             "static": True},
+            {"shape": {"type": "rectangle", "half_length": 0.3, "half_width": 0.25},
+             "position": [0.58, 0.23], "orientation": 0.05, "velocity": [0.0, 0.0],
+             "mass": 2.0}]}
+        with pytest.raises(NotConverged) as excinfo:
+            run_scenario("rect-rect", SimConfig(backend="co", duration=1.0),
+                         overrides)
+        exc = excinfo.value
+        assert (exc.t, exc.pair, exc.backend) == (0.099, (0, 1), "co")
+        assert exc.iterations == 10_000 and exc.pairing == "rect-rect"
+        assert exc.pose_a == ((0.0, -0.2), 0.0)
+        assert str(exc).startswith("the run stopped at t=0.099 in pair (0, 1) "
+                                   "(co backend): solver did not converge after "
+                                   "10000 iterations")
+        assert "body B at (0.58316" in str(exc)

@@ -255,13 +255,17 @@ class TestCli:
         ts = sorted({row["t"] for row in loaded["samples"]})
         assert math.isclose(ts[1] - ts[0], 0.002, abs_tol=1e-15)
 
-    def test_runtime_error_exit_code(self, tmp_path):
-        # a box-ball solve needs two iterations; a ball-ball pair none
+    def test_runtime_error_exit_code(self, tmp_path, capsys):
+        # a box-box solve needs two iterations; the ball pairings read no
+        # budget
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"solver": {"max_iters": 1}}))
-        code = main(["simulate", "--scenario", "rect-circle", "--backend",
-                     "co", "--duration", "0.5", "--config", str(config)])
+        code = main(["simulate", "--scenario", "rect-rect", "--backend",
+                     "co", "--duration", "1.0", "--config", str(config)])
         assert code == 2
+        err = capsys.readouterr().err
+        assert "in pair (0, 1) (co backend): solver did not converge after 1 " in err
+        assert "on rect-rect" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
     def test_registry_document_as_config_exports_the_same_bytes(self, name,
@@ -370,18 +374,29 @@ class TestCli:
             build_scenario("circle-circle", json.loads(text))
         assert names in str(caught.value)
 
-    def test_diverged_run_is_runtime_error(self, tmp_path, capsys):
-        # finite inputs: a step of gravity pushes body 1's velocity, already
-        # near the float maximum, past it, so the velocity ends in inf
+    @pytest.mark.parametrize("scenario, backend, document, body", [
+        # a step of gravity pushes body 1's velocity, already near the float
+        # maximum, past it, so the velocity ends in inf
+        ("circle-circle", "sat", {"gravity": [0.0, 1.7e308], "bodies": [
+            None, {"velocity": [0.0, 1.797e308]}]}, 1),
+        # a step of spin turns the rectangle's angle inf, whose cosine the
+        # next step cannot take
+        ("rect-circle", "sat", {"bodies": [
+            {"orientation": 1.797e308, "angular_velocity": 1e308}]}, 0),
+        ("rect-circle", "co", {"bodies": [
+            {"orientation": 1.797e308, "angular_velocity": 1e308}]}, 0),
+    ])
+    def test_diverged_run_is_runtime_error(self, scenario, backend, document,
+                                           body, tmp_path, capsys):
+        # finite inputs whose run leaves the float range
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"gravity": [0.0, 1.7e308], "bodies": [
-            None, {"velocity": [0.0, 1.797e308]}]}))
-        code = main(["simulate", "--scenario", "circle-circle", "--backend", "sat",
+        config.write_text(json.dumps(document))
+        code = main(["simulate", "--scenario", scenario, "--backend", backend,
                      "--duration", "0.005", "--config", str(config)])
         err = capsys.readouterr().err
         assert code == 2
-        assert "diverged: body 1" in err and "t=0.001" in err
-        assert "Traceback" not in err
+        assert f"diverged: body {body}" in err and "t=0.001" in err
+        assert f"({backend} backend)" in err and "Traceback" not in err
 
     def test_overflowing_contact_force_is_runtime_error(self, tmp_path, capsys):
         # a circle 1e120 deep inside a rectangle: the cubic force overflows

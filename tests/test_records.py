@@ -2,7 +2,6 @@
 import pytest
 
 from contactsim.contact import ContactInfo
-from contactsim.convex import SolverResult
 from contactsim.penalty import BodyWrench, ContactKinematics
 from contactsim.simulate import ContactEvent, PairDiagnostic
 
@@ -15,7 +14,6 @@ RECORDS = [
     ContactEvent(0.25, (0, 1), -0.1, 0.1, 2.0, -0.5, False),
     BodyWrench((1.0, -2.0), 0.5),
     ContactKinematics(-1.0, 0.25),
-    SolverResult((1.0, 0.0), (1.5, 0.0), 0.5, 2, True),
 ]
 
 
