@@ -34,18 +34,6 @@ from oracles import frame_coords
 SQRT2 = math.sqrt(2.0)
 
 
-def solver_ball_projection(p, center, radius):
-    """The box-ball solve's ball projection of p.
-
-    Shifted by -p, a box shrunk to the point p sits at the origin: the clamp
-    of the ball center is the origin, so the ball point of the pair, shifted
-    back, is the ball projection of p.
-    """
-    _, _, _, qx, qy, _, _, _ = convex._box_ball(
-        0.0, 0.0, 0.0, center[0] - p[0], center[1] - p[1], 0.0, radius)
-    return (qx + p[0], qy + p[1])
-
-
 def box_ball(half_extents, center, radius):
     """``convex._box_ball`` on a 2D or 3D box: the box point, the ball point
     and their distance."""
@@ -54,6 +42,18 @@ def box_ball(half_extents, center, radius):
     px, py, pz, qx, qy, qz, d, _ = convex._box_ball(
         *half_extents, *pad, *center, *pad, radius)
     return (px, py, pz)[:dim], (qx, qy, qz)[:dim], d
+
+
+def solver_ball_projection(p, center, radius):
+    """The box-ball solve's ball projection of p, in 2D or 3D.
+
+    Shifted by -p, a box shrunk to the point p sits at the origin: the clamp
+    of the ball center is the origin, so the ball point of the pair, shifted
+    back, is the ball projection of p.
+    """
+    shifted = tuple(c - x for c, x in zip(center, p))
+    _, q, _ = box_ball((0.0,) * len(p), shifted, radius)
+    return tuple(qi + x for qi, x in zip(q, p))
 
 
 class TestProjections:
@@ -149,6 +149,44 @@ class TestBoxBall:
                     assert abs(n[axis]) < 1e-6
                 else:
                     assert n[axis] * math.copysign(1.0, p[axis]) > -1e-9
+
+
+class TestFarStartFejer:
+    """The alternating-projection loop, Fejer-monotone from a far start.
+
+    Box-box contacts run this loop.  Run on a box and a ball from a far
+    iterate it takes many steps and never lengthens the pair distance.  It
+    ends at or above the closed-form box-ball distance: the stop once the
+    distance improves by less than ``tol`` leaves up to 1.1e-8 on these
+    draws, where the pair creeps slowly to its minimum.
+    """
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_monotone_history(self, dim):
+        rng = np.random.default_rng(37 + dim)
+        longest = 0
+        for _ in range(300):
+            ext = tuple(rng.uniform(0.3, 2.0, dim))
+            center = tuple(rng.uniform(-4, 4, dim))
+            radius = rng.uniform(0.1, 1.0)
+            far = tuple(rng.uniform(-40, 40, dim))
+            history = []
+
+            def project_ball(p):
+                q = solver_ball_projection(p, center, radius)
+                history.append(convex.distance(p, q))
+                return q
+
+            _, _, d, iterations = convex._alternating_projections(
+                lambda y: convex._clamp_box(y, ext), project_ball, far,
+                SolverSettings())
+            assert len(history) == iterations and history[-1] == d
+            longest = max(longest, iterations)
+            for before, after in zip(history, history[1:]):
+                assert after <= before + 1e-12 * (1.0 + before)
+            _, _, reference = box_ball(ext, center, radius)
+            assert -1e-12 <= d - reference <= 1e-7
+        assert longest > 2
 
 
 class TestRhoFromSurrogate:
@@ -503,6 +541,23 @@ class TestColdBallPairings:
         detect_convex(body2d((0.0, 0.0)), Rectangle(0.4, 0.6),
                       body2d((0.76, 0.3)), Rectangle(0.4, 0.3), context=context)
         assert len(calls) == 1 and context.last_iterations > 0
+
+    def test_ball_pairings_read_no_budget(self):
+        # tol and max_iters bound the box-box solve only: a budget of one
+        # and an unreachable tolerance leave every ball contact as it was
+        tight = SolverSettings(tol=1e-300, max_iters=1)
+        cases = [
+            (body2d((0.0, 0.0)), Rectangle(1.0, 1.0), body2d((2.4, 0.9)), Circle(0.8)),
+            (body2d((0.0, 0.0), 0.3), Rectangle(1.0, 0.6), body2d((1.1, 0.2)),
+             Circle(0.5)),
+            (body2d((0.0, 0.0)), Circle(0.5), body2d((0.9, 0.1)), Circle(0.5)),
+            (body3d((0.0, 0.0, 0.0)), Cuboid((1.0, 1.0, 0.5)),
+             body3d((0.5, 0.2, 0.7)), Sphere(0.3)),
+        ]
+        for case in cases:
+            context = PairContext()
+            assert detect_convex(*case, tight, context) == detect_convex(*case)
+            assert context.last_iterations == 1
 
 
 class TestNotConvergedNamesThePose:
