@@ -5,9 +5,9 @@ the events sibling.  A change that keeps the physics must keep these bytes;
 one that changes it on purpose pins new digests and says why.  Two
 hand-built worlds pin what no two-body registry world reaches: a body with
 several contacts, pairs in swapped order and a static body inside the body
-list.  Two more digests pin every ``ContactInfo`` field of a seeded sweep:
-co rect-rect poses, cold and warm, and cold co rect-circle and
-sphere-cuboid poses.  The digests depend on the platform's libm (sin, cos
+list.  Three more digests pin every ``ContactInfo`` field of a seeded sweep:
+co rect-rect poses, cold and warm; cold co rect-circle and sphere-cuboid
+poses; and cold co circle-circle poses.  The digests depend on the platform's libm (sin, cos
 and sqrt rounding), so the tests run only on Linux x86-64, where they were
 taken.
 """
@@ -392,3 +392,80 @@ def test_ball_co_contact_bytes():
     assert sum(i.colliding and not i.saturated for i in infos) >= 40
     assert sum(not i.colliding for i in infos) >= 80
     assert digest == BALL_CO_DIGEST
+
+
+# SHA-256 over the repr of each call's ContactInfo fields and iteration count,
+# cold co circle-circle, taken before its frame maps were shared with the
+# other ball pairings
+CIRCLE_CO_DIGEST = \
+    "f6dbbb2a4d67d2b65cdb68fcc483c05344899d8c772f87821983e4fab1975cac"
+CIRCLE_A, CIRCLE_B = Circle(0.3), Circle(0.2)  # shrink margin 0.1
+CIRCLE_KINDS = ("separated", "shallow", "saturated", "touching", "held",
+                "concentric")
+
+
+def _circle_offsets(rng, per_class=30):
+    """Seeded (kind, B's center in A's frame) pairs.
+
+    ``separated``: the true balls apart, by up to two radii.  ``shallow``:
+    the true balls overlapping, the shrunk ball of B clear of A.
+    ``saturated``: the shrunk ball overlapping A, A's center outside it.
+    ``touching``: the true ball or the shrunk ball touching A, or B's center
+    on A's surface.  ``held``: B's shrunk ball holding A's center.
+    ``concentric``: B's center on A's, or 1e-12 to 2e-9 off it.  Every other
+    touching pose, and every other pose of the rest, lies along an axis.
+    """
+    ra, rb = CIRCLE_A.radius, CIRCLE_B.radius
+    rb_star = rb / 2.0
+    for kind in CIRCLE_KINDS:
+        for trial in range(per_class):
+            if kind == "separated":
+                d = ra + rb + rng.uniform(0.0, 2.0 * rb)
+            elif kind == "shallow":
+                d = rng.uniform(ra + rb_star, ra + rb)
+            elif kind == "saturated":
+                d = rng.uniform(rb_star, ra + rb_star)
+            elif kind == "touching":
+                d = rng.choice((ra + rb, ra + rb_star, ra))
+            elif kind == "held":
+                d = rng.uniform(0.0, rb_star)
+            else:
+                d = 0.0 if trial % 5 == 0 else \
+                    10.0 ** rng.uniform(-12.0, math.log10(2e-9))
+            if trial % 2 == 0:
+                sign = rng.choice((1.0, -1.0))
+                yield kind, ((sign * d, 0.0) if rng.randrange(2) == 0
+                             else (0.0, sign * d))
+            else:
+                angle = rng.uniform(-math.pi, math.pi)
+                yield kind, (d * math.cos(angle), d * math.sin(angle))
+
+
+def _circle_co_sweep():
+    """Digest and results of cold co circle-circle calls: every other pose
+    with A unturned at the origin, so that B's center is exact in A's frame,
+    the rest with A turned and moved."""
+    digest = hashlib.sha256()
+    rng = random.Random(407)
+    infos = []
+    for trial, (kind, (qx, qy)) in enumerate(_circle_offsets(rng)):
+        aligned = trial % 2 == 0
+        angle = 0.0 if aligned else rng.uniform(-math.pi, math.pi)
+        center = (0.0, 0.0) if aligned else (rng.uniform(-1, 1), rng.uniform(-1, 1))
+        c, s = math.cos(angle), math.sin(angle)
+        world = (center[0] + c * qx - s * qy, center[1] + s * qx + c * qy)
+        context = PairContext()
+        info = detect_convex(body2d(center, angle), CIRCLE_A, body2d(world),
+                             CIRCLE_B, context=context)
+        digest.update(repr((kind, tuple(info), context.last_iterations)).encode())
+        infos.append(info)
+    return digest.hexdigest(), infos
+
+
+def test_circle_co_contact_bytes():
+    digest, infos = _circle_co_sweep()
+    assert len(infos) == 30 * len(CIRCLE_KINDS)
+    assert sum(i.saturated for i in infos) >= 60
+    assert sum(i.colliding and not i.saturated for i in infos) >= 30
+    assert sum(not i.colliding for i in infos) >= 30
+    assert digest == CIRCLE_CO_DIGEST
