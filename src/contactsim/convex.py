@@ -8,15 +8,17 @@ circles/spheres, half-extent erosion for rectangles), so the solver keeps a
 positive surrogate separation while the true shapes overlap by up to ``b``.
 Deeper penetrations cannot be measured and are reported as saturated.
 
-A ball is a point core plus a radius, so a pairing with a ball needs no
-iteration.  Box–ball: the box point nearest the ball center is its per-axis
-clamp, and that point projected onto the ball completes the exact pair.
-Ball–ball: the point of the second ball nearest the first center, projected
-onto the first ball, completes it.  Only box–box alternates the two box
-projections until the iterates stall, starting from the solution of the
-pair's last solve, kept in its ``PairContext``.  In a run that is the last
-step whose world-axis boxes overlapped, since a pair with disjoint boxes
-skips the narrow phase.
+Every pairing solves in the first body's frame, by the convention of
+``contact``, and builds its result with that module's map.  A ball is a
+point core plus a radius, so a pairing with a ball needs no iteration.
+Box–ball: the box point nearest the ball center is its per-axis clamp, and
+that point projected onto the ball completes the exact pair.  Ball–ball: the
+point of the second ball nearest the first center, projected onto the first
+ball, completes it.  Only box–box alternates the two box projections until
+the iterates stall, starting from the solution of the pair's last solve,
+kept in its ``PairContext``.  In a run that is the last step whose
+world-axis boxes overlapped, since a pair with disjoint boxes skips the
+narrow phase.
 
 The general quadratic-program form behind this (minimize a quadratic cost
 subject to linear and norm inequality constraints) is documented here only;
@@ -28,7 +30,13 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .contact import ContactInfo
+from .contact import (
+    ContactInfo,
+    body_frame_2d,
+    body_frame_3d,
+    local_contact_2d,
+    local_contact_3d,
+)
 from .errors import NotConverged, UnsupportedPair
 from .geometry import (
     EPS_DEGENERATE,
@@ -42,11 +50,9 @@ from .geometry import (
     add,
     distance,
     nearest_face,
-    quat_to_matrix,
     rot2_apply,
     rot2_apply_t,
     sub,
-    tangent3,
 )
 from .sat import rect_circle_normal
 
@@ -249,15 +255,7 @@ def _convex_rect_circle(state_a: BodyState, rect: Rectangle, state_b: BodyState,
     c1, c2 = rect.half_length, rect.half_width
     radius = circle.radius
     b = _resolve_margin(settings, circle)
-    theta = state_a.orientation
-    c = math.cos(theta)
-    s = math.sin(theta)
-    pa = state_a.position
-    pb = state_b.position
-    rx = pb[0] - pa[0]
-    ry = pb[1] - pa[1]
-    q0 = c * rx + s * ry  # circle center in the rectangle frame
-    q1 = -s * rx + c * ry
+    c, s, q0, q1 = body_frame_2d(state_a, state_b)
 
     px, py, _, qx, qy, _, phi_star, dist = _box_ball(
         c1, c2, 0.0, q0, q1, 0.0, radius - b)
@@ -268,7 +266,6 @@ def _convex_rect_circle(state_a: BodyState, rect: Rectangle, state_b: BodyState,
         inv = 1.0 / phi_star
         nx = (qx - px) * inv
         ny = (qy - py) * inv
-    tx, ty = -ny, nx
 
     # minimum-distance point and force anchor on the true (unshrunk) circle
     if dist >= EPS_DEGENERATE:
@@ -281,18 +278,8 @@ def _convex_rect_circle(state_a: BodyState, rect: Rectangle, state_b: BodyState,
 
     if context is not None:
         context.last_iterations = 1
-    return ContactInfo(
-        colliding=rho > 0.0,
-        phi=phi_star - b,
-        rho=rho,
-        p_tilde=(px, py),
-        q_tilde=(q0 + mx, q1 + my),
-        anchor_a=(c * px - s * py, s * px + c * py),
-        anchor_b=(c * mx - s * my, s * mx + c * my),
-        normal=(c * nx - s * ny, s * nx + c * ny),
-        tangent=(c * tx - s * ty, s * tx + c * ty),
-        saturated=saturated,
-    )
+    return local_contact_2d(c, s, phi_star - b, rho, (px, py), (q0 + mx, q1 + my),
+                            (px, py), (mx, my), (nx, ny), saturated)
 
 
 def _convex_circle_circle(state_a: BodyState, circle_a: Circle, state_b: BodyState,
@@ -300,15 +287,7 @@ def _convex_circle_circle(state_a: BodyState, circle_a: Circle, state_b: BodySta
                           context: Optional[PairContext]) -> ContactInfo:
     ra, rb = circle_a.radius, circle_b.radius
     b = _resolve_margin(settings, circle_b)
-    theta = state_a.orientation
-    c = math.cos(theta)
-    s = math.sin(theta)
-    pa = state_a.position
-    pb = state_b.position
-    rx = pb[0] - pa[0]
-    ry = pb[1] - pa[1]
-    q0 = c * rx + s * ry  # second center in the first body's frame
-    q1 = -s * rx + c * ry
+    c, s, q0, q1 = body_frame_2d(state_a, state_b)
     rb_star = rb - b
 
     # the point of the shrunk second ball nearest the first center (the
@@ -343,7 +322,6 @@ def _convex_circle_circle(state_a: BodyState, circle_a: Circle, state_b: BodySta
         ny = q1 * inv
     else:
         nx, ny = 1.0, 0.0
-    tx, ty = -ny, nx
 
     dx = px - q0
     dy = py - q1
@@ -358,18 +336,8 @@ def _convex_circle_circle(state_a: BodyState, circle_a: Circle, state_b: BodySta
 
     if context is not None:
         context.last_iterations = 1
-    return ContactInfo(
-        colliding=rho > 0.0,
-        phi=phi_star - b,
-        rho=rho,
-        p_tilde=(px, py),
-        q_tilde=(q0 + mx, q1 + my),
-        anchor_a=(c * px - s * py, s * px + c * py),
-        anchor_b=(c * mx - s * my, s * mx + c * my),
-        normal=(c * nx - s * ny, s * nx + c * ny),
-        tangent=(c * tx - s * ty, s * tx + c * ty),
-        saturated=saturated,
-    )
+    return local_contact_2d(c, s, phi_star - b, rho, (px, py), (q0 + mx, q1 + my),
+                            (px, py), (mx, my), (nx, ny), saturated)
 
 
 def _convex_rect_rect(state_a: BodyState, rect_a: Rectangle, state_b: BodyState,
@@ -412,8 +380,7 @@ def _convex_rect_rect(state_a: BodyState, rect_a: Rectangle, state_b: BodyState,
     # closures on purpose: a faster box-box loop fits more passes into the
     # cold-detect benchmark, which keeps every pass's call times, and that
     # would push its peak memory past the bound.
-    ca = math.cos(theta_a)
-    sa = math.sin(theta_a)
+    ca, sa, q0, q1 = body_frame_2d(state_a, state_b)
     cb = math.cos(theta_b)
     sb = math.sin(theta_b)
     ax, ay = r_a
@@ -446,7 +413,6 @@ def _convex_rect_rect(state_a: BodyState, rect_a: Rectangle, state_b: BodyState,
             ny = -sa * ux + ca * uy
         else:
             nx, ny = 1.0, 0.0
-    tx, ty = -ny, nx
 
     # push the eroded-box solution out to the true surface along its active
     # constraints (exact for face and corner contacts)
@@ -468,8 +434,7 @@ def _convex_rect_rect(state_a: BodyState, rect_a: Rectangle, state_b: BodyState,
     # anchor points in the first body's frame, from its center (u) and from
     # the second body's center (v)
     (ux, uy), (vx, vy) = p_tilde, q_tilde
-    colliding = rho > 0.0
-    if colliding:
+    if rho > 0.0:
         # single contact point, mirroring the closed-form backend: the first
         # body's vertex when its solution sits on a corner, otherwise the
         # second body's recovered surface point
@@ -478,28 +443,17 @@ def _convex_rect_rect(state_a: BodyState, rect_a: Rectangle, state_b: BodyState,
             vx, vy = ux, uy
         else:
             ux, uy = vx, vy
-    vx = vx - (ca * rx + sa * ry)
-    vy = vy - (-sa * rx + ca * ry)
+    vx = vx - q0
+    vy = vy - q1
 
-    normal_world = (ca * nx - sa * ny, sa * nx + ca * ny)
+    info = local_contact_2d(ca, sa, phi_star - b, rho, p_tilde, q_tilde, (ux, uy),
+                            (vx, vy), (nx, ny), saturated, True)
     if context is not None:
         context.last_q_star = q_star
         context.last_pose = pose
-        context.last_normal = normal_world
+        context.last_normal = info.normal
         context.last_iterations = iterations
-    return ContactInfo(
-        colliding=colliding,
-        phi=phi_star - b,
-        rho=rho,
-        p_tilde=p_tilde,
-        q_tilde=q_tilde,
-        anchor_a=(ca * ux - sa * uy, sa * ux + ca * uy),
-        anchor_b=(ca * vx - sa * vy, sa * vx + ca * vy),
-        normal=normal_world,
-        tangent=(ca * tx - sa * ty, sa * tx + ca * ty),
-        saturated=saturated,
-        phi_approx=True,
-    )
+    return info
 
 
 def _convex_cuboid_sphere(state_a: BodyState, cuboid: Cuboid, state_b: BodyState,
@@ -508,17 +462,7 @@ def _convex_cuboid_sphere(state_a: BodyState, cuboid: Cuboid, state_b: BodyState
     e0, e1, e2 = cuboid.half_extents
     radius = sphere.radius
     b = _resolve_margin(settings, sphere)
-    # world from cuboid frame
-    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = \
-        quat_to_matrix(state_a.orientation)
-    pa = state_a.position
-    pb = state_b.position
-    rx = pb[0] - pa[0]
-    ry = pb[1] - pa[1]
-    rz = pb[2] - pa[2]
-    q0 = m00 * rx + m10 * ry + m20 * rz  # sphere center in the cuboid frame
-    q1 = m01 * rx + m11 * ry + m21 * rz
-    q2 = m02 * rx + m12 * ry + m22 * rz
+    rot, q0, q1, q2 = body_frame_3d(state_a, state_b)
 
     px, py, pz, qx, qy, qz, phi_star, dist = _box_ball(
         e0, e1, e2, q0, q1, q2, radius - b)
@@ -535,7 +479,6 @@ def _convex_cuboid_sphere(state_a: BodyState, cuboid: Cuboid, state_b: BodyState
         nz = (q2 - pz) * inv
     else:
         _, (nx, ny, nz) = nearest_face((q0, q1, q2), cuboid.half_extents)
-    tx, ty, tz = tangent3(nx, ny, nz)
 
     # minimum-distance point and force anchor on the true (unshrunk) sphere
     if dist >= EPS_DEGENERATE:
@@ -550,26 +493,9 @@ def _convex_cuboid_sphere(state_a: BodyState, cuboid: Cuboid, state_b: BodyState
 
     if context is not None:
         context.last_iterations = 1
-    return ContactInfo(
-        colliding=rho > 0.0,
-        phi=phi_star - b,
-        rho=rho,
-        p_tilde=(px, py, pz),
-        q_tilde=(q0 + mx, q1 + my, q2 + mz),
-        anchor_a=(m00 * px + m01 * py + m02 * pz,
-                  m10 * px + m11 * py + m12 * pz,
-                  m20 * px + m21 * py + m22 * pz),
-        anchor_b=(m00 * mx + m01 * my + m02 * mz,
-                  m10 * mx + m11 * my + m12 * mz,
-                  m20 * mx + m21 * my + m22 * mz),
-        normal=(m00 * nx + m01 * ny + m02 * nz,
-                m10 * nx + m11 * ny + m12 * nz,
-                m20 * nx + m21 * ny + m22 * nz),
-        tangent=(m00 * tx + m01 * ty + m02 * tz,
-                 m10 * tx + m11 * ty + m12 * tz,
-                 m20 * tx + m21 * ty + m22 * tz),
-        saturated=saturated,
-    )
+    return local_contact_3d(rot, phi_star - b, rho, (px, py, pz),
+                            (q0 + mx, q1 + my, q2 + mz), (px, py, pz),
+                            (mx, my, mz), (nx, ny, nz), saturated)
 
 
 # (shape type A, shape type B): pairing name, detector

@@ -102,14 +102,6 @@ def mat3_vec(m: Mat3, v: Vec3) -> Vec3:
     )
 
 
-def mat3_t_vec(m: Mat3, v: Vec3) -> Vec3:
-    return (
-        m[0][0] * v[0] + m[1][0] * v[1] + m[2][0] * v[2],
-        m[0][1] * v[0] + m[1][1] * v[1] + m[2][1] * v[2],
-        m[0][2] * v[0] + m[1][2] * v[1] + m[2][2] * v[2],
-    )
-
-
 def mat3_inverse(m: Mat3) -> Mat3:
     a, b, c = m[0]
     d, e, f = m[1]

@@ -1,10 +1,10 @@
 """Closed-form / separating-axis narrow-phase detection.
 
 Supports the four shape pairings of the engine: rectangle-circle,
-circle-circle, rectangle-rectangle (2D) and cuboid-sphere (3D).  All
-rectangle-circle quantities are computed in the rectangle's body frame; the
-returned ContactInfo additionally carries world-frame anchors and directions
-for the resolver.  Signs follow sgn(0) = +1 (``1.0 if x >= 0.0 else -1.0``),
+circle-circle, rectangle-rectangle (2D) and cuboid-sphere (3D).  The
+box-ball pairings work in the box's frame, by the convention and through the
+frame maps of ``contact``; circle-circle and rectangle-rectangle work in the
+world frame.  Signs follow sgn(0) = +1 (``1.0 if x >= 0.0 else -1.0``),
 which keeps the case tables and support tie-breaks total.
 """
 from __future__ import annotations
@@ -12,7 +12,13 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from .contact import ContactInfo
+from .contact import (
+    ContactInfo,
+    body_frame_2d,
+    body_frame_3d,
+    local_contact_2d,
+    local_contact_3d,
+)
 from .geometry import (
     EPS_DEGENERATE,
     EPS_TIE,
@@ -22,11 +28,8 @@ from .geometry import (
     Rectangle,
     Sphere,
     Vec2,
-    mat3_t_vec,
     nearest_face,
     normalize,
-    quat_to_matrix,
-    tangent3,
 )
 
 
@@ -90,18 +93,10 @@ def detect_rect_circle(state_a: BodyState, rect: Rectangle,
     """Narrow-phase query between a rectangle (body A) and a circle (body B)."""
     c1, c2 = rect.half_length, rect.half_width
     radius = circle.radius
-    theta = state_a.orientation
-    c = math.cos(theta)
-    s = math.sin(theta)
-    pa = state_a.position
-    pb = state_b.position
-    rx = pb[0] - pa[0]
-    ry = pb[1] - pa[1]
-    q0 = c * rx + s * ry  # circle center in the rectangle frame
-    q1 = -s * rx + c * ry
+    c, s, q0, q1 = body_frame_2d(state_a, state_b)
 
     region, p_tilde, raw = _rect_case(q0, q1, c1, c2)
-    nx, ny = normalize(raw)
+    n = nx, ny = normalize(raw)
 
     px, py = p_tilde
     dx = px - q0
@@ -123,19 +118,8 @@ def detect_rect_circle(state_a: BodyState, rect: Rectangle,
         rho = 0.0 if phi > 0.0 else -phi
     mx = ux * radius  # center-to-contact offset of the circle
     my = uy * radius
-    tx, ty = -ny, nx
-
-    return ContactInfo(
-        colliding=rho > 0.0,
-        phi=phi,
-        rho=rho,
-        p_tilde=p_tilde,
-        q_tilde=(q0 + mx, q1 + my),
-        anchor_a=(c * px - s * py, s * px + c * py),
-        anchor_b=(c * mx - s * my, s * mx + c * my),
-        normal=(c * nx - s * ny, s * nx + c * ny),
-        tangent=(c * tx - s * ty, s * tx + c * ty),
-    )
+    return local_contact_2d(c, s, phi, rho, p_tilde, (q0 + mx, q1 + my),
+                            p_tilde, (mx, my), n)
 
 
 def detect_circle_circle(state_a: BodyState, circle_a: Circle,
@@ -289,25 +273,21 @@ def detect_sphere_cuboid(state_a: BodyState, cuboid: Cuboid,
     """
     e0, e1, e2 = ext = cuboid.half_extents
     radius = sphere.radius
-    rot = quat_to_matrix(state_a.orientation)  # world from cuboid frame
-    pa = state_a.position
-    pb = state_b.position
-    q0, q1, q2 = q = mat3_t_vec(rot, (pb[0] - pa[0], pb[1] - pa[1], pb[2] - pa[2]))
+    rot, q0, q1, q2 = body_frame_3d(state_a, state_b)
     k0 = max(-e0, min(e0, q0))
     k1 = max(-e1, min(e1, q1))
     k2 = max(-e2, min(e2, q2))
     d = math.sqrt((q0 - k0) * (q0 - k0) + (q1 - k1) * (q1 - k1)
                   + (q2 - k2) * (q2 - k2))
 
+    phi = d - radius
     if d < EPS_DEGENERATE:
         # center inside (or on the surface): nearest face, fixed tie-break order
-        best, n_local = nearest_face(q, ext)
-        phi = d - radius
+        best, n_local = nearest_face((q0, q1, q2), ext)
         rho = radius + best
         ux, uy, uz = n_local
         p_tilde = (q0 + ux * best, q1 + uy * best, q2 + uz * best)
     else:
-        phi = d - radius
         rho = 0.0 if phi > 0.0 else -phi
         inv_d = 1.0 / d
         ux, uy, uz = (k0 - q0) * inv_d, (k1 - q1) * inv_d, (k2 - q2) * inv_d
@@ -315,18 +295,5 @@ def detect_sphere_cuboid(state_a: BodyState, cuboid: Cuboid,
         p_tilde = (k0, k1, k2)
 
     mx, my, mz = ux * radius, uy * radius, uz * radius
-    px, py, pz = p_tilde
-    nx, ny, nz = n_local
-    tx, ty, tz = tangent3(nx, ny, nz)
-    # the world frame: rot times each vector, in the order of mat3_vec
-    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rot
-    return ContactInfo(
-        rho > 0.0, phi, rho, p_tilde, (q0 + mx, q1 + my, q2 + mz),
-        (r00 * px + r01 * py + r02 * pz, r10 * px + r11 * py + r12 * pz,
-         r20 * px + r21 * py + r22 * pz),
-        (r00 * mx + r01 * my + r02 * mz, r10 * mx + r11 * my + r12 * mz,
-         r20 * mx + r21 * my + r22 * mz),
-        (r00 * nx + r01 * ny + r02 * nz, r10 * nx + r11 * ny + r12 * nz,
-         r20 * nx + r21 * ny + r22 * nz),
-        (r00 * tx + r01 * ty + r02 * tz, r10 * tx + r11 * ty + r12 * tz,
-         r20 * tx + r21 * ty + r22 * tz))
+    return local_contact_3d(rot, phi, rho, p_tilde, (q0 + mx, q1 + my, q2 + mz),
+                            p_tilde, (mx, my, mz), n_local)

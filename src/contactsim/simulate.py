@@ -123,10 +123,6 @@ _DETECTORS_SAT = {
     (Cuboid, Sphere): sat.detect_sphere_cuboid,
 }
 
-# pairings where the canonical detector order is reversed relative to (i, j)
-_SWAPPED = {(Circle, Rectangle): (Rectangle, Circle),
-            (Sphere, Cuboid): (Cuboid, Sphere)}
-
 # Relative padding of a world-axis box, far above the rounding of the box's
 # own arithmetic and of either backend's verdict on a pose near touching.
 _BOX_PAD = 1e-9
@@ -191,7 +187,8 @@ def _step_plan(states, shapes, config: SimConfig) -> _StepPlan:
     """Check every pair once and fix what each step of a run reuses.
 
     Per pair: the detector, read now from ``_DETECTORS_SAT`` or
-    ``convex.detect_convex``; whether it takes the bodies in swapped order;
+    ``convex.detect_convex``; whether it takes the bodies in swapped order,
+    as it does when only the reversed type pair is in ``_DETECTORS_SAT``;
     the shapes in its order; and for co a ``PairContext``.  A pair whose
     boxes stay apart never reaches the narrow phase, which is where an
     unsupported pairing or a co shrink margin out of range would otherwise
@@ -205,8 +202,8 @@ def _step_plan(states, shapes, config: SimConfig) -> _StepPlan:
     for i in range(n):
         for j in range(i + 1, n):
             key = (type(shapes[i]), type(shapes[j]))
-            swapped = key in _SWAPPED
-            detector = _DETECTORS_SAT.get(_SWAPPED.get(key, key))
+            swapped = key not in _DETECTORS_SAT
+            detector = _DETECTORS_SAT.get(key[::-1] if swapped else key)
             if detector is None:
                 raise UnsupportedPair(f"pair ({i}, {j}): no narrow phase for "
                                       f"{key[0].__name__}-{key[1].__name__}")

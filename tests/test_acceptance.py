@@ -12,7 +12,6 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-import pytest
 
 from contactsim.bench import run_bench
 from contactsim.cli import main
@@ -21,7 +20,6 @@ from contactsim.geometry import Circle, Rectangle, body2d
 from contactsim.penalty import ContactKinematics, MaterialParams, contact_force
 from contactsim.sat import detect_rect_circle
 from contactsim.simulate import (
-    Backend,
     SimConfig,
     kinetic_energy,
     linear_momentum,

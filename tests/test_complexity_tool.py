@@ -59,6 +59,68 @@ def test_counts_lines_and_branches(tmp_path):
     assert rows[4] == ["a-b", "(_convex_a_b)", "4", "1", "13", "3"]
 
 
+# A shared module, called from both backends: by its own name, under an
+# alias and through the other backend.  Imports from outside the package, of
+# a module the package lacks, or of a name that is no function add nothing.
+SHARED = '''\
+from math import sqrt
+
+LIMIT = 2
+
+
+def rule(x):
+    if x:
+        return _inner(x)
+    return sqrt(x)
+
+
+def _inner(x):
+    return x or LIMIT
+'''
+
+SAT_SHARED = '''\
+from .contact import LIMIT, rule
+from .missing import helper
+
+
+def detect_a_b(x):
+    return rule(x) if x else helper(LIMIT)
+'''
+
+CONVEX_SHARED = '''\
+from .contact import rule as shared
+from .sat import detect_a_b
+
+
+def _convex_a_b(x):
+    while x:
+        x = shared(x)
+    return detect_a_b(rule(x))
+
+
+def rule(x):
+    return x
+
+
+_PAIRINGS = {(int, int): ("a-b", _convex_a_b)}
+'''
+
+
+def test_follows_calls_into_other_modules(tmp_path):
+    (tmp_path / "contact.py").write_text(SHARED)
+    (tmp_path / "sat.py").write_text(SAT_SHARED)
+    (tmp_path / "convex.py").write_text(CONVEX_SHARED)
+    rows = [row.split() for row in complexity.report(tmp_path).splitlines()]
+    # sat: the conditional expression; with rule (if) and _inner (`or`)
+    assert rows[1] == ["sat.py", "6", "1"]
+    assert rows[2] == ["a-b", "(detect_a_b)", "2", "1", "8", "3"]
+    # convex: while; with shared = contact.rule, _inner, sat's detect_a_b
+    # and convex's own rule, which the bare name calls; contact.rule counts
+    # once, although the pairing reaches it directly and through detect_a_b
+    assert rows[3] == ["convex.py", "15", "1"]
+    assert rows[4] == ["a-b", "(_convex_a_b)", "4", "1", "14", "4"]
+
+
 def test_reports_the_package(capsys):
     assert complexity.main([]) == 0
     out = capsys.readouterr().out

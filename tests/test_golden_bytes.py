@@ -7,9 +7,9 @@ hand-built worlds pin what no two-body registry world reaches: a body with
 several contacts, pairs in swapped order and a static body inside the body
 list.  Three more digests pin every ``ContactInfo`` field of a seeded sweep:
 co rect-rect poses, cold and warm; cold co rect-circle and sphere-cuboid
-poses; and cold co circle-circle poses.  The digests depend on the platform's libm (sin, cos
-and sqrt rounding), so the tests run only on Linux x86-64, where they were
-taken.
+poses; and cold co circle-circle poses.  The digests depend on the
+platform's libm (sin, cos and sqrt rounding), so the tests run only on Linux
+x86-64, where they were taken.
 """
 import hashlib
 import math

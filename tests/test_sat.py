@@ -25,7 +25,6 @@ from oracles import (
     quat_from_angle_z,
     rect_boundary_points,
     rect_corners,
-    rot_ccw,
 )
 
 SQRT2 = math.sqrt(2.0)

@@ -467,11 +467,12 @@ class TestBoxReject:
                     continue
                 skipped += 1
                 assert gap > 0.0, (states, shapes)
-                # the canonical detectors take the pair in their own order
+                # the canonical detectors take the pair in their own order:
+                # swapped when only the reversed type pair has a detector
                 key = (type(shapes[0]), type(shapes[1]))
-                order = (1, 0) if key in simulate._SWAPPED else (0, 1)
+                order = (0, 1) if key in canonical else (1, 0)
                 args = [value for k in order for value in (states[k], shapes[k])]
-                verdicts = (canonical[simulate._SWAPPED.get(key, key)](*args),
+                verdicts = (canonical[tuple(type(shapes[k]) for k in order)](*args),
                             detect_convex(*args, SolverSettings(), None))
                 for backend, info in zip(Backend, verdicts):
                     assert not info.colliding, (backend, states)
