@@ -5,9 +5,9 @@ the events sibling.  A change that keeps the physics must keep these bytes;
 one that changes it on purpose pins new digests and says why.  Two
 hand-built worlds pin what no two-body registry world reaches: a body with
 several contacts, pairs in swapped order and a static body inside the body
-list.  Three more digests pin every ``ContactInfo`` field of a seeded sweep:
+list.  Four more digests pin every ``ContactInfo`` field of a seeded sweep:
 co rect-rect poses, cold and warm; cold co rect-circle and sphere-cuboid
-poses; and cold co circle-circle poses.  The digests depend on the
+poses; cold co circle-circle poses; and poses of all four sat pairings.  The digests depend on the
 platform's libm (sin, cos and sqrt rounding), so the tests run only on Linux
 x86-64, where they were taken.
 """
@@ -18,7 +18,7 @@ import random
 
 import pytest
 
-from contactsim import convex
+from contactsim import convex, sat
 from contactsim.convex import PairContext, detect_convex
 from contactsim.export import export_trajectory
 from contactsim.geometry import (
@@ -469,3 +469,158 @@ def test_circle_co_contact_bytes():
     assert sum(i.colliding and not i.saturated for i in infos) >= 30
     assert sum(not i.colliding for i in infos) >= 30
     assert digest == CIRCLE_CO_DIGEST
+
+
+# SHA-256 over the repr of each call's ContactInfo fields, all four sat
+# pairings, taken before sat's records were built through contact.py
+SAT_CONTACT_DIGEST = \
+    "a5e92950af8cfa25ced6ebf7a8e4c893ff7e768552a64ea591161817e58c5d2e"
+SAT_BALL_KINDS = ("separated", "touching", "shallow", "deep", "face", "edge",
+                  "corner", "inside")
+SAT_CIRCLE_KINDS = ("separated", "touching", "shallow", "deep", "concentric")
+
+
+def _sat_ball_centers(rng, ext, radius, per_class=20):
+    """Seeded (kind, ball center in the box frame) pairs.
+
+    ``separated``, ``touching``, ``shallow`` and ``deep``: beyond one face
+    or beyond every face (a corner), the ball apart from the box, touching
+    it, overlapping it by less than half its radius, or by more.  ``face``,
+    ``edge`` (3D only) and ``corner``: the center on the box surface, on
+    one, two or every face.  ``inside``: anywhere in the box, at equal
+    depth below two faces, or at the box center.
+    """
+    dim = len(ext)
+    for kind in SAT_BALL_KINDS:
+        if kind == "edge" and dim == 2:
+            continue
+        for trial in range(per_class):
+            point = [rng.uniform(-e, e) for e in ext]
+            if kind == "inside":
+                if trial % 3 == 0:
+                    point = [0.0] * dim
+                elif trial % 3 == 1:
+                    axes = rng.sample(range(dim), 2)
+                    depth = rng.uniform(0.0, min(ext[a] for a in axes))
+                    for axis in axes:
+                        point[axis] = rng.choice((1.0, -1.0)) * (ext[axis] - depth)
+                yield kind, tuple(point)
+                continue
+            active = {"face": 1, "edge": 2, "corner": dim}.get(
+                kind, rng.choice((1, dim)))
+            direction = [0.0] * dim
+            for axis in rng.sample(range(dim), active):
+                sign = rng.choice((1.0, -1.0))
+                point[axis] = sign * ext[axis]
+                direction[axis] = sign * rng.uniform(0.1, 1.0)
+            length = math.sqrt(sum(d * d for d in direction))
+            gap = {"separated": rng.uniform(radius, 3.0 * radius),
+                   "touching": radius,
+                   "shallow": rng.uniform(0.5 * radius, radius),
+                   "deep": rng.uniform(0.0, 0.5 * radius)}.get(kind, 0.0)
+            yield kind, tuple(p + d / length * gap for p, d in zip(point, direction))
+
+
+def _sat_circle_offsets(rng, ra, rb, per_class=20):
+    """Seeded (kind, B's center in A's frame) pairs for two circles:
+    ``separated``, ``touching``, ``shallow`` (overlap below half of B's
+    radius), ``deep``, and ``concentric`` (B's center on A's, or 1e-12 to
+    2e-9 off it).  Every other pose lies along an axis."""
+    for kind in SAT_CIRCLE_KINDS:
+        for trial in range(per_class):
+            d = {"separated": rng.uniform(ra + rb, ra + 3.0 * rb),
+                 "touching": ra + rb,
+                 "shallow": rng.uniform(ra + 0.5 * rb, ra + rb),
+                 "deep": rng.uniform(0.0, ra + 0.5 * rb)}.get(kind)
+            if d is None:
+                d = 0.0 if trial % 5 == 0 else \
+                    10.0 ** rng.uniform(-12.0, math.log10(2e-9))
+            if trial % 2 == 0:
+                sign = rng.choice((1.0, -1.0))
+                yield kind, ((sign * d, 0.0) if rng.randrange(2) == 0
+                             else (0.0, sign * d))
+            else:
+                angle = rng.uniform(-math.pi, math.pi)
+                yield kind, (d * math.cos(angle), d * math.sin(angle))
+
+
+def _pose_2d(rng, aligned, local):
+    """A's center and angle, unturned at the origin when ``aligned``, and
+    the world point of ``local`` in A's frame."""
+    angle = 0.0 if aligned else rng.uniform(-math.pi, math.pi)
+    center = (0.0, 0.0) if aligned else (rng.uniform(-1, 1), rng.uniform(-1, 1))
+    c, s = math.cos(angle), math.sin(angle)
+    qx, qy = local
+    return center, angle, (center[0] + c * qx - s * qy, center[1] + s * qx + c * qy)
+
+
+def _sat_sweep():
+    """Digest and (pairing, kind, result, angles) of sat calls on all four
+    pairings, every other pose with A unturned at the origin, the rest with
+    A turned and moved.  The rect-rect poses are those of the co rect-rect
+    sweep, every other one moved into A's frame; only they keep both
+    bodies' angles."""
+    digest = hashlib.sha256()
+    rng = random.Random(408)
+    results = []
+
+    def record(pairing, kind, info, angles=None):
+        digest.update(repr((pairing, kind, tuple(info))).encode())
+        results.append((pairing, kind, info, angles))
+
+    for trial, (kind, local) in enumerate(_sat_ball_centers(rng, (0.5, 0.3), 0.2)):
+        center, angle, world = _pose_2d(rng, trial % 2 == 0, local)
+        record("rect-circle", kind, sat.detect_rect_circle(
+            body2d(center, angle), BALL_RECT, body2d(world), BALL_CIRCLE))
+    for trial, (kind, q) in enumerate(
+            _sat_ball_centers(rng, (0.5, 0.3, 0.4), 0.2)):
+        aligned = trial % 2 == 0
+        quat = (1.0, 0.0, 0.0, 0.0) if aligned else _random_unit_quaternion(rng)
+        center = (0.0, 0.0, 0.0) if aligned else tuple(rng.uniform(-1, 1)
+                                                       for _ in range(3))
+        rows = quat_to_matrix(quat)
+        world = tuple(center[i] + sum(rows[i][k] * q[k] for k in range(3))
+                      for i in range(3))
+        record("sphere-cuboid", kind, sat.detect_sphere_cuboid(
+            body3d(center, quat), BALL_CUBOID, body3d(world), BALL_SPHERE))
+    for trial, (kind, local) in enumerate(
+            _sat_circle_offsets(rng, CIRCLE_A.radius, CIRCLE_B.radius)):
+        center, angle, world = _pose_2d(rng, trial % 2 == 0, local)
+        record("circle-circle", kind, sat.detect_circle_circle(
+            body2d(center, angle), CIRCLE_A, body2d(world), CIRCLE_B))
+    for trial, (center_a, angle_a, center_b, angle_b) in enumerate(
+            _rect_rect_poses()):
+        if trial % 2 == 0:  # the same relative pose, A unturned at the origin
+            c, s = math.cos(angle_a), math.sin(angle_a)
+            rx, ry = center_b[0] - center_a[0], center_b[1] - center_a[1]
+            center_a, center_b = (0.0, 0.0), (c * rx + s * ry, -s * rx + c * ry)
+            angle_a, angle_b = 0.0, angle_b - angle_a
+        record("rect-rect", None, sat.detect_rect_rect(
+            body2d(center_a, angle_a), RECT_A, body2d(center_b, angle_b), RECT_B),
+            (angle_a, angle_b))
+    return digest.hexdigest(), results
+
+
+def _axis_owner(info, angle_a, angle_b):
+    """0 or 1 when a rect-rect normal lies along an axis of A or of B only."""
+    nx, ny = info.normal
+    along = [abs(nx * math.sin(t) - ny * math.cos(t)) < 1e-12 or
+             abs(nx * math.cos(t) + ny * math.sin(t)) < 1e-12
+             for t in (angle_a, angle_b)]
+    return {(True, False): 0, (False, True): 1}.get(tuple(along))
+
+
+def test_sat_contact_bytes():
+    digest, results = _sat_sweep()
+    assert len(results) == 20 * (2 * len(SAT_BALL_KINDS) - 1
+                                 + len(SAT_CIRCLE_KINDS)) + 251
+    for pairing, kind, info, _ in results:
+        if kind == "separated":
+            assert not info.colliding
+        elif kind not in ("touching", None):
+            assert info.colliding, (pairing, kind)
+    owners = [_axis_owner(info, *angles) for pairing, _, info, angles in results
+              if pairing == "rect-rect" and info.colliding]
+    assert len(owners) >= 150
+    assert owners.count(0) >= 40 and owners.count(1) >= 40
+    assert digest == SAT_CONTACT_DIGEST
