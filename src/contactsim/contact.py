@@ -1,5 +1,6 @@
 """Contact record handed from the detection backends to the resolver, and
-the body-frame map that both backends build it with.
+the builders that make every one of them: no other module of the package
+constructs a ``ContactInfo``.
 
 Every detector but sat's circle-circle and rect-rect works in body A's
 frame, origin at its center.  With c and s the cosine and sine of A's angle,
@@ -9,14 +10,26 @@ and ``body_frame_3d`` put B's center into A's frame.  A detector's own rule
 turns it into the proximity, the depth, both points, both anchors and the
 normal, in A's frame.  ``local_contact_2d`` and ``local_contact_3d`` turn the
 anchors and the normal into the world frame and add the tangent: the normal
-turned by +90 degrees in 2D, its ``tangent3`` in 3D.
+turned by +90 degrees in 2D, its ``tangent3`` in 3D.  A pairing whose B is a
+ball ends in ``ball_contact_2d`` or ``ball_contact_3d``, which place B's
+anchor on the ball by one rule before the same step.  sat's circle-circle
+and rect-rect work in the world frame and end in ``world_contact_2d``, which
+turns the points into A's frame and adds the same 2D tangent.
 """
 from __future__ import annotations
 
 import math
 from typing import NamedTuple
 
-from .geometry import Mat3, Vec, Vec2, Vec3, quat_to_matrix, tangent3
+from .geometry import (
+    EPS_DEGENERATE,
+    Mat3,
+    Vec,
+    Vec2,
+    Vec3,
+    quat_to_matrix,
+    tangent3,
+)
 
 
 class ContactInfo(NamedTuple):
@@ -131,3 +144,61 @@ def local_contact_3d(rot: Mat3, phi: float, rho: float, p: Vec3, q: Vec3,
         (r00 * tx + r01 * ty + r02 * tz, r10 * tx + r11 * ty + r12 * tz,
          r20 * tx + r21 * ty + r22 * tz),
         saturated)
+
+
+def world_contact_2d(c: float, s: float, phi: float, rho: float, p: Vec2,
+                     q: Vec2, u: Vec2, v: Vec2, n: Vec2,
+                     phi_approx: bool = False) -> ContactInfo:
+    """The ``ContactInfo`` of a 2D world-frame result: points p and q, taken
+    from A's center, the anchors u of A and v of B and the unit normal n.
+    p and q turn into the frame (c, s) of A."""
+    px, py = p
+    qx, qy = q
+    nx, ny = n
+    return ContactInfo(rho > 0.0, phi, rho,
+                       (c * px + s * py, -s * px + c * py),
+                       (c * qx + s * qy, -s * qx + c * qy),
+                       u, v, n, (-ny, nx), False, phi_approx)
+
+
+def ball_contact_2d(c: float, s: float, phi: float, rho: float, p: Vec2,
+                    q: Vec2, dx: float, dy: float, d: float, r: float, n: Vec2,
+                    fallback: float, saturated: bool = False) -> ContactInfo:
+    """The ``ContactInfo`` of a 2D body-frame result whose B is a ball of
+    radius r centered at q, touching A at A's point p.
+
+    B's anchor is r along (dx, dy), the direction from q toward p at
+    distance d; when d is below ``EPS_DEGENERATE`` it is ``fallback`` r
+    along n.  A's anchor is p.
+    """
+    if d >= EPS_DEGENERATE:
+        inv = 1.0 / d
+        mx = dx * inv * r
+        my = dy * inv * r
+    else:
+        nx, ny = n
+        mx = fallback * nx * r
+        my = fallback * ny * r
+    q0, q1 = q
+    return local_contact_2d(c, s, phi, rho, p, (q0 + mx, q1 + my), p, (mx, my), n,
+                            saturated)
+
+
+def ball_contact_3d(rot: Mat3, phi: float, rho: float, p: Vec3, q: Vec3,
+                    dx: float, dy: float, dz: float, d: float, r: float, n: Vec3,
+                    fallback: float, saturated: bool = False) -> ContactInfo:
+    """The ``ContactInfo`` of a 3D body-frame result whose B is a ball, as
+    ``ball_contact_2d`` with A's world-from-body matrix ``rot``."""
+    if d >= EPS_DEGENERATE:
+        inv = 1.0 / d
+        mx = dx * inv * r
+        my = dy * inv * r
+        mz = dz * inv * r
+    else:
+        nx, ny, nz = n
+        mx = fallback * nx * r
+        my = fallback * ny * r
+        mz = fallback * nz * r
+    q0, q1, q2 = q
+    return local_contact_3d(rot, phi, rho, p, (q0 + mx, q1 + my, q2 + mz), p,
+                            (mx, my, mz), n, saturated)

@@ -32,10 +32,11 @@ from typing import Callable, Optional, Sequence
 
 from .contact import (
     ContactInfo,
+    ball_contact_2d,
+    ball_contact_3d,
     body_frame_2d,
     body_frame_3d,
     local_contact_2d,
-    local_contact_3d,
 )
 from .errors import NotConverged, UnsupportedPair
 from .geometry import (
@@ -267,19 +268,11 @@ def _convex_rect_circle(state_a: BodyState, rect: Rectangle, state_b: BodyState,
         nx = (qx - px) * inv
         ny = (qy - py) * inv
 
-    # minimum-distance point and force anchor on the true (unshrunk) circle
-    if dist >= EPS_DEGENERATE:
-        inv = 1.0 / dist
-        mx = (px - q0) * inv * radius
-        my = (py - q1) * inv * radius
-    else:
-        mx = nx * radius
-        my = ny * radius
-
     if context is not None:
         context.last_iterations = 1
-    return local_contact_2d(c, s, phi_star - b, rho, (px, py), (q0 + mx, q1 + my),
-                            (px, py), (mx, my), (nx, ny), saturated)
+    # minimum-distance point and force anchor on the true (unshrunk) circle
+    return ball_contact_2d(c, s, phi_star - b, rho, (px, py), (q0, q1), px - q0,
+                           py - q1, dist, radius, (nx, ny), 1.0, saturated)
 
 
 def _convex_circle_circle(state_a: BodyState, circle_a: Circle, state_b: BodyState,
@@ -325,19 +318,11 @@ def _convex_circle_circle(state_a: BodyState, circle_a: Circle, state_b: BodySta
 
     dx = px - q0
     dy = py - q1
-    d = math.sqrt(dx * dx + dy * dy)
-    if d >= EPS_DEGENERATE:
-        inv = 1.0 / d
-        mx = dx * inv * rb
-        my = dy * inv * rb
-    else:
-        mx = -nx * rb
-        my = -ny * rb
-
     if context is not None:
         context.last_iterations = 1
-    return local_contact_2d(c, s, phi_star - b, rho, (px, py), (q0 + mx, q1 + my),
-                            (px, py), (mx, my), (nx, ny), saturated)
+    return ball_contact_2d(c, s, phi_star - b, rho, (px, py), (q0, q1), dx, dy,
+                           math.sqrt(dx * dx + dy * dy), rb, (nx, ny), -1.0,
+                           saturated)
 
 
 def _convex_rect_rect(state_a: BodyState, rect_a: Rectangle, state_b: BodyState,
@@ -480,22 +465,12 @@ def _convex_cuboid_sphere(state_a: BodyState, cuboid: Cuboid, state_b: BodyState
     else:
         _, (nx, ny, nz) = nearest_face((q0, q1, q2), cuboid.half_extents)
 
-    # minimum-distance point and force anchor on the true (unshrunk) sphere
-    if dist >= EPS_DEGENERATE:
-        inv = 1.0 / dist
-        mx = (px - q0) * inv * radius
-        my = (py - q1) * inv * radius
-        mz = (pz - q2) * inv * radius
-    else:
-        mx = nx * radius
-        my = ny * radius
-        mz = nz * radius
-
     if context is not None:
         context.last_iterations = 1
-    return local_contact_3d(rot, phi_star - b, rho, (px, py, pz),
-                            (q0 + mx, q1 + my, q2 + mz), (px, py, pz),
-                            (mx, my, mz), (nx, ny, nz), saturated)
+    # minimum-distance point and force anchor on the true (unshrunk) sphere
+    return ball_contact_3d(rot, phi_star - b, rho, (px, py, pz), (q0, q1, q2),
+                           px - q0, py - q1, pz - q2, dist, radius, (nx, ny, nz),
+                           1.0, saturated)
 
 
 # (shape type A, shape type B): pairing name, detector

@@ -4,7 +4,9 @@ Supports the four shape pairings of the engine: rectangle-circle,
 circle-circle, rectangle-rectangle (2D) and cuboid-sphere (3D).  The
 box-ball pairings work in the box's frame, by the convention and through the
 frame maps of ``contact``; circle-circle and rectangle-rectangle work in the
-world frame.  Signs follow sgn(0) = +1 (``1.0 if x >= 0.0 else -1.0``),
+world frame and turn their points into the first body's frame with
+``contact.world_contact_2d``.  Every pairing builds its ``ContactInfo``
+through ``contact``.  Signs follow sgn(0) = +1 (``1.0 if x >= 0.0 else -1.0``),
 which keeps the case tables and support tie-breaks total.
 """
 from __future__ import annotations
@@ -14,10 +16,11 @@ from enum import Enum
 
 from .contact import (
     ContactInfo,
+    ball_contact_2d,
+    ball_contact_3d,
     body_frame_2d,
     body_frame_3d,
-    local_contact_2d,
-    local_contact_3d,
+    world_contact_2d,
 )
 from .geometry import (
     EPS_DEGENERATE,
@@ -96,18 +99,10 @@ def detect_rect_circle(state_a: BodyState, rect: Rectangle,
     c, s, q0, q1 = body_frame_2d(state_a, state_b)
 
     region, p_tilde, raw = _rect_case(q0, q1, c1, c2)
-    n = nx, ny = normalize(raw)
-
     px, py = p_tilde
     dx = px - q0
     dy = py - q1
     d = math.sqrt(dx * dx + dy * dy)
-    if d < EPS_DEGENERATE:
-        # center on the rectangle boundary: fall back to the case-table normal
-        ux, uy = nx, ny
-    else:
-        inv_d = 1.0 / d
-        ux, uy = dx * inv_d, dy * inv_d
     if region in _INSIDE:
         # center inside: as the cuboid-sphere inside branch, the circle must
         # travel d to the nearest side plus its radius to get clear
@@ -116,10 +111,9 @@ def detect_rect_circle(state_a: BodyState, rect: Rectangle,
     else:
         phi = d - radius
         rho = 0.0 if phi > 0.0 else -phi
-    mx = ux * radius  # center-to-contact offset of the circle
-    my = uy * radius
-    return local_contact_2d(c, s, phi, rho, p_tilde, (q0 + mx, q1 + my),
-                            p_tilde, (mx, my), n)
+    # a center on the rectangle boundary anchors along the case-table normal
+    return ball_contact_2d(c, s, phi, rho, p_tilde, (q0, q1), dx, dy, d, radius,
+                           normalize(raw), 1.0)
 
 
 def detect_circle_circle(state_a: BodyState, circle_a: Circle,
@@ -131,35 +125,23 @@ def detect_circle_circle(state_a: BodyState, circle_a: Circle,
     dx = pb[0] - pa[0]
     dy = pb[1] - pa[1]
     d = math.hypot(dx, dy)
+    phi = d - ra - rb
     if d < EPS_DEGENERATE:
         # concentric fallback: pick a fixed direction, full overlap depth
         ux, uy = 1.0, 0.0
-        phi = d - ra - rb
         rho = ra + rb
     else:
         inv_d = 1.0 / d
         ux, uy = dx * inv_d, dy * inv_d
-        phi = d - ra - rb
         rho = 0.0 if phi > 0.0 else -phi
 
-    ax, ay = ux * ra, uy * ra
+    a = (ux * ra, uy * ra)
     neg_rb = -rb
     bx, by = ux * neg_rb, uy * neg_rb
     theta = state_a.orientation
-    c = math.cos(theta)
-    s = math.sin(theta)
-    cx, cy = dx + bx, dy + by  # B's contact point from A's center
-    return ContactInfo(
-        colliding=rho > 0.0,
-        phi=phi,
-        rho=rho,
-        p_tilde=(c * ax + s * ay, -s * ax + c * ay),
-        q_tilde=(c * cx + s * cy, -s * cx + c * cy),
-        anchor_a=(ax, ay),
-        anchor_b=(bx, by),
-        normal=(ux, uy),
-        tangent=(-uy, ux),
-    )
+    # q: B's contact point from A's center
+    return world_contact_2d(math.cos(theta), math.sin(theta), phi, rho, a,
+                            (dx + bx, dy + by), a, (bx, by), (ux, uy))
 
 
 def detect_rect_rect(state_a: BodyState, rect_a: Rectangle,
@@ -203,7 +185,6 @@ def detect_rect_rect(state_a: BodyState, rect_a: Rectangle,
             best_x, best_y = x, y
             best_owner = owner
 
-    c, s = ca, sa
     if min_overlap <= 0.0:
         # separated: the largest per-axis gap is a lower bound on distance
         if dx * gap_x + dy * gap_y >= 0.0:
@@ -213,23 +194,12 @@ def detect_rect_rect(state_a: BodyState, rect_a: Rectangle,
         # A's vertex furthest along n, B's vertex furthest against it
         k1 = ea1 * (1.0 if a1x * nx + a1y * ny >= 0.0 else -1.0)
         k2 = ea2 * (1.0 if a2x * nx + a2y * ny >= 0.0 else -1.0)
-        sax, say = a1x * k1 + a2x * k2, a1y * k1 + a2y * k2
+        support_a = (a1x * k1 + a2x * k2, a1y * k1 + a2y * k2)
         k1 = -eb1 * (1.0 if b1x * nx + b1y * ny >= 0.0 else -1.0)
         k2 = -eb2 * (1.0 if b2x * nx + b2y * ny >= 0.0 else -1.0)
         sbx, sby = b1x * k1 + b2x * k2, b1y * k1 + b2y * k2
-        qx, qy = dx + sbx, dy + sby
-        return ContactInfo(
-            colliding=False,
-            phi=max_gap,
-            rho=0.0,
-            p_tilde=(c * sax + s * say, -s * sax + c * say),
-            q_tilde=(c * qx + s * qy, -s * qx + c * qy),
-            anchor_a=(sax, say),
-            anchor_b=(sbx, sby),
-            normal=(nx, ny),
-            tangent=(-ny, nx),
-            phi_approx=True,
-        )
+        return world_contact_2d(ca, sa, max_gap, 0.0, support_a, (dx + sbx, dy + sby),
+                                support_a, (sbx, sby), (nx, ny), True)
 
     if dx * best_x + dy * best_y >= 0.0:
         nx, ny = best_x, best_y
@@ -247,19 +217,9 @@ def detect_rect_rect(state_a: BodyState, rect_a: Rectangle,
         k2 = ea2 * (1.0 if a2x * nx + a2y * ny >= 0.0 else -1.0)
         wx = pa[0] + (a1x * k1 + a2x * k2)
         wy = pa[1] + (a1y * k1 + a2y * k2)
-    ax, ay = wx - pa[0], wy - pa[1]
-    contact_local = (c * ax + s * ay, -s * ax + c * ay)
-    return ContactInfo(
-        colliding=True,
-        phi=-min_overlap,
-        rho=min_overlap,
-        p_tilde=contact_local,
-        q_tilde=contact_local,
-        anchor_a=(ax, ay),
-        anchor_b=(wx - pb[0], wy - pb[1]),
-        normal=(nx, ny),
-        tangent=(-ny, nx),
-    )
+    contact = (wx - pa[0], wy - pa[1])
+    return world_contact_2d(ca, sa, -min_overlap, min_overlap, contact, contact,
+                            contact, (wx - pb[0], wy - pb[1]), (nx, ny))
 
 
 def detect_sphere_cuboid(state_a: BodyState, cuboid: Cuboid,
@@ -293,7 +253,5 @@ def detect_sphere_cuboid(state_a: BodyState, cuboid: Cuboid,
         ux, uy, uz = (k0 - q0) * inv_d, (k1 - q1) * inv_d, (k2 - q2) * inv_d
         n_local = (-ux, -uy, -uz)  # center toward cuboid, negated
         p_tilde = (k0, k1, k2)
-
-    mx, my, mz = ux * radius, uy * radius, uz * radius
-    return local_contact_3d(rot, phi, rho, p_tilde, (q0 + mx, q1 + my, q2 + mz),
-                            p_tilde, (mx, my, mz), n_local)
+    return ball_contact_3d(rot, phi, rho, p_tilde, (q0, q1, q2), k0 - q0, k1 - q1,
+                           k2 - q2, d, radius, n_local, 1.0)

@@ -1,6 +1,11 @@
-"""The per-step records are immutable values."""
+"""The per-step records are immutable values, and only ``contact.py``
+builds a ``ContactInfo``."""
+import ast
+from pathlib import Path
+
 import pytest
 
+import contactsim
 from contactsim.contact import ContactInfo
 from contactsim.penalty import BodyWrench, ContactKinematics
 from contactsim.simulate import ContactEvent, PairDiagnostic
@@ -33,3 +38,14 @@ def test_flipped_twice_is_the_same_contact():
     assert flipped.anchor_a == INFO.anchor_b and flipped.normal == (-1.0, 0.0)
     assert flipped != INFO
     assert flipped.flipped() == INFO
+
+
+def test_only_contact_module_builds_contact_info():
+    calls = []
+    for path in sorted(Path(contactsim.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and "ContactInfo" in (getattr(node.func, "id", None),
+                                        getattr(node.func, "attr", None))]
+    assert calls and all(call.startswith("contact.py:") for call in calls), calls
