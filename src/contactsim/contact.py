@@ -163,13 +163,14 @@ def world_contact_2d(c: float, s: float, phi: float, rho: float, p: Vec2,
 
 def ball_contact_2d(c: float, s: float, phi: float, rho: float, p: Vec2,
                     q: Vec2, dx: float, dy: float, d: float, r: float, n: Vec2,
-                    fallback: float, saturated: bool = False) -> ContactInfo:
+                    saturated: bool = False) -> ContactInfo:
     """The ``ContactInfo`` of a 2D body-frame result whose B is a ball of
     radius r centered at q, touching A at A's point p.
 
-    B's anchor is r along (dx, dy), the direction from q toward p at
-    distance d; when d is below ``EPS_DEGENERATE`` it is ``fallback`` r
-    along n.  A's anchor is p.
+    B's anchor is r along (dx, dy), the direction from q toward p, of
+    length d.  A d below ``EPS_DEGENERATE`` means that q lies on or in A:
+    the anchor is then -n r, the point of the ball facing A.  A's anchor
+    is p.
     """
     if d >= EPS_DEGENERATE:
         inv = 1.0 / d
@@ -177,8 +178,8 @@ def ball_contact_2d(c: float, s: float, phi: float, rho: float, p: Vec2,
         my = dy * inv * r
     else:
         nx, ny = n
-        mx = fallback * nx * r
-        my = fallback * ny * r
+        mx = -nx * r
+        my = -ny * r
     q0, q1 = q
     return local_contact_2d(c, s, phi, rho, p, (q0 + mx, q1 + my), p, (mx, my), n,
                             saturated)
@@ -186,7 +187,7 @@ def ball_contact_2d(c: float, s: float, phi: float, rho: float, p: Vec2,
 
 def ball_contact_3d(rot: Mat3, phi: float, rho: float, p: Vec3, q: Vec3,
                     dx: float, dy: float, dz: float, d: float, r: float, n: Vec3,
-                    fallback: float, saturated: bool = False) -> ContactInfo:
+                    saturated: bool = False) -> ContactInfo:
     """The ``ContactInfo`` of a 3D body-frame result whose B is a ball, as
     ``ball_contact_2d`` with A's world-from-body matrix ``rot``."""
     if d >= EPS_DEGENERATE:
@@ -196,9 +197,9 @@ def ball_contact_3d(rot: Mat3, phi: float, rho: float, p: Vec3, q: Vec3,
         mz = dz * inv * r
     else:
         nx, ny, nz = n
-        mx = fallback * nx * r
-        my = fallback * ny * r
-        mz = fallback * nz * r
+        mx = -nx * r
+        my = -ny * r
+        mz = -nz * r
     q0, q1, q2 = q
     return local_contact_3d(rot, phi, rho, p, (q0 + mx, q1 + my, q2 + mz), p,
                             (mx, my, mz), n, saturated)

@@ -272,7 +272,7 @@ def _convex_rect_circle(state_a: BodyState, rect: Rectangle, state_b: BodyState,
         context.last_iterations = 1
     # minimum-distance point and force anchor on the true (unshrunk) circle
     return ball_contact_2d(c, s, phi_star - b, rho, (px, py), (q0, q1), px - q0,
-                           py - q1, dist, radius, (nx, ny), 1.0, saturated)
+                           py - q1, dist, radius, (nx, ny), saturated)
 
 
 def _convex_circle_circle(state_a: BodyState, circle_a: Circle, state_b: BodyState,
@@ -321,8 +321,7 @@ def _convex_circle_circle(state_a: BodyState, circle_a: Circle, state_b: BodySta
     if context is not None:
         context.last_iterations = 1
     return ball_contact_2d(c, s, phi_star - b, rho, (px, py), (q0, q1), dx, dy,
-                           math.sqrt(dx * dx + dy * dy), rb, (nx, ny), -1.0,
-                           saturated)
+                           math.sqrt(dx * dx + dy * dy), rb, (nx, ny), saturated)
 
 
 def _convex_rect_rect(state_a: BodyState, rect_a: Rectangle, state_b: BodyState,
@@ -470,7 +469,7 @@ def _convex_cuboid_sphere(state_a: BodyState, cuboid: Cuboid, state_b: BodyState
     # minimum-distance point and force anchor on the true (unshrunk) sphere
     return ball_contact_3d(rot, phi_star - b, rho, (px, py, pz), (q0, q1, q2),
                            px - q0, py - q1, pz - q2, dist, radius, (nx, ny, nz),
-                           1.0, saturated)
+                           saturated)
 
 
 # (shape type A, shape type B): pairing name, detector

@@ -105,15 +105,16 @@ def detect_rect_circle(state_a: BodyState, rect: Rectangle,
     d = math.sqrt(dx * dx + dy * dy)
     if region in _INSIDE:
         # center inside: as the cuboid-sphere inside branch, the circle must
-        # travel d to the nearest side plus its radius to get clear
+        # travel d to the nearest side plus its radius to get clear; its
+        # distance to the rectangle is 0
         phi = -radius
         rho = radius + d
+        d = 0.0
     else:
         phi = d - radius
         rho = 0.0 if phi > 0.0 else -phi
-    # a center on the rectangle boundary anchors along the case-table normal
     return ball_contact_2d(c, s, phi, rho, p_tilde, (q0, q1), dx, dy, d, radius,
-                           normalize(raw), 1.0)
+                           normalize(raw))
 
 
 def detect_circle_circle(state_a: BodyState, circle_a: Circle,
@@ -254,4 +255,4 @@ def detect_sphere_cuboid(state_a: BodyState, cuboid: Cuboid,
         n_local = (-ux, -uy, -uz)  # center toward cuboid, negated
         p_tilde = (k0, k1, k2)
     return ball_contact_3d(rot, phi, rho, p_tilde, (q0, q1, q2), k0 - q0, k1 - q1,
-                           k2 - q2, d, radius, n_local, 1.0)
+                           k2 - q2, d, radius, n_local)

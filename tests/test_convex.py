@@ -393,6 +393,30 @@ class TestDetectConvex:
         assert info.normal == (1.0, 0.0)
 
 
+class TestBallAnchorFacesA:
+    """B's anchor is the point of the ball facing A, -n r, whether the ball
+    center lies just outside A's face, on it or just inside, in both
+    backends."""
+
+    @pytest.mark.parametrize("backend", ["sat", "co"])
+    @pytest.mark.parametrize("offset", [1e-7, 0.0, -1e-7])
+    def test_rect_circle(self, backend, offset):
+        detect = detect_rect_circle if backend == "sat" else detect_convex
+        info = detect(body2d((0.0, 0.0)), Rectangle(0.5, 0.3),
+                      body2d((0.1, 0.3 + offset)), Circle(0.2))
+        assert info.normal == (0.0, 1.0)
+        assert np.allclose(info.anchor_b, (0.0, -0.2), rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("backend", ["sat", "co"])
+    @pytest.mark.parametrize("offset", [1e-7, 0.0, -1e-7])
+    def test_sphere_cuboid(self, backend, offset):
+        detect = detect_sphere_cuboid if backend == "sat" else detect_convex
+        info = detect(body3d((0.0, 0.0, 0.0)), Cuboid((0.5, 0.3, 0.4)),
+                      body3d((0.1, 0.1, 0.4 + offset)), Sphere(0.2))
+        assert info.normal == (0.0, 0.0, 1.0)
+        assert np.allclose(info.anchor_b, (0.0, 0.0, -0.2), rtol=0.0, atol=1e-15)
+
+
 def _random_quat(rng):
     q = rng.normal(size=4)
     return tuple(q / np.linalg.norm(q))

@@ -294,10 +294,13 @@ def test_rect_rect_co_contact_bytes_under_zero_threshold(monkeypatch):
 
 
 # SHA-256 over the repr of each call's ContactInfo fields, cold co
-# rect-circle and sphere-cuboid, taken while the box-ball solve still
-# iterated; the closed-form solve keeps every byte
+# rect-circle and sphere-cuboid, first taken while the box-ball solve still
+# iterated (the closed-form solve kept every byte), and again after a ball
+# center on or in the box moved B's anchor from +n r, the far side of the
+# ball, to -n r, the side facing the box (141 calls change q_tilde and
+# anchor_b, no other field)
 BALL_CO_DIGEST = \
-    "4f1752b8806d744b1ab5c8ccd532aa7148899e8eb83408cc59d8954fa216578c"
+    "47cfdc0c9e1f143f19646660b8213eb048c8c86b622c44c137d2632d08e1f86a"
 BALL_RECT, BALL_CIRCLE = Rectangle(0.5, 0.3), Circle(0.2)  # shrink margin 0.1
 BALL_CUBOID, BALL_SPHERE = Cuboid((0.5, 0.3, 0.4)), Sphere(0.2)
 BALL_KINDS = ("face", "edge", "corner", "inside", "touching", "concentric",
@@ -472,9 +475,13 @@ def test_circle_co_contact_bytes():
 
 
 # SHA-256 over the repr of each call's ContactInfo fields, all four sat
-# pairings, taken before sat's records were built through contact.py
+# pairings, first taken before sat's records were built through contact.py
+# (that change kept every byte), and again after a ball center on or in the
+# box moved B's anchor from +n r to -n r, as in BALL_CO_DIGEST (the 140
+# face, edge, corner and inside calls change q_tilde and anchor_b, no other
+# field)
 SAT_CONTACT_DIGEST = \
-    "a5e92950af8cfa25ced6ebf7a8e4c893ff7e768552a64ea591161817e58c5d2e"
+    "c7a2b66be478b464f75e2bbbcf506fabbfe3c9213f655b3c7dd03f4be0bb525f"
 SAT_BALL_KINDS = ("separated", "touching", "shallow", "deep", "face", "edge",
                   "corner", "inside")
 SAT_CIRCLE_KINDS = ("separated", "touching", "shallow", "deep", "concentric")

@@ -241,7 +241,7 @@ class TestDetectRectCircle:
         assert info.colliding
         assert math.isclose(info.rho, 0.5, abs_tol=1e-12)
         assert info.normal == (1.0, 0.0)
-        assert np.allclose(info.q_tilde, (1.5, 0.0))
+        assert np.allclose(info.q_tilde, (0.5, 0.0))
 
     def test_center_inside_measures_depth_to_get_clear(self):
         info = detect_rect_circle(body2d((0.0, 0.0)), Rectangle(2.0, 2.0),
