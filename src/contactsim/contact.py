@@ -1,6 +1,5 @@
 """Contact record handed from the detection backends to the resolver, and
-the builders that make every one of them: no other module of the package
-constructs a ``ContactInfo``.
+the only builders of it.
 
 Every detector but sat's circle-circle and rect-rect works in body A's
 frame, origin at its center.  With c and s the cosine and sine of A's angle,
@@ -10,26 +9,18 @@ and ``body_frame_3d`` put B's center into A's frame.  A detector's own rule
 turns it into the proximity, the depth, both points, both anchors and the
 normal, in A's frame.  ``local_contact_2d`` and ``local_contact_3d`` turn the
 anchors and the normal into the world frame and add the tangent: the normal
-turned by +90 degrees in 2D, its ``tangent3`` in 3D.  A pairing whose B is a
-ball ends in ``ball_contact_2d`` or ``ball_contact_3d``, which place B's
-anchor on the ball by one rule before the same step.  sat's circle-circle
-and rect-rect work in the world frame and end in ``world_contact_2d``, which
-turns the points into A's frame and adds the same 2D tangent.
+turned by +90 degrees in 2D, its ``tangent3`` in 3D.  ``ball_contact_2d``
+and ``ball_contact_3d`` first put B's anchor on B's ball by one rule.  sat's
+circle-circle and rect-rect work in the world frame and end in
+``world_contact_2d``, which turns the points into A's frame instead.
 """
 from __future__ import annotations
 
 import math
 from typing import NamedTuple
 
-from .geometry import (
-    EPS_DEGENERATE,
-    Mat3,
-    Vec,
-    Vec2,
-    Vec3,
-    quat_to_matrix,
-    tangent3,
-)
+from .geometry import (EPS_DEGENERATE, Mat3, Vec, Vec2, Vec3, quat_to_matrix,
+                       tangent3)
 
 
 class ContactInfo(NamedTuple):
@@ -165,12 +156,12 @@ def ball_contact_2d(c: float, s: float, phi: float, rho: float, p: Vec2,
                     q: Vec2, dx: float, dy: float, d: float, r: float, n: Vec2,
                     saturated: bool = False) -> ContactInfo:
     """The ``ContactInfo`` of a 2D body-frame result whose B is a ball of
-    radius r centered at q, touching A at A's point p.
+    radius r centered at q, and whose A has the point and anchor p.
 
     B's anchor is r along (dx, dy), the direction from q toward p, of
-    length d.  A d below ``EPS_DEGENERATE`` means that q lies on or in A:
-    the anchor is then -n r, the point of the ball facing A.  A's anchor
-    is p.
+    length d.  A d below ``EPS_DEGENERATE``, which the box detectors pass
+    for q on or in the box, puts it at -n r instead: the point of the ball
+    facing A.
     """
     if d >= EPS_DEGENERATE:
         inv = 1.0 / d

@@ -4,10 +4,9 @@ Supports the four shape pairings of the engine: rectangle-circle,
 circle-circle, rectangle-rectangle (2D) and cuboid-sphere (3D).  The
 box-ball pairings work in the box's frame, by the convention and through the
 frame maps of ``contact``; circle-circle and rectangle-rectangle work in the
-world frame and turn their points into the first body's frame with
-``contact.world_contact_2d``.  Every pairing builds its ``ContactInfo``
-through ``contact``.  Signs follow sgn(0) = +1 (``1.0 if x >= 0.0 else -1.0``),
-which keeps the case tables and support tie-breaks total.
+world frame and build their result with ``contact.world_contact_2d``.
+Signs follow sgn(0) = +1 (``1.0 if x >= 0.0 else -1.0``), which keeps the
+case tables and support tie-breaks total.
 """
 from __future__ import annotations
 
@@ -105,8 +104,8 @@ def detect_rect_circle(state_a: BodyState, rect: Rectangle,
     d = math.sqrt(dx * dx + dy * dy)
     if region in _INSIDE:
         # center inside: as the cuboid-sphere inside branch, the circle must
-        # travel d to the nearest side plus its radius to get clear; its
-        # distance to the rectangle is 0
+        # travel d to the nearest side plus its radius to get clear; d = 0
+        # anchors it on its side facing the rectangle, as on the boundary
         phi = -radius
         rho = radius + d
         d = 0.0
@@ -140,7 +139,6 @@ def detect_circle_circle(state_a: BodyState, circle_a: Circle,
     neg_rb = -rb
     bx, by = ux * neg_rb, uy * neg_rb
     theta = state_a.orientation
-    # q: B's contact point from A's center
     return world_contact_2d(math.cos(theta), math.sin(theta), phi, rho, a,
                             (dx + bx, dy + by), a, (bx, by), (ux, uy))
 

@@ -50,6 +50,7 @@ _PAIRINGS = {(int, int): ("a-b", _convex_a_b)}
 def test_counts_lines_and_branches(tmp_path):
     (tmp_path / "sat.py").write_text(SAT)
     (tmp_path / "convex.py").write_text(CONVEX)
+    (tmp_path / "contact.py").write_text("")
     rows = [row.split() for row in complexity.report(tmp_path).splitlines()]
     # sat: comprehension, its if, `or`, if, `and`, conditional expression
     assert rows[1] == ["sat.py", "8", "6"]
@@ -121,8 +122,19 @@ def test_follows_calls_into_other_modules(tmp_path):
     assert rows[4] == ["a-b", "(_convex_a_b)", "4", "1", "14", "4"]
 
 
+def test_ends_with_the_shared_module(tmp_path):
+    (tmp_path / "contact.py").write_text(SHARED)
+    (tmp_path / "sat.py").write_text(SAT_SHARED)
+    (tmp_path / "convex.py").write_text(CONVEX_SHARED)
+    rows = [row.split() for row in complexity.report(tmp_path).splitlines()]
+    # contact: if and `or`, one row with no pairing rows under it
+    assert len(rows) == 6
+    assert rows[5] == ["contact.py", "13", "2"]
+
+
 def test_reports_the_package(capsys):
     assert complexity.main([]) == 0
     out = capsys.readouterr().out
-    for name in ("sat.py", "convex.py", "detect_rect_rect", "_convex_rect_rect"):
+    for name in ("sat.py", "convex.py", "contact.py", "detect_rect_rect",
+                 "_convex_rect_rect"):
         assert name in out

@@ -1,4 +1,5 @@
-"""Line and branch counts of the two narrow-phase backends.
+"""Line and branch counts of the two narrow-phase backends and their
+shared contact rules.
 
 Usage::
 
@@ -15,7 +16,8 @@ statement or comprehension filter, a loop (``for``, ``while`` or a
 comprehension clause), a ``try`` statement, a boolean operation
 (``a and b and c`` is one) or a conditional expression.  The pairing
 functions are sat's ``detect_*`` functions and the entries of
-``convex._PAIRINGS``.
+``convex._PAIRINGS``.  A last row gives the line and branch counts of
+``contact.py``, whose shared rules both backends call.
 
 Standard library only; it parses the sources and imports nothing from them.
 """
@@ -95,11 +97,13 @@ def report(src: Path) -> str:
     rows = [f"{'':<44}{'lines':>6}{'branches':>10}"
             f"{'with helpers: lines':>21}{'branches':>10}"]
     functions, scopes = package_scopes(src)
-    for module in ("sat.py", "convex.py"):
+    for module in ("sat.py", "convex.py", "contact.py"):
         text = (src / module).read_text(encoding="utf-8")
         tree = ast.parse(text)
         rows.append(f"{module:<44}{len(text.splitlines()):>6}"
                     f"{branch_count(tree):>10}")
+        if module == "contact.py":
+            break
         own = functions[module]
         for pairing, name in sorted(pairings(module, tree).items()):
             group = [functions[m][f] for m, f in reached(module, name, functions, scopes)]
