@@ -138,10 +138,10 @@ def local_contact_3d(rot: Mat3, phi: float, rho: float, p: Vec3, q: Vec3,
 
 
 def world_contact_2d(c: float, s: float, phi: float, rho: float, p: Vec2,
-                     q: Vec2, u: Vec2, v: Vec2, n: Vec2,
+                     q: Vec2, v: Vec2, n: Vec2,
                      phi_approx: bool = False) -> ContactInfo:
     """The ``ContactInfo`` of a 2D world-frame result: points p and q, taken
-    from A's center, the anchors u of A and v of B and the unit normal n.
+    from A's center, p also A's anchor, B's anchor v and the unit normal n.
     p and q turn into the frame (c, s) of A."""
     px, py = p
     qx, qy = q
@@ -149,7 +149,7 @@ def world_contact_2d(c: float, s: float, phi: float, rho: float, p: Vec2,
     return ContactInfo(rho > 0.0, phi, rho,
                        (c * px + s * py, -s * px + c * py),
                        (c * qx + s * qy, -s * qx + c * qy),
-                       u, v, n, (-ny, nx), False, phi_approx)
+                       p, v, n, (-ny, nx), False, phi_approx)
 
 
 def ball_contact_2d(c: float, s: float, phi: float, rho: float, p: Vec2,

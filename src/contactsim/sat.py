@@ -135,12 +135,12 @@ def detect_circle_circle(state_a: BodyState, circle_a: Circle,
         ux, uy = dx * inv_d, dy * inv_d
         rho = 0.0 if phi > 0.0 else -phi
 
-    a = (ux * ra, uy * ra)
     neg_rb = -rb
     bx, by = ux * neg_rb, uy * neg_rb
     theta = state_a.orientation
-    return world_contact_2d(math.cos(theta), math.sin(theta), phi, rho, a,
-                            (dx + bx, dy + by), a, (bx, by), (ux, uy))
+    return world_contact_2d(math.cos(theta), math.sin(theta), phi, rho,
+                            (ux * ra, uy * ra), (dx + bx, dy + by), (bx, by),
+                            (ux, uy))
 
 
 def detect_rect_rect(state_a: BodyState, rect_a: Rectangle,
@@ -197,8 +197,8 @@ def detect_rect_rect(state_a: BodyState, rect_a: Rectangle,
         k1 = -eb1 * (1.0 if b1x * nx + b1y * ny >= 0.0 else -1.0)
         k2 = -eb2 * (1.0 if b2x * nx + b2y * ny >= 0.0 else -1.0)
         sbx, sby = b1x * k1 + b2x * k2, b1y * k1 + b2y * k2
-        return world_contact_2d(ca, sa, max_gap, 0.0, support_a, (dx + sbx, dy + sby),
-                                support_a, (sbx, sby), (nx, ny), True)
+        return world_contact_2d(ca, sa, max_gap, 0.0, support_a,
+                                (dx + sbx, dy + sby), (sbx, sby), (nx, ny), True)
 
     if dx * best_x + dy * best_y >= 0.0:
         nx, ny = best_x, best_y
@@ -218,7 +218,7 @@ def detect_rect_rect(state_a: BodyState, rect_a: Rectangle,
         wy = pa[1] + (a1y * k1 + a2y * k2)
     contact = (wx - pa[0], wy - pa[1])
     return world_contact_2d(ca, sa, -min_overlap, min_overlap, contact, contact,
-                            contact, (wx - pb[0], wy - pb[1]), (nx, ny))
+                            (wx - pb[0], wy - pb[1]), (nx, ny))
 
 
 def detect_sphere_cuboid(state_a: BodyState, cuboid: Cuboid,
