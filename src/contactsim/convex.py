@@ -362,10 +362,12 @@ def _convex_rect_rect(state_a: BodyState, rect_a: Rectangle, state_b: BodyState,
     # cos/sin pair per body, each operation in the order of the tuple
     # helpers, so every result keeps its bits.  The solver loop keeps its
     # closures on purpose: a faster box-box loop fits more passes into the
-    # cold-detect benchmark, which keeps every pass's call times.  Hoisting
-    # only the loop's per-iteration cos/sin out of the closures raised its
-    # calls_per_s 1.76x and its peak_rss_mb from 37.4 to 40.6 MB (+8.4%,
-    # 81 -> 117 passes; one 40 s run per side, seed 3), against a 10% bound.
+    # cold-detect benchmark, which keeps every pass's call times.  On a
+    # 2-core x86 VM (Python 3.11.7, seed 3, two 40 s runs per side), the
+    # same loop in scalar arithmetic, bit for bit, raised cold-detect's
+    # calls_per_s 2.2-2.3x and its peak_rss_mb from 38.3-38.4 to 47.2-49.8
+    # MB (+23-30%, 172-174 -> 398-458 passes), against a 10% bound.
+    # Hoisting only the closures' cos/sin moved neither by more than 4%.
     ca, sa, q0, q1 = body_frame_2d(state_a, state_b)
     cb = math.cos(theta_b)
     sb = math.sin(theta_b)

@@ -353,6 +353,28 @@ def _random_unit_quaternion(rng):
     return tuple(v / n for v in q)
 
 
+def _pose_2d(rng, aligned, local):
+    """A's center and angle, unturned at the origin when ``aligned``, and
+    the world point of ``local`` in A's frame."""
+    angle = 0.0 if aligned else rng.uniform(-math.pi, math.pi)
+    center = (0.0, 0.0) if aligned else (rng.uniform(-1, 1), rng.uniform(-1, 1))
+    c, s = math.cos(angle), math.sin(angle)
+    qx, qy = local
+    return center, angle, (center[0] + c * qx - s * qy, center[1] + s * qx + c * qy)
+
+
+def _pose_3d(rng, aligned, local):
+    """A's center and orientation, unturned at the origin when ``aligned``,
+    and the world point of ``local`` in A's frame."""
+    quat = (1.0, 0.0, 0.0, 0.0) if aligned else _random_unit_quaternion(rng)
+    center = (0.0, 0.0, 0.0) if aligned else tuple(rng.uniform(-1, 1)
+                                                   for _ in range(3))
+    rows = quat_to_matrix(quat)
+    world = tuple(center[i] + sum(rows[i][k] * local[k] for k in range(3))
+                  for i in range(3))
+    return center, quat, world
+
+
 def _ball_co_sweep():
     """Digest and results of cold co calls on both box-ball pairings: every
     other pose axis-aligned with the box at the origin, so that face, edge
@@ -361,26 +383,15 @@ def _ball_co_sweep():
     digest = hashlib.sha256()
     rng = random.Random(406)
     infos = []
-    for trial, local in enumerate(_ball_local_centers(rng, (0.5, 0.3), 0.2)):
-        kind, (qx, qy) = local
-        aligned = trial % 2 == 0
-        angle = 0.0 if aligned else rng.uniform(-math.pi, math.pi)
-        center = (0.0, 0.0) if aligned else (rng.uniform(-1, 1), rng.uniform(-1, 1))
-        c, s = math.cos(angle), math.sin(angle)
-        world = (center[0] + c * qx - s * qy, center[1] + s * qx + c * qy)
+    for trial, (kind, local) in enumerate(_ball_local_centers(rng, (0.5, 0.3), 0.2)):
+        center, angle, world = _pose_2d(rng, trial % 2 == 0, local)
         info = detect_convex(body2d(center, angle), BALL_RECT, body2d(world),
                              BALL_CIRCLE, context=PairContext())
         digest.update(repr((kind, tuple(info))).encode())
         infos.append(info)
-    for trial, local in enumerate(_ball_local_centers(rng, (0.5, 0.3, 0.4), 0.2)):
-        kind, q = local
-        aligned = trial % 2 == 0
-        quat = (1.0, 0.0, 0.0, 0.0) if aligned else _random_unit_quaternion(rng)
-        center = (0.0, 0.0, 0.0) if aligned else tuple(rng.uniform(-1, 1)
-                                                       for _ in range(3))
-        rows = quat_to_matrix(quat)
-        world = tuple(center[i] + sum(rows[i][k] * q[k] for k in range(3))
-                      for i in range(3))
+    for trial, (kind, local) in enumerate(
+            _ball_local_centers(rng, (0.5, 0.3, 0.4), 0.2)):
+        center, quat, world = _pose_3d(rng, trial % 2 == 0, local)
         info = detect_convex(body3d(center, quat), BALL_CUBOID, body3d(world),
                              BALL_SPHERE, context=PairContext())
         digest.update(repr((kind, tuple(info))).encode())
@@ -405,6 +416,20 @@ CIRCLE_CO_DIGEST = \
 CIRCLE_A, CIRCLE_B = Circle(0.3), Circle(0.2)  # shrink margin 0.1
 CIRCLE_KINDS = ("separated", "shallow", "saturated", "touching", "held",
                 "concentric")
+
+
+def _concentric_distance(rng, trial):
+    """0, or 1e-12 to 2e-9."""
+    return 0.0 if trial % 5 == 0 else 10.0 ** rng.uniform(-12.0, math.log10(2e-9))
+
+
+def _circle_offset(rng, trial, d):
+    """A point at distance d from the origin: on an axis for even trials."""
+    if trial % 2 == 0:
+        sign = rng.choice((1.0, -1.0))
+        return (sign * d, 0.0) if rng.randrange(2) == 0 else (0.0, sign * d)
+    angle = rng.uniform(-math.pi, math.pi)
+    return d * math.cos(angle), d * math.sin(angle)
 
 
 def _circle_offsets(rng, per_class=30):
@@ -433,15 +458,8 @@ def _circle_offsets(rng, per_class=30):
             elif kind == "held":
                 d = rng.uniform(0.0, rb_star)
             else:
-                d = 0.0 if trial % 5 == 0 else \
-                    10.0 ** rng.uniform(-12.0, math.log10(2e-9))
-            if trial % 2 == 0:
-                sign = rng.choice((1.0, -1.0))
-                yield kind, ((sign * d, 0.0) if rng.randrange(2) == 0
-                             else (0.0, sign * d))
-            else:
-                angle = rng.uniform(-math.pi, math.pi)
-                yield kind, (d * math.cos(angle), d * math.sin(angle))
+                d = _concentric_distance(rng, trial)
+            yield kind, _circle_offset(rng, trial, d)
 
 
 def _circle_co_sweep():
@@ -451,12 +469,8 @@ def _circle_co_sweep():
     digest = hashlib.sha256()
     rng = random.Random(407)
     infos = []
-    for trial, (kind, (qx, qy)) in enumerate(_circle_offsets(rng)):
-        aligned = trial % 2 == 0
-        angle = 0.0 if aligned else rng.uniform(-math.pi, math.pi)
-        center = (0.0, 0.0) if aligned else (rng.uniform(-1, 1), rng.uniform(-1, 1))
-        c, s = math.cos(angle), math.sin(angle)
-        world = (center[0] + c * qx - s * qy, center[1] + s * qx + c * qy)
+    for trial, (kind, local) in enumerate(_circle_offsets(rng)):
+        center, angle, world = _pose_2d(rng, trial % 2 == 0, local)
         context = PairContext()
         info = detect_convex(body2d(center, angle), CIRCLE_A, body2d(world),
                              CIRCLE_B, context=context)
@@ -540,25 +554,8 @@ def _sat_circle_offsets(rng, ra, rb, per_class=20):
                  "shallow": rng.uniform(ra + 0.5 * rb, ra + rb),
                  "deep": rng.uniform(0.0, ra + 0.5 * rb)}.get(kind)
             if d is None:
-                d = 0.0 if trial % 5 == 0 else \
-                    10.0 ** rng.uniform(-12.0, math.log10(2e-9))
-            if trial % 2 == 0:
-                sign = rng.choice((1.0, -1.0))
-                yield kind, ((sign * d, 0.0) if rng.randrange(2) == 0
-                             else (0.0, sign * d))
-            else:
-                angle = rng.uniform(-math.pi, math.pi)
-                yield kind, (d * math.cos(angle), d * math.sin(angle))
-
-
-def _pose_2d(rng, aligned, local):
-    """A's center and angle, unturned at the origin when ``aligned``, and
-    the world point of ``local`` in A's frame."""
-    angle = 0.0 if aligned else rng.uniform(-math.pi, math.pi)
-    center = (0.0, 0.0) if aligned else (rng.uniform(-1, 1), rng.uniform(-1, 1))
-    c, s = math.cos(angle), math.sin(angle)
-    qx, qy = local
-    return center, angle, (center[0] + c * qx - s * qy, center[1] + s * qx + c * qy)
+                d = _concentric_distance(rng, trial)
+            yield kind, _circle_offset(rng, trial, d)
 
 
 def _sat_sweep():
@@ -579,15 +576,9 @@ def _sat_sweep():
         center, angle, world = _pose_2d(rng, trial % 2 == 0, local)
         record("rect-circle", kind, sat.detect_rect_circle(
             body2d(center, angle), BALL_RECT, body2d(world), BALL_CIRCLE))
-    for trial, (kind, q) in enumerate(
+    for trial, (kind, local) in enumerate(
             _sat_ball_centers(rng, (0.5, 0.3, 0.4), 0.2)):
-        aligned = trial % 2 == 0
-        quat = (1.0, 0.0, 0.0, 0.0) if aligned else _random_unit_quaternion(rng)
-        center = (0.0, 0.0, 0.0) if aligned else tuple(rng.uniform(-1, 1)
-                                                       for _ in range(3))
-        rows = quat_to_matrix(quat)
-        world = tuple(center[i] + sum(rows[i][k] * q[k] for k in range(3))
-                      for i in range(3))
+        center, quat, world = _pose_3d(rng, trial % 2 == 0, local)
         record("sphere-cuboid", kind, sat.detect_sphere_cuboid(
             body3d(center, quat), BALL_CUBOID, body3d(world), BALL_SPHERE))
     for trial, (kind, local) in enumerate(
