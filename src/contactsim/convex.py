@@ -49,13 +49,13 @@ from .geometry import (
     Vec,
     Vec2,
     add,
+    box_clamp,
     distance,
     nearest_face,
     rot2_apply,
     rot2_apply_t,
     sub,
 )
-from .sat import rect_circle_normal
 
 _ACTIVE_SET_EPS = 1e-7  # slack for deciding which eroded-box constraints bind
 
@@ -149,20 +149,13 @@ def _box_ball(c1: float, c2: float, c3: float, cx: float, cy: float,
     """Minimum-distance pair of the box |x| <= c1, |y| <= c2, |z| <= c3 and
     the ball of radius r at (cx, cy, cz).
 
-    The box point nearest the ball center is its per-axis clamp, and the
+    The box point nearest the ball center is its ``box_clamp``, and the
     ball point nearest that box point is its radial projection onto the
     solid ball (the point itself when inside).  Returns the box point, the
     ball point, their distance and the distance from the ball center to the
-    box point.  A 2D box runs as c3 = cz = 0.0: every z term is then +0.0,
-    which leaves each x and y result bit for bit as 2D arithmetic gives it.
+    box point.  A 2D box runs as c3 = cz = 0.0, as ``box_clamp`` does.
     """
-    px = -c1 if cx < -c1 else (cx if cx < c1 else c1)
-    py = -c2 if cy < -c2 else (cy if cy < c2 else c2)
-    pz = -c3 if cz < -c3 else (cz if cz < c3 else c3)
-    dx = px - cx
-    dy = py - cy
-    dz = pz - cz
-    dist = math.sqrt(dx * dx + dy * dy + dz * dz)
+    px, py, pz, dx, dy, dz, dist = box_clamp(c1, c2, c3, cx, cy, cz)
     if dist <= r:
         return px, py, pz, px, py, pz, 0.0, dist
     k = r / dist
@@ -250,29 +243,45 @@ def _warm_start(context: Optional[PairContext], pose: tuple, b: float) -> Option
     return None
 
 
+def _box_ball_contact(ext: Vec, q0: float, q1: float, q2: float, ball,
+                      settings: SolverSettings, context: Optional[PairContext]
+                      ) -> tuple:
+    """co's box-ball rule in the box frame, for a box of half-extents ``ext``
+    and a ball centered at (q0, q1, q2); a 2D box runs as q2 = 0.0.
+
+    Returns phi, rho, the saturation flag, the box point, its distance from
+    the ball center and the normal, each point and vector with three
+    components.  The normal is the surrogate pair's direction; when the
+    shrunk ball touches the box, the direction from the box point to the
+    ball center; when that center is on or in the box, ``nearest_face``'s.
+    """
+    b = _resolve_margin(settings, ball)
+    c3 = ext[2] if len(ext) == 3 else 0.0
+    px, py, pz, qx, qy, qz, phi_star, dist = _box_ball(
+        ext[0], ext[1], c3, q0, q1, q2, ball.radius - b)
+    rho, saturated = rho_from_surrogate(phi_star, b)
+    if phi_star >= EPS_DEGENERATE:
+        inv = 1.0 / phi_star
+        n = ((qx - px) * inv, (qy - py) * inv, (qz - pz) * inv)
+    elif dist >= EPS_DEGENERATE:  # from the box toward the ball center
+        inv = 1.0 / dist
+        n = ((q0 - px) * inv, (q1 - py) * inv, (q2 - pz) * inv)
+    else:
+        _, n = nearest_face((q0, q1, q2), ext)
+    if context is not None:
+        context.last_iterations = 1
+    return phi_star - b, rho, saturated, (px, py, pz), dist, n
+
+
 def _convex_rect_circle(state_a: BodyState, rect: Rectangle, state_b: BodyState,
                         circle: Circle, settings: SolverSettings,
                         context: Optional[PairContext]) -> ContactInfo:
-    c1, c2 = rect.half_length, rect.half_width
-    radius = circle.radius
-    b = _resolve_margin(settings, circle)
     c, s, q0, q1 = body_frame_2d(state_a, state_b)
-
-    px, py, _, qx, qy, _, phi_star, dist = _box_ball(
-        c1, c2, 0.0, q0, q1, 0.0, radius - b)
-    rho, saturated = rho_from_surrogate(phi_star, b)
-    if phi_star < EPS_DEGENERATE:
-        (nx, ny), _ = rect_circle_normal((q0, q1), c1, c2)
-    else:
-        inv = 1.0 / phi_star
-        nx = (qx - px) * inv
-        ny = (qy - py) * inv
-
-    if context is not None:
-        context.last_iterations = 1
+    phi, rho, saturated, (px, py, _), dist, (nx, ny, _) = _box_ball_contact(
+        (rect.half_length, rect.half_width), q0, q1, 0.0, circle, settings, context)
     # minimum-distance point and force anchor on the true (unshrunk) circle
-    return ball_contact_2d(c, s, phi_star - b, rho, (px, py), (q0, q1), px - q0,
-                           py - q1, dist, radius, (nx, ny), saturated)
+    return ball_contact_2d(c, s, phi, rho, (px, py), (q0, q1), px - q0, py - q1,
+                           dist, circle.radius, (nx, ny), saturated)
 
 
 def _convex_circle_circle(state_a: BodyState, circle_a: Circle, state_b: BodyState,
@@ -447,33 +456,12 @@ def _convex_rect_rect(state_a: BodyState, rect_a: Rectangle, state_b: BodyState,
 def _convex_cuboid_sphere(state_a: BodyState, cuboid: Cuboid, state_b: BodyState,
                           sphere: Sphere, settings: SolverSettings,
                           context: Optional[PairContext]) -> ContactInfo:
-    e0, e1, e2 = cuboid.half_extents
-    radius = sphere.radius
-    b = _resolve_margin(settings, sphere)
     rot, q0, q1, q2 = body_frame_3d(state_a, state_b)
-
-    px, py, pz, qx, qy, qz, phi_star, dist = _box_ball(
-        e0, e1, e2, q0, q1, q2, radius - b)
-    rho, saturated = rho_from_surrogate(phi_star, b)
-    if phi_star >= EPS_DEGENERATE:
-        inv = 1.0 / phi_star
-        nx = (qx - px) * inv
-        ny = (qy - py) * inv
-        nz = (qz - pz) * inv
-    elif dist >= EPS_DEGENERATE:  # from the box toward the sphere center
-        inv = 1.0 / dist
-        nx = (q0 - px) * inv
-        ny = (q1 - py) * inv
-        nz = (q2 - pz) * inv
-    else:
-        _, (nx, ny, nz) = nearest_face((q0, q1, q2), cuboid.half_extents)
-
-    if context is not None:
-        context.last_iterations = 1
+    phi, rho, saturated, (px, py, pz), dist, n = _box_ball_contact(
+        cuboid.half_extents, q0, q1, q2, sphere, settings, context)
     # minimum-distance point and force anchor on the true (unshrunk) sphere
-    return ball_contact_3d(rot, phi_star - b, rho, (px, py, pz), (q0, q1, q2),
-                           px - q0, py - q1, pz - q2, dist, radius, (nx, ny, nz),
-                           saturated)
+    return ball_contact_3d(rot, phi, rho, (px, py, pz), (q0, q1, q2), px - q0,
+                           py - q1, pz - q2, dist, sphere.radius, n, saturated)
 
 
 # (shape type A, shape type B): pairing name, detector

@@ -129,14 +129,34 @@ _BOX_FACES = (
 )
 
 
-def nearest_face(q: Vec3, half_extents: Vec3) -> Tuple[float, Vec3]:
-    """Distance from a point inside a centered cuboid to its nearest face,
-    and that face's outward normal.  A face wins only when it is nearer than
+def box_clamp(c1: float, c2: float, c3: float, x: float, y: float,
+              z: float) -> tuple:
+    """The point of the box |x| <= c1, |y| <= c2, |z| <= c3 nearest (x, y, z):
+    its per-axis clamp (Ericson, Real-Time Collision Detection, 5.1.3).
+
+    Returns the box point, its offset from (x, y, z) and the offset's
+    length.  A 2D box runs as c3 = z = 0.0: every z term is then +0.0, which
+    leaves each x and y result bit for bit as 2D arithmetic gives it.
+    """
+    px = -c1 if x < -c1 else (x if x < c1 else c1)
+    py = -c2 if y < -c2 else (y if y < c2 else c2)
+    pz = -c3 if z < -c3 else (z if z < c3 else c3)
+    dx = px - x
+    dy = py - y
+    dz = pz - z
+    return px, py, pz, dx, dy, dz, math.sqrt(dx * dx + dy * dy + dz * dz)
+
+
+def nearest_face(q: Vec, half_extents: Vec) -> Tuple[float, Vec3]:
+    """Distance from a point inside a centered box to its nearest face, and
+    that face's outward normal.  A face wins only when it is nearer than
     the faces scanned before it by more than EPS_TIE, so a tie, such as a
-    point on an axis, goes to the first face of the scan order."""
+    point on an axis, goes to the first face of the scan order.  A 2D box
+    (two half-extents) scans its four sides; its normal keeps a zero third
+    component."""
     best = math.inf
     normal = (1.0, 0.0, 0.0)
-    for axis, sign, face_normal in _BOX_FACES:
+    for axis, sign, face_normal in _BOX_FACES[:2 * len(half_extents)]:
         face_dist = half_extents[axis] - sign * q[axis]
         if face_dist < best - EPS_TIE:
             best = face_dist

@@ -11,8 +11,11 @@ from contactsim.geometry import (
     Cuboid,
     Rectangle,
     Sphere,
+    EPS_TIE,
     body2d,
     body3d,
+    box_clamp,
+    nearest_face,
     quat_to_matrix,
     rot2_apply,
     rot2_apply_t,
@@ -104,6 +107,59 @@ class TestRelativeCenter:
             expected = frame_coords(theta, v)
             q = relative_center((0.0, 0.0), theta, v)
             assert np.allclose(q, expected, atol=1e-15)
+
+
+class TestBoxRules:
+    """The two box-ball rules both backends share: the clamp and the nearest
+    face."""
+
+    def test_clamp_outside_a_corner(self):
+        assert box_clamp(1.0, 2.0, 3.0, 4.0, -6.0, 0.5) == (
+            1.0, -2.0, 0.5, -3.0, 4.0, 0.0, 5.0)
+
+    def test_clamp_of_a_point_inside_is_the_point(self):
+        assert box_clamp(1.0, 2.0, 3.0, 0.5, -1.5, -0.0) == (
+            0.5, -1.5, -0.0, 0.0, 0.0, 0.0, 0.0)
+
+    def test_clamp_2d_is_the_zero_third_axis(self):
+        rng = random.Random(5)
+        for _ in range(500):
+            c1, c2 = rng.uniform(0.2, 2.0), rng.uniform(0.2, 2.0)
+            x, y = rng.uniform(-4.0, 4.0), rng.uniform(-4.0, 4.0)
+            px, py, pz, dx, dy, dz, d = box_clamp(c1, c2, 0.0, x, y, 0.0)
+            assert (px, py) == (max(-c1, min(c1, x)), max(-c2, min(c2, y)))
+            assert (pz, dz) == (0.0, 0.0) and (dx, dy) == (px - x, py - y)
+            assert d == math.sqrt(dx * dx + dy * dy)
+
+    @pytest.mark.parametrize("q, face", [
+        ((0.9, 0.1), (1.0, 0.0, 0.0)), ((-0.9, 0.1), (-1.0, 0.0, 0.0)),
+        ((0.1, 1.9), (0.0, 1.0, 0.0)), ((0.1, -1.9), (0.0, -1.0, 0.0)),
+    ])
+    def test_nearest_side_2d(self, q, face):
+        dist, normal = nearest_face(q, (1.0, 2.0))
+        assert normal == face
+        assert math.isclose(dist, 0.1, abs_tol=1e-15)
+
+    def test_2d_scans_no_third_axis(self):
+        # a third axis of extent 0 would win at distance 0 if it were scanned
+        assert nearest_face((0.5, 0.0, 0.0), (1.0, 1.0)) == (0.5, (1.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("ext", [(1.0, 2.0), (1.0, 2.0, 3.0)])
+    def test_tie_goes_to_the_first_face(self, ext):
+        # on the axis, +x and -x tie; -x wins only when nearer by over EPS_TIE
+        q = (0.0, 0.1, 0.0)[:len(ext)]
+        assert nearest_face(q, ext)[1] == (1.0, 0.0, 0.0)
+        q = (-0.25 * EPS_TIE, 0.1, 0.0)[:len(ext)]
+        assert nearest_face(q, ext)[1] == (1.0, 0.0, 0.0)
+        q = (-2.0 * EPS_TIE, 0.1, 0.0)[:len(ext)]
+        assert nearest_face(q, ext)[1] == (-1.0, 0.0, 0.0)
+
+    def test_2d_matches_a_deep_cuboid(self):
+        rng = random.Random(9)
+        for _ in range(500):
+            ext = (rng.uniform(0.2, 2.0), rng.uniform(0.2, 2.0))
+            q = tuple(rng.uniform(-e, e) for e in ext)
+            assert nearest_face(q, ext) == nearest_face(q + (0.0,), ext + (100.0,))
 
 
 class TestShapesAndBodies:

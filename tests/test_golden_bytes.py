@@ -298,9 +298,14 @@ def test_rect_rect_co_contact_bytes_under_zero_threshold(monkeypatch):
 # iterated (the closed-form solve kept every byte), and again after a ball
 # center on or in the box moved B's anchor from +n r, the far side of the
 # ball, to -n r, the side facing the box (141 calls change q_tilde and
-# anchor_b, no other field)
+# anchor_b, no other field), and again after rect-circle took the box-ball
+# normal rule of cuboid-sphere: the direction from the box point to the
+# circle center where the shrunk circle touches the box, nearest_face's
+# side where the center is on or in it, in place of the rectangle's
+# diagonal at a corner (31 rect-circle calls change normal and tangent, 6
+# of them with the center on a corner also q_tilde and anchor_b)
 BALL_CO_DIGEST = \
-    "47cfdc0c9e1f143f19646660b8213eb048c8c86b622c44c137d2632d08e1f86a"
+    "165a54438a4e72ac9c2e48c5290b3b052fa14864b15ce9b197931a21ce27fed7"
 BALL_RECT, BALL_CIRCLE = Rectangle(0.5, 0.3), Circle(0.2)  # shrink margin 0.1
 BALL_CUBOID, BALL_SPHERE = Cuboid((0.5, 0.3, 0.4)), Sphere(0.2)
 BALL_KINDS = ("face", "edge", "corner", "inside", "touching", "concentric",
