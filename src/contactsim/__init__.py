@@ -32,12 +32,10 @@ from .penalty import (
     wrench_on_bodies,
 )
 from .sat import (
-    Region,
     detect_circle_circle,
     detect_rect_circle,
     detect_rect_rect,
     detect_sphere_cuboid,
-    rect_circle_normal,
 )
 from .scenarios import SCENARIO_NAMES, Scenario, build_scenario
 from .simulate import (

@@ -34,23 +34,12 @@ def sub(a: Vec, b: Vec) -> Vec:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def scale(a: Vec, s: float) -> Vec:
-    return tuple(x * s for x in a)
-
-
 def norm(a: Vec) -> float:
     return math.sqrt(sum(x * x for x in a))
 
 
 def distance(a: Vec, b: Vec) -> float:
     return norm(sub(a, b))
-
-
-def normalize(a: Vec) -> Vec:
-    n = norm(a)
-    if n < EPS_DEGENERATE:
-        raise ValueError(f"cannot normalize near-zero vector {a}")
-    return scale(a, 1.0 / n)
 
 
 def cross3(a: Vec3, b: Vec3) -> Vec3:

@@ -11,7 +11,6 @@ case tables and support tie-breaks total.
 from __future__ import annotations
 
 import math
-from enum import Enum
 
 from .contact import (
     ContactInfo,
@@ -23,97 +22,49 @@ from .contact import (
 )
 from .geometry import (
     EPS_DEGENERATE,
-    EPS_TIE,
     BodyState,
     Circle,
     Cuboid,
     Rectangle,
     Sphere,
-    Vec2,
+    Vec,
+    box_clamp,
     nearest_face,
-    normalize,
 )
 
 
-class Region(Enum):
-    CORNER_OUTSIDE = "corner-outside"
-    TOP_BOTTOM_OUTSIDE = "top-bottom-outside"
-    LEFT_RIGHT_OUTSIDE = "left-right-outside"
-    INSIDE_NEAR_LR = "inside-near-left-right"
-    INSIDE_NEAR_TB = "inside-near-top-bottom"
-    INSIDE_DIAGONAL = "inside-diagonal"
+def _box_ball(ext: Vec, q0: float, q1: float, q2: float, radius: float) -> tuple:
+    """The box-ball rule in the box frame, for a box of half-extents ``ext``
+    and a ball of ``radius`` centered at (q0, q1, q2); a 2D box runs as
+    q2 = 0.0.
 
-
-def _rect_case(q0: float, q1: float, c1: float, c2: float
-               ) -> tuple[Region, Vec2, Vec2]:
-    """The region case table: where (q0, q1) lies relative to a centered
-    rectangle, the closest boundary point and the raw outward normal.
-
-    The raw normal is unnormalized in the corner and diagonal cases.  The
-    inside cases use EPS_TIE: the diagonal case covers depth gaps within it
-    of each other, and opposite sides within it take the + side, as
-    ``nearest_face`` does.
+    The box point is the clamp of the center, and the normal the direction
+    from it to the center.  A center on or in the box must travel to the
+    nearest face plus its radius to get clear: its depth is the radius plus
+    that face's distance, and its point and normal are that face's.  Returns
+    phi, rho, the box point, its offset from the center and the offset's
+    length, and the normal, each point and vector with three components.
     """
-    alpha = abs(q0) - c1
-    beta = abs(q1) - c2
-    sx = 1.0 if q0 >= 0.0 else -1.0
-    sy = 1.0 if q1 >= 0.0 else -1.0
-    if alpha >= 0.0 and beta >= 0.0:
-        corner = (sx * c1, sy * c2)
-        return Region.CORNER_OUTSIDE, corner, corner
-    if alpha < 0.0 and beta >= 0.0:
-        return Region.TOP_BOTTOM_OUTSIDE, (q0, sy * c2), (0.0, sy)
-    if alpha >= 0.0 and beta < 0.0:
-        return Region.LEFT_RIGHT_OUTSIDE, (sx * c1, q1), (sx, 0.0)
-    # inside: nearest_face's rule, the - side only when nearer by more than
-    # EPS_TIE, so a center on an axis gets the face of its cuboid embedding
-    sx = -1.0 if c1 + q0 < c1 - q0 - EPS_TIE else 1.0
-    sy = -1.0 if c2 + q1 < c2 - q1 - EPS_TIE else 1.0
-    if abs(alpha - beta) < EPS_TIE:
-        return Region.INSIDE_DIAGONAL, (sx * c1, sy * c2), (sx, sy)
-    if alpha > beta:
-        return Region.INSIDE_NEAR_LR, (sx * c1, q1), (sx, 0.0)
-    return Region.INSIDE_NEAR_TB, (q0, sy * c2), (0.0, sy)
-
-
-_INSIDE = (Region.INSIDE_NEAR_LR, Region.INSIDE_NEAR_TB, Region.INSIDE_DIAGONAL)
-
-
-def rect_circle_normal(q: Vec2, c1: float, c2: float) -> tuple[Vec2, Vec2]:
-    """Unit contact normal and tangent of the rectangle surface facing q.
-
-    The corner and diagonal cases produce non-unit raw components and are
-    normalized before use; the tangent is the +90 degree rotation of the
-    normal (out-of-plane axis cross normal).
-    """
-    n = normalize(_rect_case(q[0], q[1], c1, c2)[2])
-    return n, (-n[1], n[0])
+    c3 = ext[2] if len(ext) == 3 else 0.0
+    px, py, pz, dx, dy, dz, d = box_clamp(ext[0], ext[1], c3, q0, q1, q2)
+    phi = d - radius
+    if d < EPS_DEGENERATE:
+        best, n = nearest_face((q0, q1, q2), ext)
+        nx, ny, nz = n
+        return (phi, radius + best, (q0 + nx * best, q1 + ny * best, q2 + nz * best),
+                dx, dy, dz, d, n)
+    return (phi, 0.0 if phi > 0.0 else -phi, (px, py, pz), dx, dy, dz, d,
+            ((q0 - px) / d, (q1 - py) / d, (q2 - pz) / d))
 
 
 def detect_rect_circle(state_a: BodyState, rect: Rectangle,
                        state_b: BodyState, circle: Circle) -> ContactInfo:
-    """Narrow-phase query between a rectangle (body A) and a circle (body B)."""
-    c1, c2 = rect.half_length, rect.half_width
-    radius = circle.radius
+    """Closest-point query between a rectangle (body A) and a circle (body B)."""
     c, s, q0, q1 = body_frame_2d(state_a, state_b)
-
-    region, p_tilde, raw = _rect_case(q0, q1, c1, c2)
-    px, py = p_tilde
-    dx = px - q0
-    dy = py - q1
-    d = math.sqrt(dx * dx + dy * dy)
-    if region in _INSIDE:
-        # center inside: as the cuboid-sphere inside branch, the circle must
-        # travel d to the nearest side plus its radius to get clear; d = 0
-        # anchors it on its side facing the rectangle, as on the boundary
-        phi = -radius
-        rho = radius + d
-        d = 0.0
-    else:
-        phi = d - radius
-        rho = 0.0 if phi > 0.0 else -phi
-    return ball_contact_2d(c, s, phi, rho, p_tilde, (q0, q1), dx, dy, d, radius,
-                           normalize(raw))
+    phi, rho, (px, py, _), dx, dy, _, d, (nx, ny, _) = _box_ball(
+        (rect.half_length, rect.half_width), q0, q1, 0.0, circle.radius)
+    return ball_contact_2d(c, s, phi, rho, (px, py), (q0, q1), dx, dy, d,
+                           circle.radius, (nx, ny))
 
 
 def detect_circle_circle(state_a: BodyState, circle_a: Circle,

@@ -308,6 +308,24 @@ class TestDetectConvex:
             assert abs(co_info.phi - sat_info.phi) <= 1e-9
             assert np.allclose(co_info.p_tilde, sat_info.p_tilde, atol=1e-6)
             assert np.allclose(co_info.q_tilde, sat_info.q_tilde, atol=1e-6)
+            for name in ("normal", "anchor_a", "anchor_b"):
+                assert np.allclose(getattr(co_info, name), getattr(sat_info, name),
+                                   rtol=0.0, atol=1e-9), name
+
+    @pytest.mark.parametrize("center", [(0.55, 0.45), (0.69, 0.31)])
+    @pytest.mark.parametrize("detect", [detect_rect_circle, detect_convex])
+    def test_corner_normal_points_from_corner_to_center(self, detect, center):
+        # a circle beyond the rectangle's (0.5, 0.3) corner: the normal runs
+        # from the corner to the center, not along the rectangle's diagonal
+        info = detect(body2d((0.0, 0.0)), Rectangle(0.5, 0.3), body2d(center),
+                      Circle(0.2))
+        dx, dy = center[0] - 0.5, center[1] - 0.3
+        d = math.hypot(dx, dy)
+        assert info.colliding
+        assert np.allclose(info.normal, (dx / d, dy / d), rtol=0.0, atol=1e-12)
+        assert np.allclose(info.anchor_a, (0.5, 0.3), rtol=0.0, atol=1e-12)
+        assert np.allclose(info.anchor_b, (-0.2 * dx / d, -0.2 * dy / d),
+                           rtol=0.0, atol=1e-12)
 
     def test_backend_agreement_circle_circle(self):
         rng = np.random.default_rng(29)

@@ -144,9 +144,12 @@ def _sphere_on_tilted_cuboid():
 WORLDS = {"four-body": _four_body_world, "sphere-on-tilt": _sphere_on_tilted_cuboid}
 # world-backend: (CSV digest, events CSV digest) of a 0.5 s run
 GOLDEN_WORLDS = {
+    # re-pinned when sat rect-circle took the clamp: 409 of its rect-circle
+    # calls have the circle center beyond a corner, whose normal is now the
+    # direction from the corner to the center, not the rectangle's diagonal
     "four-body-sat": (
-        "6abd91a9f427033d3ab425d35d9bb5f7e26a1312aa9bee9108a08d0de8f44188",
-        "586fd7b73bed311ca5e08f42627647135c7c4a62b35d6872626576caa6ad5baf",
+        "d0c940a96f7f4da9e7e378a2ee5466e44bb0cc29fc9ea56727da270a6b137658",
+        "4c6847f8c1aaacdcb43517685aa518e301fda25ff3e0232350587584d8caa3f5",
     ),
     "four-body-co": (
         "d435ae48124788da5ceb6e3050d3b5454736ed03620d7952c78cf4067e72528f",
@@ -498,9 +501,16 @@ def test_circle_co_contact_bytes():
 # (that change kept every byte), and again after a ball center on or in the
 # box moved B's anchor from +n r to -n r, as in BALL_CO_DIGEST (the 140
 # face, edge, corner and inside calls change q_tilde and anchor_b, no other
-# field)
+# field), and again after rect-circle took the clamp and nearest_face in
+# place of the region case table (63 rect-circle calls): the 39 with the
+# center beyond a corner change normal and tangent, now the direction from
+# the corner to the center; the 17 with the center on a corner take
+# nearest_face's side as normal, which moves q_tilde and anchor_b, and 6 of
+# them change the last bits of rho and A's point; the 7 inside at equal
+# depth below two sides change rho, both points and the normal, now
+# measured to one side instead of to the corner
 SAT_CONTACT_DIGEST = \
-    "c7a2b66be478b464f75e2bbbcf506fabbfe3c9213f655b3c7dd03f4be0bb525f"
+    "e775235289d4a8207837478a90524e1c877454db5779e55170892c0e60a291a4"
 SAT_BALL_KINDS = ("separated", "touching", "shallow", "deep", "face", "edge",
                   "corner", "inside")
 SAT_CIRCLE_KINDS = ("separated", "touching", "shallow", "deep", "concentric")

@@ -3,16 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from contactsim.geometry import body2d, body3d
+from contactsim.contact import body_frame_2d
+from contactsim.geometry import EPS_TIE, body2d, body3d
 from contactsim.geometry import Circle, Cuboid, Rectangle, Sphere
 from contactsim.sat import (
-    Region,
-    _rect_case,
     detect_circle_circle,
     detect_rect_circle,
     detect_rect_rect,
     detect_sphere_cuboid,
-    rect_circle_normal,
 )
 
 from oracles import (
@@ -30,82 +28,48 @@ from oracles import (
 SQRT2 = math.sqrt(2.0)
 
 
-class TestRegionClassify:
-    """The region the case table names, with its closest point and raw normal.
+def _rect_circle(center, radius, half_extents=(1.0, 1.0)):
+    """detect_rect_circle of a circle at ``center`` against an unrotated
+    rectangle at the origin."""
+    return detect_rect_circle(body2d((0.0, 0.0)), Rectangle(*half_extents),
+                              body2d(center), Circle(radius))
 
-    alpha = |q0| - c1 and beta = |q1| - c2 are the distances beyond the
-    rectangle's sides (negative inside).
+
+def _expected_rect_point(q0, q1, c1, c2):
+    """A's point and normal of a circle centered at (q0, q1) in the frame of
+    a rectangle of half-extents c1 x c2.
+
+    A center outside the rectangle takes its clamp and the direction from
+    the clamp to the center.  A center on or in it takes the nearest side,
+    moved to from the center along that side's normal; a side wins only
+    when it is nearer than the sides before it, in the order +x, -x, +y, -y,
+    by more than EPS_TIE.
     """
-
-    def test_corner_outside(self):
-        # alpha = beta = 1
-        assert _rect_case(3.0, 2.0, 2.0, 1.0) == (
-            Region.CORNER_OUTSIDE, (2.0, 1.0), (2.0, 1.0))
-
-    def test_top_bottom_outside(self):
-        # alpha = -2, beta = 1
-        assert _rect_case(0.0, 2.0, 2.0, 1.0) == (
-            Region.TOP_BOTTOM_OUTSIDE, (0.0, 1.0), (0.0, 1.0))
-
-    def test_inside_near_top_bottom(self):
-        # alpha = -1 < beta = -0.5: the top side is nearer
-        assert _rect_case(1.0, 0.5, 2.0, 1.0) == (
-            Region.INSIDE_NEAR_TB, (1.0, 1.0), (0.0, 1.0))
-
-    def test_left_right_outside(self):
-        assert _rect_case(3.0, 0.0, 2.0, 1.0)[0] is Region.LEFT_RIGHT_OUTSIDE
-
-    def test_inside_near_left_right(self):
-        assert _rect_case(1.8, 0.1, 2.0, 1.0) == (
-            Region.INSIDE_NEAR_LR, (2.0, 0.1), (1.0, 0.0))
-
-    def test_inside_diagonal_tie(self):
-        # alpha = beta = -0.8
-        assert _rect_case(1.2, 0.2, 2.0, 1.0) == (
-            Region.INSIDE_DIAGONAL, (2.0, 1.0), (1.0, 1.0))
-
-    def test_boundary_alpha_zero_goes_outside(self):
-        # alpha == 0 counts as outside the side (sign rule makes tables total)
-        assert _rect_case(2.0, 0.0, 2.0, 1.0)[0] is Region.LEFT_RIGHT_OUTSIDE
+    px, py = max(-c1, min(c1, q0)), max(-c2, min(c2, q1))
+    d = math.hypot(px - q0, py - q1)
+    if d > 0.0:
+        return (px, py), ((q0 - px) / d, (q1 - py) / d)
+    best, normal = math.inf, None
+    for dist, side in ((c1 - q0, (1.0, 0.0)), (c1 + q0, (-1.0, 0.0)),
+                       (c2 - q1, (0.0, 1.0)), (c2 + q1, (0.0, -1.0))):
+        if dist < best - EPS_TIE:
+            best, normal = dist, side
+    return (q0 + normal[0] * best, q1 + normal[1] * best), normal
 
 
-class TestRectMdp:
-    """The closest boundary point of the case table."""
+class TestRectCircleClosestPoint:
+    """A's point ``p_tilde`` and the normal of ``detect_rect_circle``: the
+    clamp of the circle center outside the rectangle, the nearest side on or
+    in it."""
 
-    def test_right_edge(self):
-        assert _rect_case(3.0, 0.0, 1.0, 1.0)[1] == (1.0, 0.0)
-
-    def test_corner(self):
-        assert _rect_case(2.0, 2.0, 1.0, 1.0)[1] == (1.0, 1.0)
-
-    def test_inside_clamps_nearest_edge(self):
-        assert _rect_case(1.0, 0.5, 2.0, 1.0)[1] == (1.0, 1.0)
-
-    def test_mdp_on_boundary_sweep(self):
+    def test_point_on_boundary_sweep(self):
         rng = np.random.default_rng(101)
         for _ in range(2000):
             c1, c2 = rng.uniform(0.2, 3.0, 2)
             q0, q1 = rng.uniform(-5.0, 5.0, 2)
-            x, y = _rect_case(q0, q1, c1, c2)[1]
+            x, y = _rect_circle((q0, q1), 0.5, (c1, c2)).p_tilde
             assert abs(x) <= c1 + 1e-12 and abs(y) <= c2 + 1e-12
             assert abs(abs(x) - c1) < 1e-12 or abs(abs(y) - c2) < 1e-12
-
-
-class TestCaseTable:
-    """The closest point and rect_circle_normal follow the region the case
-    table names."""
-
-    @staticmethod
-    def _expected(q, c1, c2, region):
-        sx = 1.0 if q[0] >= 0.0 else -1.0
-        sy = 1.0 if q[1] >= 0.0 else -1.0
-        if region is Region.CORNER_OUTSIDE:
-            return (sx * c1, sy * c2), (sx * c1, sy * c2)
-        if region is Region.INSIDE_DIAGONAL:
-            return (sx * c1, sy * c2), (sx, sy)
-        if region in (Region.TOP_BOTTOM_OUTSIDE, Region.INSIDE_NEAR_TB):
-            return (q[0], sy * c2), (0.0, sy)
-        return (sx * c1, q[1]), (sx, 0.0)
 
     def test_grid_with_ties_edges_and_signed_zeros(self):
         c1, c2 = 2.0, 1.0
@@ -114,23 +78,55 @@ class TestCaseTable:
         seen = set()
         for x in coords:
             for y in coords + (0.2, -0.2):
-                q = (x, y)
-                region, got, _ = _rect_case(x, y, c1, c2)
-                seen.add(region)
-                point, raw = self._expected(q, c1, c2, region)
-                assert [v.hex() for v in got] == [v.hex() for v in point], q
-                norm = math.hypot(*raw)
-                n, t = rect_circle_normal(q, c1, c2)
-                assert n == (raw[0] / norm, raw[1] / norm), q
-                assert t == (-n[1], n[0]), q
-        assert seen == set(Region)
+                state_a, state_b = body2d((0.0, 0.0)), body2d((x, y))
+                info = detect_rect_circle(state_a, Rectangle(c1, c2), state_b,
+                                          Circle(0.5))
+                _, _, q0, q1 = body_frame_2d(state_a, state_b)
+                point, normal = _expected_rect_point(q0, q1, c1, c2)
+                assert [v.hex() for v in info.p_tilde] == [v.hex() for v in point], (x, y)
+                assert info.normal == normal, (x, y)
+                assert info.tangent == (-normal[1], normal[0]), (x, y)
+                outside = (abs(x) > c1) + (abs(y) > c2)
+                seen.add((outside, abs(x) == c1 or abs(y) == c2,
+                          abs((c1 - abs(x)) - (c2 - abs(y))) < 1e-9))
+        # outside beyond one side or a corner, on a side or a corner, inside,
+        # and inside at equal depth below two sides
+        assert {(1, False, False), (2, False, False), (0, True, False),
+                (0, True, True), (0, False, False), (0, False, True)} <= seen
 
+    @pytest.mark.parametrize("theta", [0.0, 0.7, -2.3])
+    @pytest.mark.parametrize("local, side", [
+        ((1.0, 0.25), (1.0, 0.0)), ((-1.0, -0.5), (-1.0, 0.0)),
+        ((-0.3, 2.0), (0.0, 1.0)), ((0.6, -2.0), (0.0, -1.0)),
+    ])
+    def test_center_on_a_side_takes_its_normal(self, theta, local, side):
+        c, s = math.cos(theta), math.sin(theta)
+        position = (0.3, -0.4)
+        center = (position[0] + c * local[0] - s * local[1],
+                  position[1] + s * local[0] + c * local[1])
+        info = detect_rect_circle(body2d(position, theta), Rectangle(1.0, 2.0),
+                                  body2d(center), Circle(0.5))
+        assert info.colliding
+        assert math.isclose(info.rho, 0.5, abs_tol=1e-12)
+        assert np.allclose(info.normal, (c * side[0] - s * side[1],
+                                         s * side[0] + c * side[1]), atol=1e-12)
+        assert np.allclose(info.p_tilde, local, atol=1e-12)
+        assert np.allclose(info.q_tilde, np.subtract(local, np.multiply(side, 0.5)),
+                           atol=1e-12)
 
-def _rect_circle(center, radius, half_extents=(1.0, 1.0)):
-    """detect_rect_circle of a circle at ``center`` against an unrotated
-    rectangle at the origin."""
-    return detect_rect_circle(body2d((0.0, 0.0)), Rectangle(*half_extents),
-                              body2d(center), Circle(radius))
+    @pytest.mark.parametrize("theta", [0.0, 0.7, math.pi / 2, -2.3])
+    @pytest.mark.parametrize("offset", [0.0, -0.0, 0.25 * EPS_TIE, -0.25 * EPS_TIE])
+    def test_inside_tie_goes_to_the_plus_side(self, theta, offset):
+        # on the rectangle's first axis, so the +x and -x sides tie within
+        # EPS_TIE, however the frame map rounds the center
+        c, s = math.cos(theta), math.sin(theta)
+        local = (offset, 0.1)
+        center = (c * local[0] - s * local[1], s * local[0] + c * local[1])
+        info = detect_rect_circle(body2d((0.0, 0.0), theta), Rectangle(1.0, 2.0),
+                                  body2d(center), Circle(0.5))
+        assert np.allclose(info.normal, (c, s), rtol=0.0, atol=1e-15)
+        assert math.isclose(info.rho, 1.5, abs_tol=1e-12)
+        assert np.allclose(info.p_tilde, (1.0, 0.1), atol=1e-12)
 
 
 class TestCircleMdp:
@@ -174,37 +170,6 @@ class TestProximityAndRho:
             assert info.rho == max(0.0, -info.phi)
 
 
-class TestRectCircleNormal:
-    def test_right_edge(self):
-        n, t = rect_circle_normal((3.0, 0.0), 1.0, 1.0)
-        assert n == (1.0, 0.0) and t == (0.0, 1.0)
-
-    def test_bottom_edge(self):
-        n, t = rect_circle_normal((0.0, -3.0), 1.0, 1.0)
-        assert np.allclose(n, (0.0, -1.0)) and np.allclose(t, (1.0, 0.0))
-
-    def test_corner_uses_extent_weighted_direction(self):
-        # The corner case scales by the half-extents, which differs from the
-        # geometric vertex-to-center direction; both are recorded here.
-        n, _ = rect_circle_normal((2.0, 2.0), 2.0, 1.0)
-        expected = (2.0 / math.sqrt(5.0), 1.0 / math.sqrt(5.0))
-        assert np.allclose(n, expected, atol=1e-15)
-        p = _rect_case(2.0, 2.0, 2.0, 1.0)[1]
-        geometric = np.array([2.0, 2.0]) - p
-        geometric = geometric / np.linalg.norm(geometric)
-        assert not np.allclose(n, geometric, atol=1e-3)
-
-    def test_orthonormal_sweep(self):
-        rng = np.random.default_rng(13)
-        for _ in range(2000):
-            c1, c2 = rng.uniform(0.2, 3.0, 2)
-            q = tuple(rng.uniform(-5.0, 5.0, 2))
-            n, t = rect_circle_normal(q, c1, c2)
-            assert math.isclose(math.hypot(*n), 1.0, abs_tol=1e-12)
-            assert math.isclose(math.hypot(*t), 1.0, abs_tol=1e-12)
-            assert abs(n[0] * t[0] + n[1] * t[1]) < 1e-12
-
-
 class TestDetectRectCircle:
     def test_separated_collinear(self):
         info = detect_rect_circle(body2d((0.0, 0.0)), Rectangle(1.0, 1.0),
@@ -235,14 +200,6 @@ class TestDetectRectCircle:
         oracle = min_pair_distance(rect_pts, circ_pts)
         assert abs(oracle - info.phi) < 2e-4
 
-    def test_center_on_boundary_falls_back_to_case_normal(self):
-        info = detect_rect_circle(body2d((0.0, 0.0)), Rectangle(1.0, 1.0),
-                                  body2d((1.0, 0.0)), Circle(0.5))
-        assert info.colliding
-        assert math.isclose(info.rho, 0.5, abs_tol=1e-12)
-        assert info.normal == (1.0, 0.0)
-        assert np.allclose(info.q_tilde, (0.5, 0.0))
-
     def test_center_inside_measures_depth_to_get_clear(self):
         info = detect_rect_circle(body2d((0.0, 0.0)), Rectangle(2.0, 2.0),
                                   body2d((0.5, 0.2)), Circle(0.5))
@@ -257,12 +214,10 @@ class TestDetectRectCircle:
         c, s = math.cos(theta), math.sin(theta)
         checked = 0
         # the even counts keep the grid off the axes; the appended 0.0 puts
-        # centers on them, where two opposite faces tie and both tables
-        # give the tie to the + face
+        # centers on them, where two opposite faces tie and nearest_face
+        # gives the tie to the + face in 2D and 3D alike
         for x in np.append(np.linspace(-1.95, 1.95, 26), 0.0):
             for y in np.append(np.linspace(-1.15, 1.15, 12), 0.0):
-                if abs((c1 - abs(x)) - (c2 - abs(y))) < 1e-6:
-                    continue  # diagonal tie: the 2D table takes the diagonal
                 center = (position[0] + c * x - s * y, position[1] + s * x + c * y)
                 flat = detect_rect_circle(body2d(position, theta), Rectangle(c1, c2),
                                           body2d(center), Circle(radius))
