@@ -174,34 +174,9 @@ def detect_rect_rect(state_a: BodyState, rect_a: Rectangle,
 
 def detect_sphere_cuboid(state_a: BodyState, cuboid: Cuboid,
                          state_b: BodyState, sphere: Sphere) -> ContactInfo:
-    """Closest-point query between a cuboid (body A) and a sphere (body B).
-
-    The closest cuboid point is the per-axis clamp of the sphere center in
-    the cuboid frame.  A center on or inside the cuboid takes the inside
-    branch: the penetration is the radius plus the distance to the nearest
-    face, with ties broken in a fixed face order.
-    """
-    e0, e1, e2 = ext = cuboid.half_extents
-    radius = sphere.radius
+    """Closest-point query between a cuboid (body A) and a sphere (body B)."""
     rot, q0, q1, q2 = body_frame_3d(state_a, state_b)
-    k0 = max(-e0, min(e0, q0))
-    k1 = max(-e1, min(e1, q1))
-    k2 = max(-e2, min(e2, q2))
-    d = math.sqrt((q0 - k0) * (q0 - k0) + (q1 - k1) * (q1 - k1)
-                  + (q2 - k2) * (q2 - k2))
-
-    phi = d - radius
-    if d < EPS_DEGENERATE:
-        # center inside (or on the surface): nearest face, fixed tie-break order
-        best, n_local = nearest_face((q0, q1, q2), ext)
-        rho = radius + best
-        ux, uy, uz = n_local
-        p_tilde = (q0 + ux * best, q1 + uy * best, q2 + uz * best)
-    else:
-        rho = 0.0 if phi > 0.0 else -phi
-        inv_d = 1.0 / d
-        ux, uy, uz = (k0 - q0) * inv_d, (k1 - q1) * inv_d, (k2 - q2) * inv_d
-        n_local = (-ux, -uy, -uz)  # center toward cuboid, negated
-        p_tilde = (k0, k1, k2)
-    return ball_contact_3d(rot, phi, rho, p_tilde, (q0, q1, q2), k0 - q0, k1 - q1,
-                           k2 - q2, d, radius, n_local)
+    phi, rho, p, dx, dy, dz, d, n = _box_ball(cuboid.half_extents, q0, q1, q2,
+                                              sphere.radius)
+    return ball_contact_3d(rot, phi, rho, p, (q0, q1, q2), dx, dy, dz, d,
+                           sphere.radius, n)
