@@ -60,6 +60,12 @@ from .geometry import (
 _ACTIVE_SET_EPS = 1e-7  # slack for deciding which eroded-box constraints bind
 
 
+def _positive_number(value) -> bool:
+    """Whether value is a positive finite int or float; a bool is neither."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and 0.0 < value < math.inf)
+
+
 @dataclass
 class SolverSettings:
     """Tuning knobs of the co backend.
@@ -77,15 +83,14 @@ class SolverSettings:
     shrink_margin: Optional[float] = None
 
     def __post_init__(self):
-        if not (isinstance(self.tol, (int, float)) and 0.0 < self.tol < math.inf):
+        if not _positive_number(self.tol):
             raise ValueError(f"tol must be a positive finite number, got {self.tol!r}")
         if not (isinstance(self.max_iters, int) and not isinstance(self.max_iters, bool)
                 and self.max_iters >= 1):
             raise ValueError(f"max_iters must be an integer of at least 1, got "
                              f"{self.max_iters!r}")
         margin = self.shrink_margin
-        if margin is not None and not (isinstance(margin, (int, float))
-                                       and 0.0 < margin < math.inf):
+        if margin is not None and not _positive_number(margin):
             raise ValueError(f"shrink_margin must be a positive finite number, "
                              f"got {margin!r}")
 

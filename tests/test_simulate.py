@@ -220,6 +220,13 @@ class TestConfigChecks:
         with pytest.raises(ValueError):
             SolverSettings(**kwargs)
 
+    @pytest.mark.parametrize("name", ["tol", "max_iters", "shrink_margin"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_solver_settings_reject_bools(self, name, value):
+        # a bool is an int to isinstance, and True passes 0 < value < inf
+        with pytest.raises(ValueError, match=name):
+            SolverSettings(**{name: value})
+
     @pytest.mark.parametrize("gravity", [(0.0, math.nan), (0.0, -math.inf)])
     def test_gravity_must_be_finite(self, gravity):
         with pytest.raises(ValueError, match="gravity"):
