@@ -19,7 +19,7 @@ Mat3 = Tuple[Vec3, Vec3, Vec3]
 
 # Distance below which closest-point directions are treated as degenerate.
 EPS_DEGENERATE = 1e-9
-# Depth gaps closer than this tie: the face (or region) that comes first wins.
+# Depth gaps closer than this tie: the face that comes first wins.
 EPS_TIE = 1e-12
 
 

@@ -1,12 +1,16 @@
 """Closed-form / separating-axis narrow-phase detection.
 
 Supports the four shape pairings of the engine: rectangle-circle,
-circle-circle, rectangle-rectangle (2D) and cuboid-sphere (3D).  The
-box-ball pairings work in the box's frame, by the convention and through the
-frame maps of ``contact``; circle-circle and rectangle-rectangle work in the
-world frame and build their result with ``contact.world_contact_2d``.
-Signs follow sgn(0) = +1 (``1.0 if x >= 0.0 else -1.0``), which keeps the
-case tables and support tie-breaks total.
+circle-circle, rectangle-rectangle (2D) and cuboid-sphere (3D).  The two
+box-ball pairings are one rule, ``_box_ball``, in the box's frame, by the
+convention and through the frame maps of ``contact``; a rectangle runs as a
+box with a zero third axis.  Its box point is the clamp of the ball center
+(``geometry.box_clamp``), and a center on or in the box takes
+``geometry.nearest_face``: the two rules co shares.  circle-circle and
+rectangle-rectangle work in the world frame and build their result with
+``contact.world_contact_2d``.  Signs follow sgn(0) = +1
+(``1.0 if x >= 0.0 else -1.0``), which keeps the support tie-breaks of
+rectangle-rectangle total.
 """
 from __future__ import annotations
 

@@ -2,14 +2,16 @@
 
 The ten registry cells run at their default durations and export CSV plus
 the events sibling.  A change that keeps the physics must keep these bytes;
-one that changes it on purpose pins new digests and says why.  Two
-hand-built worlds pin what no two-body registry world reaches: a body with
-several contacts, pairs in swapped order and a static body inside the body
-list.  Four more digests pin every ``ContactInfo`` field of a seeded sweep:
-co rect-rect poses, cold and warm; cold co rect-circle and sphere-cuboid
-poses; cold co circle-circle poses; and poses of all four sat pairings.  The digests depend on the
-platform's libm (sin, cos and sqrt rounding), so the tests run only on Linux
-x86-64, where they were taken.
+one that changes it on purpose pins new digests and says why, in a
+comment by the digest.  Two hand-built worlds pin what no two-body registry
+world reaches: a body with several contacts, pairs in swapped order, a
+static body inside the body list, and sat rect-circle contacts with the
+circle beyond a rectangle corner.  Four more digests pin every
+``ContactInfo`` field of a seeded sweep: co rect-rect poses, cold and warm;
+cold co rect-circle and sphere-cuboid poses; cold co circle-circle poses;
+and poses of all four sat pairings.  The digests depend on the platform's
+libm (sin, cos and sqrt rounding), so the tests run only on Linux x86-64,
+where they were taken.
 """
 import hashlib
 import math
