@@ -149,18 +149,18 @@ def _alternating_projections(
     raise NotConverged(settings.max_iters, displacement)
 
 
-def _box_ball(c1: float, c2: float, c3: float, cx: float, cy: float,
-              cz: float, r: float) -> tuple:
-    """Minimum-distance pair of the box |x| <= c1, |y| <= c2, |z| <= c3 and
-    the ball of radius r at (cx, cy, cz).
+def _box_ball(half_extents: Vec, cx: float, cy: float, cz: float,
+              r: float) -> tuple:
+    """Minimum-distance pair of a centered box and the ball of radius r at
+    (cx, cy, cz).
 
     The box point nearest the ball center is its ``box_clamp``, and the
     ball point nearest that box point is its radial projection onto the
     solid ball (the point itself when inside).  Returns the box point, the
     ball point, their distance and the distance from the ball center to the
-    box point.  A 2D box runs as c3 = cz = 0.0, as ``box_clamp`` does.
+    box point.  A 2D box runs with cz = 0.0, as ``box_clamp`` says.
     """
-    px, py, pz, dx, dy, dz, dist = box_clamp(c1, c2, c3, cx, cy, cz)
+    px, py, pz, dx, dy, dz, dist = box_clamp(half_extents, cx, cy, cz)
     if dist <= r:
         return px, py, pz, px, py, pz, 0.0, dist
     k = r / dist
@@ -261,9 +261,8 @@ def _box_ball_contact(ext: Vec, q0: float, q1: float, q2: float, ball,
     ball center; when that center is on or in the box, ``nearest_face``'s.
     """
     b = _resolve_margin(settings, ball)
-    c3 = ext[2] if len(ext) == 3 else 0.0
-    px, py, pz, qx, qy, qz, phi_star, dist = _box_ball(
-        ext[0], ext[1], c3, q0, q1, q2, ball.radius - b)
+    px, py, pz, qx, qy, qz, phi_star, dist = _box_ball(ext, q0, q1, q2,
+                                                       ball.radius - b)
     rho, saturated = rho_from_surrogate(phi_star, b)
     if phi_star >= EPS_DEGENERATE:
         inv = 1.0 / phi_star

@@ -118,15 +118,17 @@ _BOX_FACES = (
 )
 
 
-def box_clamp(c1: float, c2: float, c3: float, x: float, y: float,
-              z: float) -> tuple:
-    """The point of the box |x| <= c1, |y| <= c2, |z| <= c3 nearest (x, y, z):
-    its per-axis clamp (Ericson, Real-Time Collision Detection, 5.1.3).
+def box_clamp(half_extents: Vec, x: float, y: float, z: float) -> tuple:
+    """The point of a centered box nearest (x, y, z): its per-axis clamp
+    (Ericson, Real-Time Collision Detection, 5.1.3).
 
     Returns the box point, its offset from (x, y, z) and the offset's
-    length.  A 2D box runs as c3 = z = 0.0: every z term is then +0.0, which
-    leaves each x and y result bit for bit as 2D arithmetic gives it.
+    length.  A 2D box (two half-extents) runs with a third half-extent of
+    0.0 and z = 0.0: every z term is then +0.0, which leaves each x and y
+    result bit for bit as 2D arithmetic gives it.
     """
+    c1, c2 = half_extents[0], half_extents[1]
+    c3 = half_extents[2] if len(half_extents) == 3 else 0.0
     px = -c1 if x < -c1 else (x if x < c1 else c1)
     py = -c2 if y < -c2 else (y if y < c2 else c2)
     pz = -c3 if z < -c3 else (z if z < c3 else c3)

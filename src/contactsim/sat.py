@@ -2,10 +2,10 @@
 
 Supports the four shape pairings of the engine: rectangle-circle,
 circle-circle, rectangle-rectangle (2D) and cuboid-sphere (3D).  The two
-box-ball pairings are one rule, ``_box_ball``, in the box's frame, by the
-convention and through the frame maps of ``contact``; a rectangle runs as a
-box with a zero third axis.  Its box point is the clamp of the ball center
-(``geometry.box_clamp``), and a center on or in the box takes
+box-ball pairings are one rule, ``_box_ball_contact``, in the box's frame,
+by the convention and through the frame maps of ``contact``; a rectangle
+runs as a box with a zero third axis.  Its box point is the clamp of the
+ball center (``geometry.box_clamp``), and a center on or in the box takes
 ``geometry.nearest_face``: the two rules co shares.  circle-circle and
 rectangle-rectangle work in the world frame and build their result with
 ``contact.world_contact_2d``.  Signs follow sgn(0) = +1
@@ -37,7 +37,8 @@ from .geometry import (
 )
 
 
-def _box_ball(ext: Vec, q0: float, q1: float, q2: float, radius: float) -> tuple:
+def _box_ball_contact(ext: Vec, q0: float, q1: float, q2: float,
+                      radius: float) -> tuple:
     """The box-ball rule in the box frame, for a box of half-extents ``ext``
     and a ball of ``radius`` centered at (q0, q1, q2); a 2D box runs as
     q2 = 0.0.
@@ -49,8 +50,7 @@ def _box_ball(ext: Vec, q0: float, q1: float, q2: float, radius: float) -> tuple
     phi, rho, the box point, its offset from the center and the offset's
     length, and the normal, each point and vector with three components.
     """
-    c3 = ext[2] if len(ext) == 3 else 0.0
-    px, py, pz, dx, dy, dz, d = box_clamp(ext[0], ext[1], c3, q0, q1, q2)
+    px, py, pz, dx, dy, dz, d = box_clamp(ext, q0, q1, q2)
     phi = d - radius
     if d < EPS_DEGENERATE:
         best, n = nearest_face((q0, q1, q2), ext)
@@ -65,7 +65,7 @@ def detect_rect_circle(state_a: BodyState, rect: Rectangle,
                        state_b: BodyState, circle: Circle) -> ContactInfo:
     """Closest-point query between a rectangle (body A) and a circle (body B)."""
     c, s, q0, q1 = body_frame_2d(state_a, state_b)
-    phi, rho, (px, py, _), dx, dy, _, d, (nx, ny, _) = _box_ball(
+    phi, rho, (px, py, _), dx, dy, _, d, (nx, ny, _) = _box_ball_contact(
         (rect.half_length, rect.half_width), q0, q1, 0.0, circle.radius)
     return ball_contact_2d(c, s, phi, rho, (px, py), (q0, q1), dx, dy, d,
                            circle.radius, (nx, ny))
@@ -180,7 +180,7 @@ def detect_sphere_cuboid(state_a: BodyState, cuboid: Cuboid,
                          state_b: BodyState, sphere: Sphere) -> ContactInfo:
     """Closest-point query between a cuboid (body A) and a sphere (body B)."""
     rot, q0, q1, q2 = body_frame_3d(state_a, state_b)
-    phi, rho, p, dx, dy, dz, d, n = _box_ball(cuboid.half_extents, q0, q1, q2,
-                                              sphere.radius)
+    phi, rho, p, dx, dy, dz, d, n = _box_ball_contact(cuboid.half_extents, q0,
+                                                      q1, q2, sphere.radius)
     return ball_contact_3d(rot, phi, rho, p, (q0, q1, q2), dx, dy, dz, d,
                            sphere.radius, n)

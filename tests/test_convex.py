@@ -38,9 +38,8 @@ def box_ball(half_extents, center, radius):
     """``convex._box_ball`` on a 2D or 3D box: the box point, the ball point
     and their distance."""
     dim = len(half_extents)
-    pad = (0.0,) * (3 - dim)
     px, py, pz, qx, qy, qz, d, _ = convex._box_ball(
-        *half_extents, *pad, *center, *pad, radius)
+        tuple(half_extents), *center, *(0.0,) * (3 - dim), radius)
     return (px, py, pz)[:dim], (qx, qy, qz)[:dim], d
 
 

@@ -114,11 +114,11 @@ class TestBoxRules:
     face."""
 
     def test_clamp_outside_a_corner(self):
-        assert box_clamp(1.0, 2.0, 3.0, 4.0, -6.0, 0.5) == (
+        assert box_clamp((1.0, 2.0, 3.0), 4.0, -6.0, 0.5) == (
             1.0, -2.0, 0.5, -3.0, 4.0, 0.0, 5.0)
 
     def test_clamp_of_a_point_inside_is_the_point(self):
-        assert box_clamp(1.0, 2.0, 3.0, 0.5, -1.5, -0.0) == (
+        assert box_clamp((1.0, 2.0, 3.0), 0.5, -1.5, -0.0) == (
             0.5, -1.5, -0.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_clamp_2d_is_the_zero_third_axis(self):
@@ -126,7 +126,7 @@ class TestBoxRules:
         for _ in range(500):
             c1, c2 = rng.uniform(0.2, 2.0), rng.uniform(0.2, 2.0)
             x, y = rng.uniform(-4.0, 4.0), rng.uniform(-4.0, 4.0)
-            px, py, pz, dx, dy, dz, d = box_clamp(c1, c2, 0.0, x, y, 0.0)
+            px, py, pz, dx, dy, dz, d = box_clamp((c1, c2), x, y, 0.0)
             assert (px, py) == (max(-c1, min(c1, x)), max(-c2, min(c2, y)))
             assert (pz, dz) == (0.0, 0.0) and (dx, dy) == (px - x, py - y)
             assert d == math.sqrt(dx * dx + dy * dy)
