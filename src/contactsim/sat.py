@@ -6,7 +6,8 @@ box-ball pairings are one rule, ``_box_ball_contact``, in the box's frame,
 by the convention and through the frame maps of ``contact``; a rectangle
 runs as a box with a zero third axis.  Its box point is the clamp of the
 ball center (``geometry.box_clamp``), and a center on or in the box takes
-``geometry.nearest_face``: the two rules co shares.  circle-circle and
+``geometry.nearest_face``.  co's three ball pairings call these detectors
+and add only the shrink margin.  circle-circle and
 rectangle-rectangle work in the world frame and build their result with
 ``contact.world_contact_2d``.  Signs follow sgn(0) = +1
 (``1.0 if x >= 0.0 else -1.0``), which keeps the support tie-breaks of

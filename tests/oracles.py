@@ -76,6 +76,16 @@ def circle_boundary_points(center, radius: float, n: int) -> np.ndarray:
                      center[1] + radius * np.sin(ang)], axis=1)
 
 
+def ball_projection(p, center, radius: float) -> tuple:
+    """Euclidean projection of p onto the solid ball: p itself inside, else
+    the point at the radius along the ray from the center through p."""
+    offset = np.subtract(p, center)
+    d = float(np.linalg.norm(offset))
+    if d <= radius:
+        return tuple(float(x) for x in p)
+    return tuple(float(x) for x in np.add(center, offset * (radius / d)))
+
+
 def min_pair_distance(points_a: np.ndarray, points_b: np.ndarray) -> float:
     diff = points_a[:, None, :] - points_b[None, :, :]
     return float(np.sqrt((diff ** 2).sum(axis=2)).min())

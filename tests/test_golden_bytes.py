@@ -49,25 +49,29 @@ GOLDEN = {
         "3d0d88a73bc9585b4ee9863da6fbdb8bcaf981822caaf98fd288d8b69bb63a67",
         "0f98dbec353ebf07461a57bae7694096602aeeddb6faeaf1b3e13b316b775fc5",
     ),
+    # the four ball cells of co re-pinned when co's ball pairings became sat's
+    # contact plus the shrink margin: no registry contact saturates, so each
+    # exports its sat cell's bytes (positions and angles move by at most
+    # 2.2e-16, from the last bits of rho and phi; no saturation flag flips)
     "bouncing-circle-co": (
-        "4d9280eb6b53828fbcf7ccaa99fa10583db225f981a5a336f905ae127ae33d97",
-        "6d281837eee7062effdf3d04f369faedb2d52ded45460c15a9a3c72982115430",
+        "3d0d88a73bc9585b4ee9863da6fbdb8bcaf981822caaf98fd288d8b69bb63a67",
+        "0f98dbec353ebf07461a57bae7694096602aeeddb6faeaf1b3e13b316b775fc5",
     ),
     "circle-circle-sat": (
         "ec3ef7882be293955a425ab6fa8abc0db436a5259a513972975de46649ff5b5d",
         "40b3f48a5cd4201ee9a5d78fa6914c36da9c63f8f33ff0a56b61835c88d5d101",
     ),
     "circle-circle-co": (
-        "d409a906cd9fffbbe3b434020d526f55f98ea1661c1646ff4fda47ff74f43bb2",
-        "549065fcbf275322fc1b88d8a1758f41d4ae5aecb5f5b0e16d2acd184f7431f7",
+        "ec3ef7882be293955a425ab6fa8abc0db436a5259a513972975de46649ff5b5d",
+        "40b3f48a5cd4201ee9a5d78fa6914c36da9c63f8f33ff0a56b61835c88d5d101",
     ),
     "rect-circle-sat": (
         "983361b28064fa266836c25877434a59475ccd0802067c57edf546249e95e243",
         "4cfac815b76bce59916069880f2e5001b512633e9510fd253df4806ce44cd705",
     ),
     "rect-circle-co": (
-        "1da1e295389b34bd424991098ad030640e0f512c0ac05278977ec76994ec890e",
-        "88bc7988652fca77dece5f20a1a0c4ba3e41532c7c13084556a35753b56bc714",
+        "983361b28064fa266836c25877434a59475ccd0802067c57edf546249e95e243",
+        "4cfac815b76bce59916069880f2e5001b512633e9510fd253df4806ce44cd705",
     ),
     "rect-rect-sat": (
         "f314c6a8df1f92fc0528354b5eb598672ffd800ee46d0c1fcb0e235e78639249",
@@ -85,8 +89,8 @@ GOLDEN = {
         "72d94709c81e4376bdc32bf36344c0ef96fe4b93a55910538a0ad7b5364a3b89",
     ),
     "sphere-cuboid-co": (
-        "b35a3e94d4dc74405cb2fee881e9073cfb6a1a0cf5376858352e4ecac7554241",
-        "dd5272cb49c6fcd68c9b5d09a1d591009612a17938cf74dce0f134d31bd911d6",
+        "43fbdbf7ee50b8e2768bb876dfcee4cc1a7a3814d95ce6a797d5f0bbde959ef0",
+        "72d94709c81e4376bdc32bf36344c0ef96fe4b93a55910538a0ad7b5364a3b89",
     ),
 }
 
@@ -98,6 +102,13 @@ def _sha256(path) -> str:
 def test_every_cell_is_pinned():
     assert set(GOLDEN) == {f"{name}-{backend}" for name in SCENARIO_NAMES
                            for backend in ("sat", "co")}
+
+
+def test_ball_cells_export_the_sat_bytes():
+    # co's ball pairings are sat's contact until the depth passes the
+    # margin, which no registry ball contact reaches
+    for name in ("bouncing-circle", "circle-circle", "rect-circle", "sphere-cuboid"):
+        assert GOLDEN[f"{name}-co"] == GOLDEN[f"{name}-sat"], name
 
 
 @pytest.mark.parametrize("cell", sorted(GOLDEN))
@@ -156,9 +167,12 @@ GOLDEN_WORLDS = {
         "d0c940a96f7f4da9e7e378a2ee5466e44bb0cc29fc9ea56727da270a6b137658",
         "4c6847f8c1aaacdcb43517685aa518e301fda25ff3e0232350587584d8caa3f5",
     ),
+    # re-pinned with the ball cells of co: the last bits of rho and phi of
+    # its unsaturated ball contacts (positions and angles move by at most
+    # 6.7e-16; no saturation flag flips)
     "four-body-co": (
-        "d435ae48124788da5ceb6e3050d3b5454736ed03620d7952c78cf4067e72528f",
-        "892e708fc055b9d1662aa1dfc52f7c15fffad75a6087b3736c8c89a18ceccde9",
+        "af70789e86eb8f1e54c2b34ede0aaf75bea290f538c2653dae3c588ca3ab32da",
+        "9b80b9b0fca977af9c0e816b7fb5729b890d6958987b27037f6f15babe5244db",
     ),
     # re-pinned with sphere-cuboid-sat, for the same division (positions
     # move by at most 3.5e-18 m)
@@ -166,9 +180,12 @@ GOLDEN_WORLDS = {
         "506b27bff153ec1fc2327ed1b1313f3689f2f7fc5d7a42d6ba7f6e3e8d6eea90",
         "ef965bd95d8f71e34deff8537a4b8e1f78f08b314b127718c68f3d56a24f86fa",
     ),
+    # re-pinned with the ball cells of co, for the same reason: its one
+    # pair never saturates, so it exports the sat cell's bytes (positions
+    # and angles move by at most 8.7e-19)
     "sphere-on-tilt-co": (
-        "5c8cf7be532ec36d1fdb597fa71df5d922ee0b9c3765295bc155dde004a10444",
-        "be40031f154c11b817a548e7869618dad3d3d6abde4b33cd2f21510a1c358e61",
+        "506b27bff153ec1fc2327ed1b1313f3689f2f7fc5d7a42d6ba7f6e3e8d6eea90",
+        "ef965bd95d8f71e34deff8537a4b8e1f78f08b314b127718c68f3d56a24f86fa",
     ),
 }
 
@@ -313,9 +330,16 @@ def test_rect_rect_co_contact_bytes_under_zero_threshold(monkeypatch):
 # circle center where the shrunk circle touches the box, nearest_face's
 # side where the center is on or in it, in place of the rectangle's
 # diagonal at a corner (31 rect-circle calls change normal and tangent, 6
-# of them with the center on a corner also q_tilde and anchor_b)
+# of them with the center on a corner also q_tilde and anchor_b), and again
+# after co's ball pairings became sat's contact plus the shrink margin: the
+# 120 calls with the center in the box (inside, concentric) move p_tilde and
+# anchor_a from the center to the nearest face; 166 unsaturated calls take
+# sat's last bits of phi, rho, normal and tangent; 10 saturated calls get
+# phi exactly -b; 28 more saturated calls change the last bits of the
+# normal and tangent, or of p_tilde and anchor_a; 66 keep every byte, and
+# no saturation flag flips
 BALL_CO_DIGEST = \
-    "165a54438a4e72ac9c2e48c5290b3b052fa14864b15ce9b197931a21ce27fed7"
+    "67e66a18f278c3e515aaa7aa7b0a8bfb7a46c94e049212e92a97eb8c800f5f8b"
 BALL_RECT, BALL_CIRCLE = Rectangle(0.5, 0.3), Circle(0.2)  # shrink margin 0.1
 BALL_CUBOID, BALL_SPHERE = Cuboid((0.5, 0.3, 0.4)), Sphere(0.2)
 BALL_KINDS = ("face", "edge", "corner", "inside", "touching", "concentric",
@@ -425,9 +449,18 @@ def test_ball_co_contact_bytes():
 
 # SHA-256 over the repr of each call's ContactInfo fields and iteration count,
 # cold co circle-circle, taken before its frame maps were shared with the
-# other ball pairings
+# other ball pairings, and again after co's ball pairings became sat's
+# contact plus the shrink margin: in the 90 calls of the saturated, held
+# and concentric kinds and 8 saturated touching ones, p_tilde and
+# anchor_a move from the shrunk ball's point to A's surface; 14 of the
+# concentric ones, with A turned, also take sat's fallback normal, world x,
+# in place of A's body x axis (and with it tangent, q_tilde and anchor_b);
+# 11 more saturated calls change last bits, phi now exactly -b in 9; the 70
+# unsaturated calls take sat's world-frame last bits of phi, rho, points
+# and normal; and one touching call ends at phi 0.0, not -8.3e-17, so it
+# is no longer colliding.  No saturation flag flips
 CIRCLE_CO_DIGEST = \
-    "f6dbbb2a4d67d2b65cdb68fcc483c05344899d8c772f87821983e4fab1975cac"
+    "bb6544dd1f7395eaaa2ec0032b7c60e69b043b945d07ff1135f7563b657df670"
 CIRCLE_A, CIRCLE_B = Circle(0.3), Circle(0.2)  # shrink margin 0.1
 CIRCLE_KINDS = ("separated", "shallow", "saturated", "touching", "held",
                 "concentric")

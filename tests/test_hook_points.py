@@ -4,13 +4,16 @@
 timing wrappers, so each must still be looked up at call time by every
 registry run.  Counting wrappers stand in for the tracer here.  A step whose
 pair has disjoint world-axis boxes skips the narrow phase, so the detector
-counts equal the oracle's count of steps with overlapping boxes.
+counts equal the oracle's count of steps with overlapping boxes.  The tracer
+also swaps the ``sat.detect_*`` module attributes, for the cold sweep; co's
+ball pairings call sat's detectors bound by name, so a co run must reach
+none of those attributes, or its time would count as sat's.
 """
 from collections import Counter
 
 import pytest
 
-from contactsim import convex, simulate
+from contactsim import convex, sat, simulate
 from contactsim.scenarios import SCENARIO_NAMES
 from contactsim.simulate import SimConfig, run_scenario
 
@@ -19,6 +22,8 @@ from oracles import overlapping_box_pair_steps
 SIMULATE_POINTS = ("build_scenario", "run_world", "collision_response",
                    "_integrate", "relative_velocity_at_contact",
                    "contact_force", "wrench_on_bodies")
+SAT_ATTRIBUTES = ("detect_rect_circle", "detect_circle_circle",
+                  "detect_rect_rect", "detect_sphere_cuboid")
 
 
 @pytest.fixture
@@ -37,6 +42,9 @@ def calls(monkeypatch):
     for key, detector in list(simulate._DETECTORS_SAT.items()):
         monkeypatch.setitem(simulate._DETECTORS_SAT, key,
                             counting(f"sat.{detector.__name__}", detector))
+    for name in SAT_ATTRIBUTES:
+        monkeypatch.setattr(sat, name, counting(f"sat module.{name}",
+                                                getattr(sat, name)))
     monkeypatch.setattr(convex, "_warm_start",
                         counting("_warm_start", convex._warm_start))
     detect_convex = convex.detect_convex
@@ -72,7 +80,8 @@ def test_registry_run_goes_through_every_hook(name, backend, calls):
     else:
         assert calls["detect_convex"] == overlapping
         assert calls["detect_convex.last_iterations"] == overlapping
-        assert not any(key.startswith("sat.") for key in calls)
+        # neither sat's table nor its module attributes
+        assert not any(key.startswith("sat") for key in calls)
         # only the box-box pairing warm-starts, once per solve
         assert calls["_warm_start"] == (overlapping if name == "rect-rect" else 0)
 
