@@ -2,9 +2,10 @@
 the only builders of it.
 
 Every detector but circle-circle and sat's rect-rect works in body A's
-frame, origin at its center; co's ball pairings are sat's.  With c and s the cosine and sine of A's angle,
-a 2D world vector (x, y) has body coordinates (c x + s y, -s x + c y); with
-``rot`` A's world-from-body matrix, a 3D one has rot^T v.  ``body_frame_2d``
+frame, origin at its center; co's ball pairings are sat's.  With c and s
+the cosine and sine of A's angle, a 2D world vector (x, y) has body
+coordinates (c x + s y, -s x + c y); with ``rot`` A's world-from-body
+matrix, a 3D one has rot^T v.  ``body_frame_2d``
 and ``body_frame_3d`` put B's center into A's frame.  A detector's own rule
 turns it into the proximity, the depth, both points, both anchors and the
 normal, in A's frame.  ``local_contact_2d`` and ``local_contact_3d`` turn the

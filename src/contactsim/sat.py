@@ -7,11 +7,10 @@ by the convention and through the frame maps of ``contact``; a rectangle
 runs as a box with a zero third axis.  Its box point is the clamp of the
 ball center (``geometry.box_clamp``), and a center on or in the box takes
 ``geometry.nearest_face``.  co's three ball pairings call these detectors
-and add only the shrink margin.  circle-circle and
-rectangle-rectangle work in the world frame and build their result with
-``contact.world_contact_2d``.  Signs follow sgn(0) = +1
-(``1.0 if x >= 0.0 else -1.0``), which keeps the support tie-breaks of
-rectangle-rectangle total.
+and add only the shrink margin.  circle-circle and rectangle-rectangle work
+in the world frame and build their result with ``contact.world_contact_2d``.
+Signs follow sgn(0) = +1 (``1.0 if x >= 0.0 else -1.0``), which keeps the
+support tie-breaks of rectangle-rectangle total.
 """
 from __future__ import annotations
 
