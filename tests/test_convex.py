@@ -49,7 +49,8 @@ def assert_sat_plus_margin(co_info, sat_info, b, where=None):
 
 
 class TestProjections:
-    """The box clamp, the exact projection of the box-box solver."""
+    """The box clamp, the exact projection of the box-box solver, and the
+    oracle's ball projection, which the far-start loop below pairs with it."""
 
     def test_rectangle_corner_clamp(self):
         assert convex._clamp_box((3.0, 2.0), (1.0, 1.0)) == (1.0, 1.0)
@@ -68,9 +69,63 @@ class TestProjections:
             once = convex._clamp_box(p, extents)
             assert convex._clamp_box(once, extents) == once
 
+    def test_ball_outside(self):
+        assert ball_projection((1.0, 0.0), (3.0, 0.0), 0.5) == (2.5, 0.0)
+
+    def test_ball_identity_inside(self):
+        assert ball_projection((2.9, 0.1), (3.0, 0.0), 0.5) == (2.9, 0.1)
+
+    def test_ball_center_degenerate_rule(self):
+        # the projection onto the solid ball keeps its center where it is
+        assert ball_projection((3.0, 0.0), (3.0, 0.0), 0.5) == (3.0, 0.0)
+
+    def test_ball_projection_lands_on_ball(self):
+        rng = np.random.default_rng(5)
+        for _ in range(500):
+            center = tuple(rng.uniform(-2, 2, 2))
+            radius = rng.uniform(0.2, 1.5)
+            p = tuple(rng.uniform(-4, 4, 2))
+            once = ball_projection(p, center, radius)
+            assert math.dist(once, center) <= radius + 1e-12
+            twice = ball_projection(once, center, radius)
+            assert math.dist(once, twice) < 1e-12
+
 
 class TestBoxBall:
-    """The box-ball rule both backends share, through sat's rect-circle."""
+    """The box-ball rule both backends share, through sat's detectors."""
+
+    def test_collinear_by_hand(self):
+        info = detect_rect_circle(body2d((0.0, 0.0)), Rectangle(1.0, 1.0),
+                                  body2d((3.0, 0.0)), Circle(0.5))
+        assert (info.p_tilde, info.q_tilde, info.phi) == \
+            ((1.0, 0.0), (2.5, 0.0), 1.5)
+        assert info.normal == (1.0, 0.0)
+
+    def test_corner_case_matches_closed_form(self):
+        info = detect_rect_circle(body2d((0.0, 0.0)), Rectangle(1.0, 1.0),
+                                  body2d((2.0, 2.0)), Circle(0.5))
+        # the corner distance sqrt(2) minus the radius
+        assert math.isclose(info.phi, SQRT2 - 0.5, abs_tol=1e-12)
+        assert info.p_tilde == (1.0, 1.0)
+        assert np.allclose(info.normal, (SQRT2 / 2.0, SQRT2 / 2.0),
+                           rtol=0.0, atol=1e-15)
+
+    def test_intersecting_sets_measure_the_depth(self):
+        # the center outside the box, the circle reaching 0.3 into it
+        info = detect_rect_circle(body2d((0.0, 0.0)), Rectangle(1.0, 1.0),
+                                  body2d((1.2, 0.0)), Circle(0.5))
+        assert info.colliding and not info.saturated
+        assert math.isclose(info.phi, -0.3, abs_tol=1e-12)
+        assert math.isclose(info.rho, 0.3, abs_tol=1e-12)
+        assert (info.p_tilde, info.q_tilde) == ((1.0, 0.0), (0.7, 0.0))
+
+    def test_three_dimensional_box(self):
+        info = detect_sphere_cuboid(body3d((0.0, 0.0, 0.0)),
+                                    Cuboid((1.0, 1.0, 1.0)),
+                                    body3d((3.0, 0.0, 0.0)), Sphere(0.5))
+        assert (info.p_tilde, info.q_tilde, info.phi) == \
+            ((1.0, 0.0, 0.0), (2.5, 0.0, 0.0), 1.5)
+        assert info.normal == (1.0, 0.0, 0.0)
 
     def test_feasibility_sweep(self):
         # A's point on the rectangle, B's on the circle
