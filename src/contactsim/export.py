@@ -7,11 +7,21 @@ and the angular speed in wz.  Contact events go to a sibling file
 ``<path>.events.csv`` with columns ``t,pair,phi,rho,Fn,Ft,saturated``.
 Every field is the ``repr`` of its value: shortest round-trip text for
 floats, plain digits for ints.  Identical runs export byte-identical files.
+
+The CSV writers format a repeated field once and keep those bytes.  A
+static body's state is the same object on every step, so its row is reused
+by identity.  Any other reuse needs bit-identical floats: a body's
+orientation or velocity text is reused while those values pack to the same
+bytes as in its previous row, so 0.0 and -0.0 stay distinct (``==`` would
+merge them); an int or a float subclass is formatted every time.  An event
+whose ``rho`` is ``-phi`` of a negative float ``phi`` prints ``rho`` as phi's
+text without the sign, which is ``repr(rho)``.
 """
 from __future__ import annotations
 
 import json
 import math
+import struct
 
 from .errors import ContactSimError
 from .geometry import BodyState, Circle, Rectangle
@@ -20,6 +30,12 @@ from .simulate import Trajectory
 SAMPLE_COLUMNS = ("t", "body_id", "x", "y", "z", "q0", "q1", "q2", "q3",
                   "vx", "vy", "vz", "wx", "wy", "wz")
 EVENT_COLUMNS = ("t", "pair", "phi", "rho", "Fn", "Ft", "saturated")
+
+# the bytes of 1, 3, 4 or 6 floats: reuse keys that tell 0.0 from -0.0
+_BITS_1 = struct.Struct("d").pack
+_BITS_3 = struct.Struct("3d").pack
+_BITS_4 = struct.Struct("4d").pack
+_BITS_6 = struct.Struct("6d").pack
 
 
 def _sample_row(t: float, body_id: int, state: BodyState) -> dict:
@@ -78,35 +94,91 @@ def export_trajectory(trajectory: Trajectory, fmt: str, path: str) -> None:
 
 
 def _samples_csv(samples) -> str:
-    """Sample CSV text: the values of ``_sample_row``, in ``SAMPLE_COLUMNS`` order."""
+    """Sample CSV text: the values of ``_sample_row``, in ``SAMPLE_COLUMNS`` order.
+
+    Each body's rows come from its own ``_body_rows`` generator, and every
+    sample's rows are joined behind its time field.  Every sample holds the
+    same bodies, as a trajectory's samples do.
+    """
     lines = [",".join(SAMPLE_COLUMNS) + "\n"]
-    append = lines.append
-    cos, sin = math.cos, math.sin
-    for t, states in samples:
-        prefix = f"{t!r},"
-        for body_id, state in enumerate(states):
-            p = state.position
-            v = state.velocity
-            if len(p) == 2:
-                half = 0.5 * state.orientation
-                append(f"{prefix}{body_id},{p[0]!r},{p[1]!r},0.0,{cos(half)!r},0.0,0.0,"
-                       f"{sin(half)!r},{v[0]!r},{v[1]!r},0.0,0.0,0.0,"
-                       f"{state.angular_velocity!r}\n")
-            else:
-                q = state.orientation
-                w = state.angular_velocity
-                append(f"{prefix}{body_id},{p[0]!r},{p[1]!r},{p[2]!r},{q[0]!r},{q[1]!r},"
-                       f"{q[2]!r},{q[3]!r},{v[0]!r},{v[1]!r},{v[2]!r},{w[0]!r},"
-                       f"{w[1]!r},{w[2]!r}\n")
+    if samples and samples[0][1]:
+        bodies = [_body_rows(samples, body_id) for body_id in range(len(samples[0][1]))]
+        append = lines.append
+        for (t, _), rows in zip(samples, zip(*bodies)):
+            prefix = f"{t!r},"
+            append(prefix + prefix.join(rows))
     return "".join(lines)
 
 
+def _body_rows(samples, body_id: int):
+    """Yield one body's sample rows after the time field, one per sample.
+
+    The previous row is kept: a state that is the same object (a static body)
+    reuses it whole; otherwise the pose is formatted, and the orientation and
+    velocity parts are reused while their floats keep the same bits.
+    """
+    cos, sin = math.cos, math.sin
+    head = f"{body_id},"
+    last = row = orientation_key = orientation = velocity_key = velocity = None
+    for _, states in samples:
+        state = states[body_id]
+        if state is not last:
+            last = state
+            p = state.position
+            v = state.velocity
+            w = state.angular_velocity
+            if len(p) == 2:
+                angle = state.orientation
+                key = _BITS_1(angle)
+                if key != orientation_key:
+                    orientation_key = key
+                    half = 0.5 * angle
+                    orientation = f"{cos(half)!r},0.0,0.0,{sin(half)!r}"
+                vx, vy = v
+                # an int or a float subclass packs as a float but prints its
+                # own way, so its key is a fresh object that matches nothing
+                key = (_BITS_3(vx, vy, w)
+                       if float is type(vx) is type(vy) is type(w) else object())
+                if key != velocity_key:
+                    velocity_key = key
+                    velocity = f"{vx!r},{vy!r},0.0,0.0,0.0,{w!r}\n"
+                x, y = p
+                row = f"{head}{x!r},{y!r},0.0,{orientation},{velocity}"
+            else:
+                q = state.orientation
+                key = (_BITS_4(*q) if float is type(q[0]) is type(q[1])
+                       is type(q[2]) is type(q[3]) else object())
+                if key != orientation_key:
+                    orientation_key = key
+                    orientation = f"{q[0]!r},{q[1]!r},{q[2]!r},{q[3]!r}"
+                key = (_BITS_6(*v, *w) if float is type(v[0]) is type(v[1]) is type(v[2])
+                       is type(w[0]) is type(w[1]) is type(w[2]) else object())
+                if key != velocity_key:
+                    velocity_key = key
+                    velocity = (f"{v[0]!r},{v[1]!r},{v[2]!r},"
+                                f"{w[0]!r},{w[1]!r},{w[2]!r}\n")
+                row = f"{head}{p[0]!r},{p[1]!r},{p[2]!r},{orientation},{velocity}"
+        yield row
+
+
 def _events_csv(events) -> str:
-    """Event CSV text: the values of ``_event_row``, in ``EVENT_COLUMNS`` order."""
+    """Event CSV text: the values of ``_event_row``, in ``EVENT_COLUMNS`` order.
+
+    ``rho`` is usually ``-phi``; then its text is phi's without the sign.
+    """
     lines = [",".join(EVENT_COLUMNS) + "\n"]
-    lines.extend(f"{e.t!r},{e.pair[0]}-{e.pair[1]},{e.phi!r},{e.rho!r},"
-                 f"{e.f_normal!r},{e.f_tangent!r},{int(e.saturated)}\n"
-                 for e in events)
+    append = lines.append
+    for e in events:
+        phi, rho = e.phi, e.rho
+        phi_text = repr(phi)
+        # phi < 0 excludes -0.0 and NaN; a nonzero float rho equal to -phi has
+        # -phi's bits, whose repr is phi's without the leading '-'
+        if phi < 0.0 and rho == -phi and float is type(phi) is type(rho):
+            rho_text = phi_text[1:]
+        else:
+            rho_text = repr(rho)
+        append(f"{e.t!r},{e.pair[0]}-{e.pair[1]},{phi_text},{rho_text},"
+               f"{e.f_normal!r},{e.f_tangent!r},{int(e.saturated)}\n")
     return "".join(lines)
 
 

@@ -57,7 +57,7 @@ def _box_ball_contact(ext: Vec, q0: float, q1: float, q2: float,
         nx, ny, nz = n
         return (phi, radius + best, (q0 + nx * best, q1 + ny * best, q2 + nz * best),
                 dx, dy, dz, d, n)
-    return (phi, 0.0 if phi > 0.0 else -phi, (px, py, pz), dx, dy, dz, d,
+    return (phi, 0.0 if phi >= 0.0 else -phi, (px, py, pz), dx, dy, dz, d,
             ((q0 - px) / d, (q1 - py) / d, (q2 - pz) / d))
 
 
@@ -88,7 +88,7 @@ def detect_circle_circle(state_a: BodyState, circle_a: Circle,
     else:
         inv_d = 1.0 / d
         ux, uy = dx * inv_d, dy * inv_d
-        rho = 0.0 if phi > 0.0 else -phi
+        rho = 0.0 if phi >= 0.0 else -phi
 
     neg_rb = -rb
     bx, by = ux * neg_rb, uy * neg_rb

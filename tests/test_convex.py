@@ -585,6 +585,22 @@ class TestColdBallPairings:
             assert detect_convex(*case, tight, context) == detect_convex(*case)
             assert context.last_iterations == 1
 
+    @pytest.mark.parametrize("backend", ["sat", "co"])
+    def test_exactly_touching_pairs_report_positive_zero_rho(self, backend):
+        # dyadic sizes, so that phi is exactly 0.0; rho was once -phi = -0.0
+        cases = [
+            (detect_rect_circle, body2d((0.0, 0.0)), Rectangle(0.5, 0.25),
+             body2d((0.75, 0.0)), Circle(0.25)),
+            (detect_circle_circle, body2d((0.0, 0.0)), Circle(0.5),
+             body2d((0.0, 0.75)), Circle(0.25)),
+            (detect_sphere_cuboid, body3d((0.0, 0.0, 0.0)), Cuboid((0.5, 0.25, 0.5)),
+             body3d((0.0, 0.0, 0.75)), Sphere(0.25)),
+        ]
+        for sat_detect, *pose in cases:
+            info = sat_detect(*pose) if backend == "sat" else detect_convex(*pose)
+            assert info.phi == 0.0 and not info.colliding and not info.saturated
+            assert math.copysign(1.0, info.rho) == 1.0, (sat_detect.__name__, info)
+
 
 class TestNotConvergedNamesThePose:
     def test_rect_rect_cold_pose(self):

@@ -12,9 +12,9 @@ from contactsim.export import (
     export_plot,
     export_trajectory,
 )
-from contactsim.geometry import Circle, body2d
+from contactsim.geometry import BodyState, Circle, body2d, body3d
 from contactsim.scenarios import _REGISTRY, SCENARIO_NAMES, build_scenario
-from contactsim.simulate import SimConfig, Trajectory, run_scenario
+from contactsim.simulate import ContactEvent, SimConfig, Trajectory, run_scenario
 
 
 # config documents that exit 1, each with the text its message must hold
@@ -148,6 +148,97 @@ class TestCsvBytes:
         text = out.read_text()
         assert text == _reference_samples_csv(trajectory)
         assert text.splitlines()[1].startswith("0,0,1,-2,0.0,1.0,")
+
+
+class _Tagged(float):
+    """A float subclass that prints its own way, as every field must."""
+
+    def __repr__(self):
+        return f"tagged({float(self)!r})"
+
+
+def _planar(angle, velocity, angular_velocity, position=(0.5, 1.5)):
+    return BodyState(position, angle, velocity, angular_velocity, 1.0, 1.0)
+
+
+class TestCsvReuse:
+    """The writers reuse a body's text only where its bytes cannot differ.
+
+    Each trajectory is hand-built so that consecutive rows repeat values
+    whose text differs though they compare equal (0.0 and -0.0, 3 and 3.0,
+    a float and a float subclass), or come back after a change; the bytes
+    must equal the per-field rule over ``_sample_row`` and ``_event_row``.
+    """
+
+    def _assert_reference_bytes(self, tmp_path, samples, events=()):
+        # the writers read no shape
+        trajectory = Trajectory(tuple(samples), tuple(events), ())
+        out = tmp_path / "t.csv"
+        export_trajectory(trajectory, "csv", str(out))
+        assert out.read_bytes() == _reference_samples_csv(trajectory).encode()
+        events_path = tmp_path / "t.csv.events.csv"
+        assert events_path.read_bytes() == _reference_events_csv(trajectory).encode()
+
+    def test_static_body_next_to_a_moving_one(self, tmp_path):
+        floor = body2d((0.0, -1.0), 0.25, static=True)
+        samples = [(k * 0.5, (floor, _planar(0.0, (0.0, -0.5 * k), 0.0)))
+                   for k in range(4)]
+        self._assert_reference_bytes(tmp_path, samples)
+
+    def test_planar_signed_zeros_flip_row_to_row(self, tmp_path):
+        values = [(0.0, (0.0, 0.0), 0.0), (-0.0, (-0.0, 0.0), 0.0),
+                  (0.0, (0.0, -0.0), -0.0), (-0.0, (-0.0, -0.0), -0.0),
+                  (-0.0, (-0.0, -0.0), 0.0), (0.0, (0.0, 0.0), 0.0)]
+        samples = [(0.25 * k, (_planar(*v),)) for k, v in enumerate(values)]
+        self._assert_reference_bytes(tmp_path, samples)
+        # a writer keyed on == would print the first row's zeros throughout
+        text = (tmp_path / "t.csv").read_text().splitlines()
+        assert text[2].split(",")[9] == "-0.0" and text[3].split(",")[10] == "-0.0"
+
+    def test_values_that_change_and_come_back(self, tmp_path):
+        a = (0.75, (1.5, 2.0), 0.125)
+        b = (0.5, (1.25, 2.0), -0.125)
+        samples = [(0.25 * k, (_planar(*v),)) for k, v in enumerate((a, b, a, a, b))]
+        self._assert_reference_bytes(tmp_path, samples)
+
+    def test_equal_values_of_another_type(self, tmp_path):
+        values = [(0.0, (3, 0), 1), (0.0, (3.0, 0.0), 1.0), (0.0, (3, 0), 1),
+                  (0.0, (_Tagged(3.0), 0.0), 1.0), (0.0, (3.0, 0.0), _Tagged(1.0)),
+                  (0.0, (3.0, 0.0), 1.0)]
+        samples = [(0.25 * k, (_planar(*v),)) for k, v in enumerate(values)]
+        self._assert_reference_bytes(tmp_path, samples)
+
+    def test_spatial_body(self, tmp_path):
+        turned = (0.5, 0.5, 0.5, 0.5)
+        values = [((1.0, 0.0, 0.0, 0.0), (0.0, 0.0, -1.0), (0.0, 0.0, 0.0)),
+                  ((1.0, -0.0, 0.0, 0.0), (0.0, 0.0, -1.0), (0.0, -0.0, 0.0)),
+                  ((1.0, -0.0, 0.0, 0.0), (0.0, 0.0, -1.0), (0.0, -0.0, 0.0)),
+                  (turned, (0.0, 0.0, -1.5), (0.0, -0.0, 0.0)),
+                  ((1.0, 0.0, 0.0, 0.0), (0, 0, -1), (0.0, 0.0, 0)),
+                  ((1, 0, 0, 0), (0.0, 0.0, -1.0), (0.0, 0.0, 0.0))]
+        floor = body3d((0.0, 0.0, -1.0), static=True)
+        samples = [(0.25 * k, (floor, body3d((0.5, 1.5, -2.0), *v)))
+                   for k, v in enumerate(values)]
+        self._assert_reference_bytes(tmp_path, samples)
+
+    def test_event_rho_against_phi(self, tmp_path):
+        b = 0.1  # a shrink margin: a saturated co contact reads phi -b, rho b
+        events = [ContactEvent(0.0, (0, 1), -0.003, 0.003, 1.5, -0.25, False),
+                  ContactEvent(0.0, (0, 1), -0.25, 0.45, 2.0, 0.0, False),
+                  ContactEvent(0.5, (0, 1), -b, b, 3.0, -0.0, True),
+                  ContactEvent(0.5, (1, 2), -0.0, 0.0, 0.0, 0.0, False),
+                  ContactEvent(0.5, (1, 2), -0.0, -0.0, 0.0, 0.0, False),
+                  ContactEvent(0.75, (0, 2), 0.0, -0.0, 0.0, 0.0, False),
+                  ContactEvent(0.75, (0, 2), 0.5, -0.5, 0.0, 0.0, False),
+                  ContactEvent(0.75, (0, 2), -3, 3.0, 1.0, 1.0, False),
+                  ContactEvent(1.0, (0, 2), -3.0, 3, 1.0, 1.0, False),
+                  ContactEvent(1.0, (0, 2), -0.5, _Tagged(0.5), 1.0, 1.0, False),
+                  ContactEvent(1.0, (0, 2), -1e300, 1e300, 1.0, 1.0, True)]
+        samples = [(0.0, (body2d((0.0, 0.0)),) * 3)]
+        self._assert_reference_bytes(tmp_path, samples, events)
+        rows = (tmp_path / "t.csv.events.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[3] for row in rows[:7]] == [
+            "0.003", "0.45", "0.1", "0.0", "-0.0", "-0.0", "-0.5"]
 
 
 class TestJsonExport:

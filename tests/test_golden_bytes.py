@@ -337,9 +337,10 @@ def test_rect_rect_co_contact_bytes_under_zero_threshold(monkeypatch):
 # sat's last bits of phi, rho, normal and tangent; 10 saturated calls get
 # phi exactly -b; 28 more saturated calls change the last bits of the
 # normal and tangent, or of p_tilde and anchor_a; 66 keep every byte, and
-# no saturation flag flips
+# no saturation flag flips; and again after an exactly touching pair (phi
+# 0.0) got rho 0.0 in place of -0.0 (1 touching call, no other field)
 BALL_CO_DIGEST = \
-    "67e66a18f278c3e515aaa7aa7b0a8bfb7a46c94e049212e92a97eb8c800f5f8b"
+    "85ad9e1f8e1e871e57e41069deb4b72f3db74747e9fb909c8da8974759b78f7c"
 BALL_RECT, BALL_CIRCLE = Rectangle(0.5, 0.3), Circle(0.2)  # shrink margin 0.1
 BALL_CUBOID, BALL_SPHERE = Cuboid((0.5, 0.3, 0.4)), Sphere(0.2)
 BALL_KINDS = ("face", "edge", "corner", "inside", "touching", "concentric",
@@ -458,9 +459,11 @@ def test_ball_co_contact_bytes():
 # 11 more saturated calls change last bits, phi now exactly -b in 9; the 70
 # unsaturated calls take sat's world-frame last bits of phi, rho, points
 # and normal; and one touching call ends at phi 0.0, not -8.3e-17, so it
-# is no longer colliding.  No saturation flag flips
+# is no longer colliding.  No saturation flag flips.  And again after an
+# exactly touching pair (phi 0.0) got rho 0.0 in place of -0.0 (8 touching
+# calls, no other field)
 CIRCLE_CO_DIGEST = \
-    "bb6544dd1f7395eaaa2ec0032b7c60e69b043b945d07ff1135f7563b657df670"
+    "a736f8d32411d70be0d05fc4301969c35240c0b3c00d274ed811dc7439a9d900"
 CIRCLE_A, CIRCLE_B = Circle(0.3), Circle(0.2)  # shrink margin 0.1
 CIRCLE_KINDS = ("separated", "shallow", "saturated", "touching", "held",
                 "concentric")
@@ -551,9 +554,11 @@ def test_circle_co_contact_bytes():
 # measured to one side instead of to the corner; and again after
 # sphere-cuboid took the same rule, whose division changes the last bits of
 # the normal, and with it of the tangent, in 22 sphere-cuboid calls, and a
-# zero normal component from -0.0 to 0.0 in 6 more
+# zero normal component from -0.0 to 0.0 in 6 more; and again after an
+# exactly touching pair (phi 0.0) got rho 0.0 in place of -0.0 (23 touching
+# calls: 16 circle-circle, 6 rect-circle, 1 sphere-cuboid; no other field)
 SAT_CONTACT_DIGEST = \
-    "486dc95e34f1df020ea985b3dd5cad8c10a7889f1b67a5397784a6e06992ff7a"
+    "bf42a68106e353d6f2c4b40ed411861177e194fb37b33b021d83b8ddd7503af6"
 SAT_BALL_KINDS = ("separated", "touching", "shallow", "deep", "face", "edge",
                   "corner", "inside")
 SAT_CIRCLE_KINDS = ("separated", "touching", "shallow", "deep", "concentric")

@@ -1,4 +1,4 @@
-"""tools/loop_ab.py, the stepping-loop A/B, on HEAD against the working tree."""
+"""tools/loop_ab.py, the stepping-loop and export A/B, on HEAD against the working tree."""
 import subprocess
 import sys
 from pathlib import Path
@@ -19,7 +19,11 @@ def test_head_against_the_working_tree_runs_every_cell():
         capture_output=True, text=True, timeout=300)
     # the working tree's exports match HEAD's, as every change keeps them
     assert result.returncode == 0, result.stdout + result.stderr
-    rows = {line.split()[0]: line.split()[1:]
-            for line in result.stdout.splitlines()[1:]}
+    header, *lines = result.stdout.splitlines()
+    assert header.split()[1:5] == ["loop", "iqr", "export", "iqr"]
+    rows = {line.split()[0]: [float(v) for v in line.split()[1:]] for line in lines}
     assert len(rows) == 12 and {"scenarios-sat", "scenarios-co"} <= set(rows)
-    assert all(float(rate) > 0.0 for values in rows.values() for rate in values[-2:])
+    # loop and export ratios with their spreads, then both sides' calls/s
+    assert all(len(values) == 6 for values in rows.values())
+    assert all(values[0] > 0.0 and values[2] > 0.0 and min(values[4:]) > 0.0
+               for values in rows.values())

@@ -13,12 +13,15 @@ cell once and runs it with one version, then the other; the version that goes
 first alternates from cell to cell.  ``--duration`` replaces each scenario's
 own duration.
 
-For each cell it prints the median over the rounds of the loop-time ratio
-(working tree / REV) with its interquartile range, and each side's
-``calls_per_s``: pair-steps per second of stepping-loop time over all rounds,
-as perfbench counts them.  The last two lines do the same for the five cells
-of each backend.  The first round exports every cell's CSV and events files
-with each version; the script exits 1 if any digest differs.
+Every run also exports the cell's CSV and events files with its own
+version's ``export_trajectory``, timed apart from the loop.  For each cell it
+prints the median over the rounds of the loop-time ratio and of the
+export-time ratio (working tree / REV), each with its interquartile range,
+and each side's ``calls_per_s``: pair-steps per second of stepping-loop time
+over all rounds, as perfbench counts them.  The last two lines do the same
+for the five cells of each backend, the ratios taken over the cells' summed
+times of each round.  The script exits 1 if any digest of the first round's
+exports differs between the versions.
 
 Both versions share the process, so each pair of runs meets the same host
 speed; on a host whose speed drifts, that keeps the ratios stable where
@@ -36,6 +39,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -56,22 +60,26 @@ def extract(rev: str, into: Path) -> None:
                     tar.extractfile(member).read())
 
 
-def run_cell(package: str, name: str, backend: str, duration, out: Path = None):
-    """One cell with one version: (loop s, pair-steps, export digests or None)."""
+def run_cell(package: str, name: str, backend: str, duration, out: Path,
+             digest: bool = False):
+    """One cell with one version, exported into ``out``: (loop s, export s,
+    pair-steps, export digests, or None unless ``digest``)."""
     simulate = importlib.import_module(f"{package}.simulate")
     gc.collect()  # each run starts from a collected heap
     trajectory, loop_s = simulate.run_scenario_timed(
         name, simulate.SimConfig(backend=backend, duration=duration))
     n = len(trajectory.shapes)
     calls = (len(trajectory.samples) - 1) * n * (n - 1) // 2
+    path = out / f"{package}-{name}-{backend}.csv"
+    export = importlib.import_module(f"{package}.export").export_trajectory
+    start = time.perf_counter()
+    export(trajectory, "csv", str(path))
+    export_s = time.perf_counter() - start
     digests = None
-    if out is not None:
-        path = out / f"{package}-{name}-{backend}.csv"
-        importlib.import_module(f"{package}.export").export_trajectory(
-            trajectory, "csv", str(path))
+    if digest:
         digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest()
                         for p in (path, Path(f"{path}.events.csv")))
-    return loop_s, calls, digests
+    return loop_s, export_s, calls, digests
 
 
 def spread(values):
@@ -97,17 +105,19 @@ def main(argv=None) -> int:
         names = importlib.import_module("contactsim").SCENARIO_NAMES
         cells = [(name, backend) for backend in BACKENDS for name in names]
         versions = ("contactsim", ALIAS)
-        # per cell and version: loop times, pair-steps, digests
+        # per cell and version: loop and export times, pair-steps, digests
         loops = {(cell, v): [] for cell in cells for v in versions}
+        exports = {key: [] for key in loops}
         calls = dict.fromkeys(loops, 0)
         digests = {}
         for round_ in range(args.rounds):
             for index, cell in enumerate(cells):
                 order = versions if (round_ + index) % 2 == 0 else versions[::-1]
                 for version in order:
-                    loop_s, n, digest = run_cell(version, *cell, args.duration,
-                                                 tmp if round_ == 0 else None)
+                    loop_s, export_s, n, digest = run_cell(
+                        version, *cell, args.duration, tmp, digest=round_ == 0)
                     loops[cell, version].append(loop_s)
+                    exports[cell, version].append(export_s)
                     calls[cell, version] += n
                     if digest is not None:
                         digests[cell, version] = digest
@@ -116,17 +126,25 @@ def main(argv=None) -> int:
         return (sum(calls[key, version] for key in keys)
                 / sum(sum(loops[key, version]) for key in keys))
 
-    print(f"{'cell':<22} {'ratio':>7} {'iqr':>7} {'tree calls/s':>13} "
-          f"{args.rev + ' calls/s':>13}")
+    def ratios(times, keys):
+        """Per-round ratio of the keys' summed times, tree / REV."""
+        return [sum(tree) / sum(rev) for tree, rev in zip(
+            zip(*(times[key, versions[0]] for key in keys)),
+            zip(*(times[key, versions[1]] for key in keys)))]
+
+    def line(label, keys):
+        loop, loop_iqr = spread(ratios(loops, keys))
+        export, export_iqr = spread(ratios(exports, keys))
+        print(f"{label:<22} {loop:>7.3f} {loop_iqr:>7.3f} {export:>7.3f} "
+              f"{export_iqr:>7.3f} {rate(keys, versions[0]):>13.0f} "
+              f"{rate(keys, versions[1]):>13.0f}")
+
+    print(f"{'cell':<22} {'loop':>7} {'iqr':>7} {'export':>7} {'iqr':>7} "
+          f"{'tree calls/s':>13} {args.rev + ' calls/s':>13}")
     for cell in cells:
-        ratio, iqr = spread([a / b for a, b in zip(loops[cell, versions[0]],
-                                                   loops[cell, versions[1]])])
-        print(f"{'-'.join(cell):<22} {ratio:>7.3f} {iqr:>7.3f} "
-              f"{rate([cell], versions[0]):>13.0f} {rate([cell], versions[1]):>13.0f}")
+        line("-".join(cell), [cell])
     for backend in BACKENDS:
-        keys = [cell for cell in cells if cell[1] == backend]
-        print(f"{'scenarios-' + backend:<22} {'':>15} "
-              f"{rate(keys, versions[0]):>13.0f} {rate(keys, versions[1]):>13.0f}")
+        line("scenarios-" + backend, [cell for cell in cells if cell[1] == backend])
     differ = [cell for cell in cells
               if digests[cell, versions[0]] != digests[cell, versions[1]]]
     for cell in differ:
