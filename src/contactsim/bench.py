@@ -19,7 +19,7 @@ from .geometry import Circle, Cuboid, Rectangle, Sphere, body2d, body3d
 from .scenarios import SCENARIO_NAMES
 from .simulate import Backend, SimConfig, run_scenario_timed
 
-PAIRINGS = ("rect-circle", "circle-circle", "rect-rect", "sphere-cuboid")
+PAIRINGS = tuple(name for name, _ in sat.PAIRINGS.values())
 
 
 def run_bench(scenarios: Optional[Sequence[str]] = None,
@@ -86,29 +86,29 @@ def _micro_poses(pairing: str):
         circle = Circle(0.5)
         positions = ((2.0, 0.3), (1.45, 0.2), (1.2, 0.9), (0.0, 1.35))
         return [(body2d((0.0, 0.0), angle=0.2), rect, body2d(p), circle)
-                for p in positions], sat.detect_rect_circle
+                for p in positions]
     if pairing == "circle-circle":
         ca, cb = Circle(0.5), Circle(0.4)
         positions = ((2.0, 0.0), (0.95, 0.2), (0.6, 0.4), (1.2, -0.7))
-        return [(body2d((0.0, 0.0)), ca, body2d(p), cb)
-                for p in positions], sat.detect_circle_circle
+        return [(body2d((0.0, 0.0)), ca, body2d(p), cb) for p in positions]
     if pairing == "rect-rect":
         ra, rb = Rectangle(0.5, 0.5), Rectangle(0.4, 0.3)
         poses = (((2.0, 0.0), 0.0), ((1.0, 0.3), 0.3), ((0.8, 0.1), 0.0),
                  ((1.4, -0.5), 0.7))
         return [(body2d((0.0, 0.0)), ra, body2d(p, angle=ang), rb)
-                for p, ang in poses], sat.detect_rect_rect
+                for p, ang in poses]
     if pairing == "sphere-cuboid":
         cuboid, sphere = Cuboid((1.0, 1.0, 0.5)), Sphere(0.5)
         positions = ((2.0, 0.0, 0.3), (1.4, 0.2, 0.1), (1.1, 0.9, 0.6),
                      (0.3, 0.2, 0.95))
         return [(body3d((0.0, 0.0, 0.0)), cuboid, body3d(p), sphere)
-                for p in positions], sat.detect_sphere_cuboid
+                for p in positions]
     raise ValueError(f"unknown pairing {pairing!r}")
 
 
 def _micro_cell(pairing: str, backend: str, calls: int) -> Dict:
-    cases, sat_detector = _micro_poses(pairing)
+    cases = _micro_poses(pairing)
+    _, sat_detector = sat.PAIRINGS[type(cases[0][1]), type(cases[0][3])]
     settings = convex.SolverSettings()
     n_cases = len(cases)
     if backend == "sat":

@@ -14,6 +14,9 @@ turned by +90 degrees in 2D, its ``tangent3`` in 3D.  ``ball_contact_2d``
 and ``ball_contact_3d`` first put B's anchor on B's ball by one rule.  sat's
 circle-circle and rect-rect work in the world frame and end in
 ``world_contact_2d``, which turns the points into A's frame instead.
+A record is never flipped: A and B are the bodies in the order of the
+pairing's entry in ``sat.PAIRINGS``, and a run resolves the contact in
+that order.
 """
 from __future__ import annotations
 
@@ -55,22 +58,6 @@ class ContactInfo(NamedTuple):
     tangent: Vec
     saturated: bool = False
     phi_approx: bool = False
-
-    def flipped(self) -> "ContactInfo":
-        """Swap the roles of body A and B.
-
-        World-frame anchors swap and the contact basis is negated; the
-        detection-frame MDPs swap slots but stay expressed in the original
-        detection frame.
-        """
-        return self._replace(
-            p_tilde=self.q_tilde,
-            q_tilde=self.p_tilde,
-            anchor_a=self.anchor_b,
-            anchor_b=self.anchor_a,
-            normal=tuple(-c for c in self.normal),
-            tangent=tuple(-c for c in self.tangent),
-        )
 
 
 def body_frame_2d(state_a, state_b) -> tuple:

@@ -11,15 +11,16 @@ Deeper penetrations cannot be measured and are reported as saturated.
 A ball is a point core plus a radius, so the exact solution of a program
 with a ball is the closed-form contact of ``sat``: for a box, the clamp of
 the ball center (Ericson, *Real-Time Collision Detection*, 2004, ch. 5); for
-another ball, the center line.  The three ball pairings therefore call
-sat's detectors and apply the margin (``_with_margin``): while the shrunk
-ball stays clear of the first body the contact is sat's, and past a depth
-of ``b`` it saturates at ``b``.  The two backends differ only there.  Only
-box–box alternates the two box projections until the iterates stall,
-solving in the first body's frame by the convention of ``contact`` and
-starting from the solution of the pair's last solve, kept in its
-``PairContext``.  In a run that is the last step whose world-axis boxes
-overlapped, since a pair with disjoint boxes skips the narrow phase.
+another ball, the center line.  ``detect_convex`` therefore dispatches from
+sat's table, ``sat.PAIRINGS``, and gives a ball pairing sat's detector plus
+the margin (``_with_margin``): while the shrunk ball stays clear of the
+first body the contact is sat's, and past a depth of ``b`` it saturates at
+``b``.  The two backends differ only there.  Only box–box alternates the
+two box projections until the iterates stall, solving in the first body's
+frame by the convention of ``contact`` and starting from the solution of
+the pair's last solve, kept in its ``PairContext``.  In a run that is the
+last step whose world-axis boxes overlapped, since a pair with disjoint
+boxes skips the narrow phase.
 
 The general quadratic-program form behind this (minimize a quadratic cost
 subject to linear and norm inequality constraints) is documented here only;
@@ -37,7 +38,6 @@ from .geometry import (
     EPS_DEGENERATE,
     BodyState,
     Circle,
-    Cuboid,
     Rectangle,
     Sphere,
     Vec,
@@ -48,9 +48,9 @@ from .geometry import (
     rot2_apply_t,
     sub,
 )
-# bound by name: the benchmark's tracer swaps the ``sat`` module attributes,
-# and a co call must not count as a sat call
-from .sat import detect_circle_circle, detect_rect_circle, detect_sphere_cuboid
+# the table's entries, which the benchmark's tracer leaves alone: it swaps
+# the ``sat`` module attributes, and a co call must not count as a sat call
+from .sat import PAIRINGS
 
 _ACTIVE_SET_EPS = 1e-7  # slack for deciding which eroded-box constraints bind
 
@@ -167,21 +167,27 @@ def rho_from_surrogate(phi_star: float, b: float) -> tuple[float, bool]:
 def detect_convex(state_a: BodyState, shape_a, state_b: BodyState, shape_b,
                   settings: Optional[SolverSettings] = None,
                   context: Optional[PairContext] = None) -> ContactInfo:
-    """Convex-program narrow phase for the four supported shape pairings.
+    """Convex-program narrow phase for the four pairings of ``sat.PAIRINGS``,
+    with the bodies in the table's order.
 
-    A ``NotConverged`` from the solver is raised again with the pairing and
-    both bodies' position and orientation set.
+    A ball pairing is sat's detector plus the shrink margin of the ball, B.
+    A ``NotConverged`` from the box-box solver is raised again with the
+    pairing and both bodies' position and orientation set.
     """
-    entry = _PAIRINGS.get((type(shape_a), type(shape_b)))
+    entry = PAIRINGS.get((type(shape_a), type(shape_b)))
     if entry is None:
         raise UnsupportedPair(
             f"convex backend does not support {type(shape_a).__name__}-"
             f"{type(shape_b).__name__}"
         )
     pairing, detect = entry
+    settings = settings or SolverSettings()
+    if isinstance(shape_b, (Circle, Sphere)):
+        return _with_margin(detect(state_a, shape_a, state_b, shape_b),
+                            _resolve_margin(settings, shape_b), context)
     try:
-        return detect(state_a, shape_a, state_b, shape_b,
-                      settings or SolverSettings(), context)
+        return _convex_rect_rect(state_a, shape_a, state_b, shape_b, settings,
+                                 context)
     except NotConverged as exc:
         exc.pairing = pairing
         exc.pose_a = (state_a.position, state_a.orientation)
@@ -231,20 +237,6 @@ def _with_margin(info: ContactInfo, b: float,
     if info.phi + b >= EPS_DEGENERATE:
         return info
     return info._replace(phi=-b, rho=b, saturated=True)
-
-
-def _convex_rect_circle(state_a: BodyState, rect: Rectangle, state_b: BodyState,
-                        circle: Circle, settings: SolverSettings,
-                        context: Optional[PairContext]) -> ContactInfo:
-    return _with_margin(detect_rect_circle(state_a, rect, state_b, circle),
-                        _resolve_margin(settings, circle), context)
-
-
-def _convex_circle_circle(state_a: BodyState, circle_a: Circle, state_b: BodyState,
-                          circle_b: Circle, settings: SolverSettings,
-                          context: Optional[PairContext]) -> ContactInfo:
-    return _with_margin(detect_circle_circle(state_a, circle_a, state_b, circle_b),
-                        _resolve_margin(settings, circle_b), context)
 
 
 def _convex_rect_rect(state_a: BodyState, rect_a: Rectangle, state_b: BodyState,
@@ -365,19 +357,3 @@ def _convex_rect_rect(state_a: BodyState, rect_a: Rectangle, state_b: BodyState,
         context.last_normal = info.normal
         context.last_iterations = iterations
     return info
-
-
-def _convex_cuboid_sphere(state_a: BodyState, cuboid: Cuboid, state_b: BodyState,
-                          sphere: Sphere, settings: SolverSettings,
-                          context: Optional[PairContext]) -> ContactInfo:
-    return _with_margin(detect_sphere_cuboid(state_a, cuboid, state_b, sphere),
-                        _resolve_margin(settings, sphere), context)
-
-
-# (shape type A, shape type B): pairing name, detector
-_PAIRINGS = {
-    (Rectangle, Circle): ("rect-circle", _convex_rect_circle),
-    (Circle, Circle): ("circle-circle", _convex_circle_circle),
-    (Rectangle, Rectangle): ("rect-rect", _convex_rect_rect),
-    (Cuboid, Sphere): ("sphere-cuboid", _convex_cuboid_sphere),
-}

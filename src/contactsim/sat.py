@@ -1,14 +1,17 @@
 """Closed-form / separating-axis narrow-phase detection.
 
-Supports the four shape pairings of the engine: rectangle-circle,
-circle-circle, rectangle-rectangle (2D) and cuboid-sphere (3D).  The two
-box-ball pairings are one rule, ``_box_ball_contact``, in the box's frame,
-by the convention and through the frame maps of ``contact``; a rectangle
-runs as a box with a zero third axis.  Its box point is the clamp of the
-ball center (``geometry.box_clamp``), and a center on or in the box takes
-``geometry.nearest_face``.  co's three ball pairings call these detectors
-and add only the shrink margin.  circle-circle and rectangle-rectangle work
-in the world frame and build their result with ``contact.world_contact_2d``.
+``PAIRINGS`` is the one table of the engine's four shape pairings:
+rectangle-circle, circle-circle, rectangle-rectangle (2D) and cuboid-sphere
+(3D).  It maps the shape types of bodies A and B, in the order its detector
+takes them, to the pairing's name and closed-form detector.  Both backends
+and the benchmark dispatch from it: co calls the three ball detectors and
+adds only the shrink margin.  The two box-ball pairings are one rule,
+``_box_ball_contact``, in the box's frame, by the convention and through
+the frame maps of ``contact``; a rectangle runs as a box with a zero third
+axis.  Its box point is the clamp of the ball center
+(``geometry.box_clamp``), and a center on or in the box takes
+``geometry.nearest_face``.  circle-circle and rectangle-rectangle work in
+the world frame and build their result with ``contact.world_contact_2d``.
 Signs follow sgn(0) = +1 (``1.0 if x >= 0.0 else -1.0``), which keeps the
 support tie-breaks of rectangle-rectangle total.
 """
@@ -184,3 +187,12 @@ def detect_sphere_cuboid(state_a: BodyState, cuboid: Cuboid,
                                                       q1, q2, sphere.radius)
     return ball_contact_3d(rot, phi, rho, p, (q0, q1, q2), dx, dy, dz, d,
                            sphere.radius, n)
+
+
+# (shape type A, shape type B): pairing name, closed-form detector
+PAIRINGS = {
+    (Rectangle, Circle): ("rect-circle", detect_rect_circle),
+    (Circle, Circle): ("circle-circle", detect_circle_circle),
+    (Rectangle, Rectangle): ("rect-rect", detect_rect_rect),
+    (Cuboid, Sphere): ("sphere-cuboid", detect_sphere_cuboid),
+}

@@ -1,12 +1,19 @@
 """Fixed-step rigid-body simulator: detection, resolution, state update.
 
-A run builds one step plan (per pair its detector, order and co context, per
-body its box function), then each step visits every pair of the plan.  A
-pair whose padded world-axis boxes are apart on some axis cannot touch, so
-it skips the narrow phase.  Colliding contacts feed the penalty resolver,
-the center-of-mass wrenches accumulate per body in pair order (fixed order
-keeps runs bit-deterministic) and a semi-implicit Euler step advances the
-states: velocities first, then positions with the updated velocities.
+A run builds one step plan (per pair its detector, body order and co
+context, per body its box function), then each step visits every pair of the
+plan.  A pair (i, j), i < j, keeps its bodies in the order of its entry in
+``sat.PAIRINGS`` from plan to wrench: ``_StepPlan.pairs`` holds
+``(pair, first, second, detector, shape_first, shape_second, context)``,
+where ``first`` is body A of the detector, j when only the reversed type
+pair is in the table.  Detection, the penalty and the wrenches all take the
+bodies in that order, so a ``PairDiagnostic.info`` is oriented from
+``first`` to ``second``; an event keeps ``pair = (i, j)``.  A pair whose
+padded world-axis boxes are apart on some axis cannot touch, so it skips the
+narrow phase.  Colliding contacts feed the penalty resolver, the
+center-of-mass wrenches accumulate per body in pair order (fixed order keeps
+runs bit-deterministic) and a semi-implicit Euler step advances the states:
+velocities first, then positions with the updated velocities.
 """
 from __future__ import annotations
 
@@ -95,7 +102,12 @@ class ContactEvent(NamedTuple):
 
 
 class PairDiagnostic(NamedTuple):
-    """Narrow-phase result of one colliding pair and its resolver forces."""
+    """Narrow-phase result of one colliding pair and its resolver forces.
+
+    ``pair`` is (i, j) with i < j; ``info`` is in the detector's order, so
+    its A is body j when the pair's type pair is in ``sat.PAIRINGS`` only
+    reversed.
+    """
 
     pair: Tuple[int, int]
     info: ContactInfo
@@ -116,12 +128,10 @@ class Trajectory:
         return self.samples[0][1][0].dim if self.samples else 2
 
 
-_DETECTORS_SAT = {
-    (Rectangle, Circle): sat.detect_rect_circle,
-    (Circle, Circle): sat.detect_circle_circle,
-    (Rectangle, Rectangle): sat.detect_rect_rect,
-    (Cuboid, Sphere): sat.detect_sphere_cuboid,
-}
+# sat's detector per type pair, a view of ``sat.PAIRINGS``.  A table of its
+# own only because the benchmark's tracer wraps its entries; ``_step_plan``
+# reads it when a run starts.
+_DETECTORS_SAT = {key: detector for key, (_, detector) in sat.PAIRINGS.items()}
 
 # Relative padding of a world-axis box, far above the rounding of the box's
 # own arithmetic and of either backend's verdict on a pose near touching.
@@ -178,7 +188,7 @@ _BOXES = {Circle: _ball_box, Rectangle: _rect_box, Sphere: _ball_box,
 class _StepPlan(NamedTuple):
     """What a run fixes before its first step; see ``_step_plan``."""
 
-    pairs: tuple   # (pair, i, j, detector, swapped, shape_a, shape_b, context)
+    pairs: tuple   # (pair, first, second, detector, shape_first, shape_second, context)
     boxes: tuple   # a static body's box, None for a moving one
     moving: tuple  # (k, box function, shape) of each moving body
 
@@ -187,14 +197,13 @@ def _step_plan(states, shapes, config: SimConfig) -> _StepPlan:
     """Check every pair once and fix what each step of a run reuses.
 
     Per pair: the detector, read now from ``_DETECTORS_SAT`` or
-    ``convex.detect_convex``; whether it takes the bodies in swapped order,
-    as it does when only the reversed type pair is in ``_DETECTORS_SAT``;
-    the shapes in its order; and for co a ``PairContext``.  A pair whose
-    boxes stay apart never reaches the narrow phase, which is where an
-    unsupported pairing or a co shrink margin out of range would otherwise
-    surface, so both are raised here naming the pair.  Per body: its box
-    function, and the box of a static body, whose state is the same object
-    on every step.
+    ``convex.detect_convex``; the bodies and shapes in its order, j first
+    when only the reversed type pair is in ``_DETECTORS_SAT``; and for co a
+    ``PairContext``.  A pair whose boxes stay apart never reaches the narrow
+    phase, which is where an unsupported pairing or a co shrink margin out
+    of range would otherwise surface, so both are raised here naming the
+    pair.  Per body: its box function, and the box of a static body, whose
+    state is the same object on every step.
     """
     co = config.backend is Backend.CO
     pairs = []
@@ -202,21 +211,21 @@ def _step_plan(states, shapes, config: SimConfig) -> _StepPlan:
     for i in range(n):
         for j in range(i + 1, n):
             key = (type(shapes[i]), type(shapes[j]))
-            swapped = key not in _DETECTORS_SAT
-            detector = _DETECTORS_SAT.get(key[::-1] if swapped else key)
+            first, second = (i, j) if key in _DETECTORS_SAT else (j, i)
+            detector = _DETECTORS_SAT.get((type(shapes[first]),
+                                           type(shapes[second])))
             if detector is None:
                 raise UnsupportedPair(f"pair ({i}, {j}): no narrow phase for "
                                       f"{key[0].__name__}-{key[1].__name__}")
-            first, second = (j, i) if swapped else (i, j)
             context = None
             if co:
-                try:  # the canonical second body is the shrunk one
+                try:  # the second body is the shrunk one
                     convex._resolve_margin(config.solver, shapes[second])
                 except ValueError as exc:
                     raise ValueError(f"pair ({i}, {j}): {exc}") from None
                 detector = convex.detect_convex
                 context = convex.PairContext()
-            pairs.append(((i, j), i, j, detector, swapped, shapes[first],
+            pairs.append(((i, j), first, second, detector, shapes[first],
                           shapes[second], context))
     boxes = tuple(_BOXES[type(shape)](state, shape) if state.static else None
                   for state, shape in zip(states, shapes))
@@ -249,7 +258,8 @@ def collision_response(states, shapes, config: SimConfig,
     pairs solve cold.  A pair whose boxes are apart on some axis skips the
     narrow phase: both backends call such a pair non-colliding, so it adds no
     wrench.  The diagnostics hold one ``PairDiagnostic`` per colliding pair,
-    in pair order, and nothing for the other pairs.  A body's wrench is None
+    in pair order, its ``info`` in the detector's order, and nothing for the
+    other pairs.  A body's wrench is None
     without a contact, the ``wrench_on_bodies`` result of its one contact,
     or the sum over its contacts in pair order.
     """
@@ -263,32 +273,29 @@ def collision_response(states, shapes, config: SimConfig,
     wrenches: List[Optional[BodyWrench]] = [None] * len(states)
     diagnostics: List[PairDiagnostic] = []
     try:  # names the pair whose values overflowed
-        for pair, i, j, detect, swapped, shape_a, shape_b, context in plan.pairs:
-            box_a, box_b = boxes[i], boxes[j]
+        for pair, first, second, detect, shape_a, shape_b, context in plan.pairs:
+            box_a, box_b = boxes[first], boxes[second]
             if (box_a[1] < box_b[0] or box_b[1] < box_a[0]
                     or box_a[3] < box_b[2] or box_b[3] < box_a[2]
                     or box_a[5] < box_b[4] or box_b[5] < box_a[4]):
                 continue
-            state_i, state_j = states[i], states[j]
-            state_a, state_b = (state_j, state_i) if swapped else (state_i, state_j)
+            state_a, state_b = states[first], states[second]
             if context is None:
                 info = detect(state_a, shape_a, state_b, shape_b)
             else:
                 info = detect(state_a, shape_a, state_b, shape_b, solver, context)
             if not info.colliding:
                 continue
-            if swapped:
-                info = info.flipped()
-            kin = relative_velocity_at_contact(state_i, info.anchor_a, state_j,
+            kin = relative_velocity_at_contact(state_a, info.anchor_a, state_b,
                                                info.anchor_b, info.normal,
                                                info.tangent)
             f_n, f_t = contact_force(info.rho, kin, material)
-            wrench_i, wrench_j = wrench_on_bodies(f_n, f_t, info.normal, info.tangent,
+            wrench_a, wrench_b = wrench_on_bodies(f_n, f_t, info.normal, info.tangent,
                                                   info.anchor_a, info.anchor_b)
-            prior = wrenches[i]
-            wrenches[i] = wrench_i if prior is None else _wrench_sum(prior, wrench_i)
-            prior = wrenches[j]
-            wrenches[j] = wrench_j if prior is None else _wrench_sum(prior, wrench_j)
+            prior = wrenches[first]
+            wrenches[first] = wrench_a if prior is None else _wrench_sum(prior, wrench_a)
+            prior = wrenches[second]
+            wrenches[second] = wrench_b if prior is None else _wrench_sum(prior, wrench_b)
             diagnostics.append(PairDiagnostic(pair, info, f_n, f_t))
     except OverflowError as exc:
         raise OverflowError(f"pair {pair}: {exc}") from None
@@ -311,19 +318,17 @@ def _body_constants(states) -> List[Optional[tuple]]:
 
 
 def _integrate(states, wrenches, config: SimConfig, gravity: Vec,
-               constants: Optional[List[Optional[tuple]]] = None) -> tuple:
+               constants: List[Optional[tuple]]) -> tuple:
     """Semi-implicit Euler update: velocities first, then poses.
 
     Returns the new states as a tuple.  ``constants`` are the bodies'
-    ``_body_constants``; None computes them.  Successors are built without
-    the construction checks: dimensions, mass and inertia are carried over.
-    A 3D orientation advances by the spin (0, omega) * q and is normalized
-    (a zero quaternion becomes the identity); its norm is checked, because it
-    is not a unit quaternion once the components overflow (OverflowError,
-    naming the body).
+    ``_body_constants``.  Successors are built without the construction
+    checks: dimensions, mass and inertia are carried over.  A 3D orientation
+    advances by the spin (0, omega) * q and is normalized (a zero quaternion
+    becomes the identity); its norm is checked, because it is not a unit
+    quaternion once the components overflow (OverflowError, naming the
+    body).
     """
-    if constants is None:
-        constants = _body_constants(states)
     dt = config.dt
     half_dt = dt * 0.5
     new_states = []

@@ -1,4 +1,8 @@
-"""The line and branch counter in tools/complexity.py, on sources written here."""
+"""The line and branch counter in tools/complexity.py, on sources written here.
+
+Its pairing rows come from sat's ``PAIRINGS`` table: a pairing whose B is a
+ball is, in co, sat's detector plus ``_with_margin`` and ``_resolve_margin``;
+any other is ``_convex_rect_rect``."""
 import importlib.util
 from pathlib import Path
 
@@ -16,6 +20,9 @@ def detect_a_b(x):
     if x and x > 1:
         return _helper(x)
     return 1 if x else 2
+
+
+PAIRINGS = {(Box, Box): ("a-b", detect_a_b)}
 '''
 
 CONVEX = '''\
@@ -32,7 +39,7 @@ def _outer(x):
     return x
 
 
-def _convex_a_b(x):
+def _convex_rect_rect(x):
     for _ in range(2):
         x = _outer(x)
     return x
@@ -41,9 +48,6 @@ def _convex_a_b(x):
 def unused(x):
     if x:
         return x
-
-
-_PAIRINGS = {(int, int): ("a-b", _convex_a_b)}
 '''
 
 
@@ -53,11 +57,12 @@ def test_counts_lines_and_branches(tmp_path):
     (tmp_path / "contact.py").write_text("")
     rows = [row.split() for row in complexity.report(tmp_path).splitlines()]
     # sat: comprehension, its if, `or`, if, `and`, conditional expression
-    assert rows[1] == ["sat.py", "8", "6"]
+    assert rows[1] == ["sat.py", "11", "6"]
     assert rows[2] == ["a-b", "(detect_a_b)", "4", "3", "6", "6"]
-    # convex: try, while, for, if; the pairing reaches both helpers
-    assert rows[3] == ["convex.py", "25", "4"]
-    assert rows[4] == ["a-b", "(_convex_a_b)", "4", "1", "13", "3"]
+    # convex: try, while, for, if; B is no ball, so the pairing is the
+    # box-box solver, and it reaches both helpers
+    assert rows[3] == ["convex.py", "22", "4"]
+    assert rows[4] == ["a-b", "(_convex_rect_rect)", "4", "1", "13", "3"]
 
 
 # A shared module, called from both backends: by its own name, under an
@@ -86,24 +91,27 @@ from .missing import helper
 
 def detect_a_b(x):
     return rule(x) if x else helper(LIMIT)
+
+
+PAIRINGS = {(Box, Circle): ("a-b", detect_a_b)}
 '''
 
 CONVEX_SHARED = '''\
 from .contact import rule as shared
-from .sat import detect_a_b
 
 
-def _convex_a_b(x):
+def _with_margin(x):
     while x:
         x = shared(x)
-    return detect_a_b(rule(x))
+    return x
+
+
+def _resolve_margin(x):
+    return rule(x)
 
 
 def rule(x):
     return x
-
-
-_PAIRINGS = {(int, int): ("a-b", _convex_a_b)}
 '''
 
 
@@ -113,13 +121,15 @@ def test_follows_calls_into_other_modules(tmp_path):
     (tmp_path / "convex.py").write_text(CONVEX_SHARED)
     rows = [row.split() for row in complexity.report(tmp_path).splitlines()]
     # sat: the conditional expression; with rule (if) and _inner (`or`)
-    assert rows[1] == ["sat.py", "6", "1"]
+    assert rows[1] == ["sat.py", "9", "1"]
     assert rows[2] == ["a-b", "(detect_a_b)", "2", "1", "8", "3"]
-    # convex: while; with shared = contact.rule, _inner, sat's detect_a_b
-    # and convex's own rule, which the bare name calls; contact.rule counts
-    # once, although the pairing reaches it directly and through detect_a_b
+    # convex: while.  B is a ball, so the pairing is sat's detector plus
+    # the margin: alone _with_margin and _resolve_margin, and with them
+    # shared = contact.rule, _inner, sat's detect_a_b and convex's own rule,
+    # which the bare name calls; contact.rule counts once, although the
+    # pairing reaches it through _with_margin and through detect_a_b
     assert rows[3] == ["convex.py", "15", "1"]
-    assert rows[4] == ["a-b", "(_convex_a_b)", "4", "1", "14", "4"]
+    assert rows[4] == ["a-b", "(detect_a_b", "+", "margin)", "6", "1", "16", "4"]
 
 
 def test_ends_with_the_shared_module(tmp_path):

@@ -6,8 +6,9 @@ registry run.  Counting wrappers stand in for the tracer here.  A step whose
 pair has disjoint world-axis boxes skips the narrow phase, so the detector
 counts equal the oracle's count of steps with overlapping boxes.  The tracer
 also swaps the ``sat.detect_*`` module attributes, for the cold sweep; co's
-ball pairings call sat's detectors bound by name, so a co run must reach
-none of those attributes, or its time would count as sat's.
+ball pairings call sat's detectors from the entries of ``sat.PAIRINGS``, so
+a co run must reach none of those attributes, or its time would count as
+sat's.
 """
 from collections import Counter
 

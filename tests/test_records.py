@@ -33,13 +33,6 @@ def test_immutable_and_equal_by_value(record):
     assert record._replace(**{name: "other"}) != record
 
 
-def test_flipped_twice_is_the_same_contact():
-    flipped = INFO.flipped()
-    assert flipped.anchor_a == INFO.anchor_b and flipped.normal == (-1.0, 0.0)
-    assert flipped != INFO
-    assert flipped.flipped() == INFO
-
-
 def test_only_contact_module_builds_contact_info():
     calls = []
     for path in sorted(Path(contactsim.__file__).parent.glob("*.py")):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -43,7 +44,7 @@ class TestIntegrator:
     def test_drift_without_forces(self):
         config = SimConfig(dt=0.01)
         states = [body2d((0.0, 0.0), velocity=(1.0, 0.0))]
-        out = _integrate(states, [None], config, (0.0, 0.0))
+        out = _integrate(states, [None], config, (0.0, 0.0), _body_constants(states))
         assert out[0].position == (0.01, 0.0)
 
     def test_semi_implicit_gravity_ordering(self):
@@ -51,14 +52,16 @@ class TestIntegrator:
         # already uses the post-gravity velocity
         config = SimConfig(dt=0.01)
         states = [body2d((0.0, 0.0))]
-        out = _integrate(states, [None], config, (0.0, -9.81))
+        out = _integrate(states, [None], config, (0.0, -9.81),
+                         _body_constants(states))
         assert math.isclose(out[0].velocity[1], -9.81 * 0.01, abs_tol=1e-15)
         assert math.isclose(out[0].position[1], -9.81 * 0.01 * 0.01, abs_tol=1e-15)
 
     def test_static_body_never_moves(self):
         config = SimConfig(dt=0.01)
         states = [body2d((1.0, 2.0), static=True)]
-        out = _integrate(states, [BodyWrench((5.0, 5.0), 3.0)], config, (0.0, -9.81))
+        out = _integrate(states, [BodyWrench((5.0, 5.0), 3.0)], config, (0.0, -9.81),
+                         _body_constants(states))
         assert out[0] == states[0]
 
     def test_off_center_force_matches_rk4_reference(self):
@@ -69,8 +72,9 @@ class TestIntegrator:
         states = [body2d((0.1, -0.2), velocity=(0.5, 0.25),
                          angular_velocity=-0.4, mass=mass, inertia=inertia)]
         wrench = [BodyWrench(force, moment)]
+        constants = _body_constants(states)
         for _ in range(10):
-            states = _integrate(states, wrench, config, (0.0, 0.0))
+            states = _integrate(states, wrench, config, (0.0, 0.0), constants)
         ref = rk4_free_body_2d((0.1, -0.2), (0.5, 0.25), 0.0, -0.4,
                                mass, inertia, force, moment, dt, 10)
         got = states[0]
@@ -84,8 +88,9 @@ class TestIntegrator:
     def test_quaternion_stays_normalized(self):
         config = SimConfig(dt=1e-3)
         states = [body3d((0.0, 0.0, 0.0), angular_velocity=(0.3, -0.5, 0.9))]
+        constants = _body_constants(states)
         for _ in range(200):
-            states = _integrate(states, [None], config, (0.0, 0.0, 0.0))
+            states = _integrate(states, [None], config, (0.0, 0.0, 0.0), constants)
         assert math.isclose(sum(c * c for c in states[0].orientation), 1.0,
                             abs_tol=1e-12)
 
@@ -171,10 +176,11 @@ class TestSuccessorStates:
         dt = 1e-3
         gravity = (0.0, -9.81)
         config = SimConfig(dt=dt)
+        constants = _body_constants([state])
         reference = state
         for wrench in self._wrenches(2, 500, seed=6):
             reference = _checked_successor(reference, wrench, dt, gravity)
-            (state,) = _integrate([state], [wrench], config, gravity)
+            (state,) = _integrate([state], [wrench], config, gravity, constants)
             self._assert_bitwise_equal(state, reference)
 
     def test_user_built_states_are_still_checked(self):
@@ -280,7 +286,8 @@ class TestConfigChecks:
         # the squared norm overflows, so quat_normalize returns no unit quaternion
         states = [body3d((0.0, 0.0, 0.0), angular_velocity=(1e300, 0.0, 0.0))]
         with pytest.raises(OverflowError, match="body 0: .*normalized"):
-            _integrate(states, [None], SimConfig(), (0.0, 0.0, 0.0))
+            _integrate(states, [None], SimConfig(), (0.0, 0.0, 0.0),
+                       _body_constants(states))
 
 
 class TestCollisionResponse:
@@ -378,6 +385,39 @@ class TestCollisionResponse:
         assert np.allclose(forward[0].force, reversed_[1].force, atol=1e-15)
         assert np.allclose(forward[1].force, reversed_[0].force, atol=1e-15)
         assert math.isclose(forward[0].moment, reversed_[1].moment, abs_tol=1e-15)
+
+    @staticmethod
+    def _state_bytes(state):
+        values = [*state.position, *state.velocity]
+        for value in (state.orientation, state.angular_velocity):
+            values.extend(value if isinstance(value, tuple) else (value,))
+        return struct.pack(f"<{len(values)}d", *values)
+
+    @pytest.mark.parametrize("backend", ["sat", "co"])
+    @pytest.mark.parametrize("name", ["bouncing-circle", "rect-circle",
+                                      "sphere-cuboid"])
+    def test_body_order_gives_bit_identical_runs(self, name, backend):
+        # one order takes the pair as its detector does, the other reversed
+        scenario = build_scenario(name)
+        config = SimConfig(backend=backend, duration=scenario.duration,
+                           material=scenario.material)
+        forward, _ = run_world(scenario.bodies, scenario.shapes, config,
+                               scenario.gravity)
+        backward, _ = run_world(scenario.bodies[::-1], scenario.shapes[::-1],
+                                config, scenario.gravity)
+        assert forward.events and len(forward.samples) == len(backward.samples)
+        for (t, states), (t_back, states_back) in zip(forward.samples,
+                                                       backward.samples):
+            assert t == t_back
+            assert ([self._state_bytes(state) for state in states]
+                    == [self._state_bytes(state) for state in states_back[::-1]])
+
+        def event_bytes(event):
+            return struct.pack("<4d?", event.phi, event.rho, event.f_normal,
+                               event.f_tangent, event.saturated)
+
+        assert ([(e.t, e.pair, event_bytes(e)) for e in forward.events]
+                == [(e.t, e.pair, event_bytes(e)) for e in backward.events])
 
     def test_default_material_is_not_built_per_contact(self, monkeypatch):
         scenario = build_scenario("circle-circle")

@@ -6,17 +6,23 @@ Usage::
     python tools/complexity.py [SRC_DIR]    # SRC_DIR defaults to src/contactsim
 
 Prints, for ``sat.py`` and ``convex.py``, the module's line count and branch
-count, then the same two numbers for each pairing function: alone, and
-together with every function of the package that it calls, directly or
+count, then one row per pairing of sat's table, ``sat.PAIRINGS``: the same
+two numbers for the backend's own functions of the pairing, alone, and
+together with every function of the package that they call, directly or
 through another such function.  A called function is one defined in the
 caller's module or imported into it from another module of the package
 (``from .contact import local_contact_2d``); each counts once per pairing.
 A line is a physical line, as ``wc -l`` counts it.  A branch is an ``if``
 statement or comprehension filter, a loop (``for``, ``while`` or a
 comprehension clause), a ``try`` statement, a boolean operation
-(``a and b and c`` is one) or a conditional expression.  The pairing
-functions are sat's ``detect_*`` functions and the entries of
-``convex._PAIRINGS``.  A last row gives the line and branch counts of
+(``a and b and c`` is one) or a conditional expression.
+
+A pairing's functions follow ``convex.detect_convex``.  In sat they are the
+table's detector.  In co, a pairing whose body B is a ball (``Circle`` or
+``Sphere``) is sat's detector plus the margin, ``_with_margin`` and
+``_resolve_margin``: those two count alone, and the detector with its
+helpers counts among the helpers.  Any other pairing is
+``_convex_rect_rect``.  A last row gives the line and branch counts of
 ``contact.py``, whose shared rules both backends call.
 
 Standard library only; it parses the sources and imports nothing from them.
@@ -26,6 +32,10 @@ from __future__ import annotations
 import ast
 import sys
 from pathlib import Path
+
+BALLS = ("Circle", "Sphere")  # B types that co answers with sat's detector
+MARGIN = ("_with_margin", "_resolve_margin")  # what co adds to that detector
+BOX_BOX = "_convex_rect_rect"  # co's solver for every other pairing
 
 BRANCHES = (ast.If, ast.For, ast.AsyncFor, ast.While, ast.comprehension,
             ast.Try, ast.BoolOp, ast.IfExp) + ((ast.TryStar,)
@@ -66,10 +76,10 @@ def package_scopes(src: Path) -> tuple:
     return functions, scopes
 
 
-def reached(module: str, name: str, functions: dict, scopes: dict) -> list:
-    """(module, function) of ``name`` and of every package function it
-    calls, directly or not."""
-    seen = [(module, name)]
+def reached(roots: list, functions: dict, scopes: dict) -> list:
+    """The (module, function) roots and every package function they call,
+    directly or not."""
+    seen = list(roots)
     for current_module, current in seen:
         scope = scopes[current_module]
         for node in ast.walk(functions[current_module][current]):
@@ -80,36 +90,47 @@ def reached(module: str, name: str, functions: dict, scopes: dict) -> list:
     return seen
 
 
-def pairings(module: str, tree: ast.Module) -> dict:
-    """Pairing name -> function name."""
-    if module == "sat.py":
-        return {name[len("detect_"):].replace("_", "-"): name
-                for name in module_functions(tree) if name.startswith("detect_")}
+def pairings(tree: ast.Module) -> list:
+    """(pairing name, detector name, whether B is a ball) of every entry of
+    sat's ``PAIRINGS`` table, by pairing name."""
     for node in tree.body:
         if (isinstance(node, ast.Assign) and len(node.targets) == 1
-                and getattr(node.targets[0], "id", None) == "_PAIRINGS"):
-            return {entry.elts[0].value: entry.elts[1].id
-                    for entry in node.value.values}
-    raise SystemExit(f"{module}: no _PAIRINGS table")
+                and getattr(node.targets[0], "id", None) == "PAIRINGS"):
+            return sorted((value.elts[0].value, value.elts[1].id,
+                           key.elts[1].id in BALLS)
+                          for key, value in zip(node.value.keys, node.value.values))
+    raise SystemExit("sat.py: no PAIRINGS table")
+
+
+def pairing_row(module: str, detector: str, ball: bool) -> tuple:
+    """The row label of a pairing in ``module``, the backend's own functions
+    of it there, and the (module, function) roots of its helpers."""
+    if module == "sat.py":
+        return detector, [detector], [(module, detector)]
+    if ball:
+        return (f"{detector} + margin", list(MARGIN),
+                [("sat.py", detector)] + [(module, name) for name in MARGIN])
+    return BOX_BOX, [BOX_BOX], [(module, BOX_BOX)]
 
 
 def report(src: Path) -> str:
-    rows = [f"{'':<44}{'lines':>6}{'branches':>10}"
+    rows = [f"{'':<50}{'lines':>6}{'branches':>10}"
             f"{'with helpers: lines':>21}{'branches':>10}"]
     functions, scopes = package_scopes(src)
+    table = pairings(ast.parse((src / "sat.py").read_text(encoding="utf-8")))
     for module in ("sat.py", "convex.py", "contact.py"):
         text = (src / module).read_text(encoding="utf-8")
-        tree = ast.parse(text)
-        rows.append(f"{module:<44}{len(text.splitlines()):>6}"
-                    f"{branch_count(tree):>10}")
+        rows.append(f"{module:<50}{len(text.splitlines()):>6}"
+                    f"{branch_count(ast.parse(text)):>10}")
         if module == "contact.py":
             break
-        own = functions[module]
-        for pairing, name in sorted(pairings(module, tree).items()):
-            group = [functions[m][f] for m, f in reached(module, name, functions, scopes)]
+        for pairing, detector, ball in table:
+            label, own, roots = pairing_row(module, detector, ball)
+            own = [functions[module][name] for name in own]
+            group = [functions[m][f] for m, f in reached(roots, functions, scopes)]
             rows.append(
-                f"  {f'{pairing} ({name})':<42}{line_count(own[name]):>6}"
-                f"{branch_count(own[name]):>10}"
+                f"  {f'{pairing} ({label})':<48}{sum(map(line_count, own)):>6}"
+                f"{sum(map(branch_count, own)):>10}"
                 f"{sum(map(line_count, group)):>21}"
                 f"{sum(map(branch_count, group)):>10}")
     return "\n".join(rows)
