@@ -37,9 +37,7 @@ from .errors import NotConverged, UnsupportedPair
 from .geometry import (
     EPS_DEGENERATE,
     BodyState,
-    Circle,
     Rectangle,
-    Sphere,
     Vec,
     Vec2,
     add,
@@ -170,9 +168,10 @@ def detect_convex(state_a: BodyState, shape_a, state_b: BodyState, shape_b,
     """Convex-program narrow phase for the four pairings of ``sat.PAIRINGS``,
     with the bodies in the table's order.
 
-    A ball pairing is sat's detector plus the shrink margin of the ball, B.
-    A ``NotConverged`` from the box-box solver is raised again with the
-    pairing and both bodies' position and orientation set.
+    Every pairing but rect-rect has a ball as B, and is sat's detector plus
+    the shrink margin of that ball.  A ``NotConverged`` from the box-box
+    solver is raised again with the pairing and both bodies' position and
+    orientation set.
     """
     entry = PAIRINGS.get((type(shape_a), type(shape_b)))
     if entry is None:
@@ -182,7 +181,7 @@ def detect_convex(state_a: BodyState, shape_a, state_b: BodyState, shape_b,
         )
     pairing, detect = entry
     settings = settings or SolverSettings()
-    if isinstance(shape_b, (Circle, Sphere)):
+    if pairing != "rect-rect":  # B is a ball
         return _with_margin(detect(state_a, shape_a, state_b, shape_b),
                             _resolve_margin(settings, shape_b), context)
     try:
