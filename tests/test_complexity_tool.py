@@ -1,8 +1,8 @@
 """The line and branch counter in tools/complexity.py, on sources written here.
 
-Its pairing rows come from sat's ``PAIRINGS`` table: a pairing whose B is a
-ball is, in co, sat's detector plus ``_with_margin`` and ``_resolve_margin``;
-any other is ``_convex_rect_rect``."""
+Its pairing rows come from sat's ``PAIRINGS`` table: in co, rect-rect is
+``_convex_rect_rect``, and any other pairing is sat's detector plus
+``_with_margin`` and ``_resolve_margin``."""
 import importlib.util
 from pathlib import Path
 
@@ -22,7 +22,7 @@ def detect_a_b(x):
     return 1 if x else 2
 
 
-PAIRINGS = {(Box, Box): ("a-b", detect_a_b)}
+PAIRINGS = {(Box, Box): ("rect-rect", detect_a_b)}
 '''
 
 CONVEX = '''\
@@ -58,11 +58,10 @@ def test_counts_lines_and_branches(tmp_path):
     rows = [row.split() for row in complexity.report(tmp_path).splitlines()]
     # sat: comprehension, its if, `or`, if, `and`, conditional expression
     assert rows[1] == ["sat.py", "11", "6"]
-    assert rows[2] == ["a-b", "(detect_a_b)", "4", "3", "6", "6"]
-    # convex: try, while, for, if; B is no ball, so the pairing is the
-    # box-box solver, and it reaches both helpers
+    assert rows[2] == ["rect-rect", "(detect_a_b)", "4", "3", "6", "6"]
+    # convex: try, while, for, if; the box-box solver reaches both helpers
     assert rows[3] == ["convex.py", "22", "4"]
-    assert rows[4] == ["a-b", "(_convex_rect_rect)", "4", "1", "13", "3"]
+    assert rows[4] == ["rect-rect", "(_convex_rect_rect)", "4", "1", "13", "3"]
 
 
 # A shared module, called from both backends: by its own name, under an
@@ -123,7 +122,7 @@ def test_follows_calls_into_other_modules(tmp_path):
     # sat: the conditional expression; with rule (if) and _inner (`or`)
     assert rows[1] == ["sat.py", "9", "1"]
     assert rows[2] == ["a-b", "(detect_a_b)", "2", "1", "8", "3"]
-    # convex: while.  B is a ball, so the pairing is sat's detector plus
+    # convex: while.  a-b is not rect-rect, so it is sat's detector plus
     # the margin: alone _with_margin and _resolve_margin, and with them
     # shared = contact.rule, _inner, sat's detect_a_b and convex's own rule,
     # which the bare name calls; contact.rule counts once, although the

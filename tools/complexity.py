@@ -18,12 +18,12 @@ comprehension clause), a ``try`` statement, a boolean operation
 (``a and b and c`` is one) or a conditional expression.
 
 A pairing's functions follow ``convex.detect_convex``.  In sat they are the
-table's detector.  In co, a pairing whose body B is a ball (``Circle`` or
-``Sphere``) is sat's detector plus the margin, ``_with_margin`` and
-``_resolve_margin``: those two count alone, and the detector with its
-helpers counts among the helpers.  Any other pairing is
-``_convex_rect_rect``.  A last row gives the line and branch counts of
-``contact.py``, whose shared rules both backends call.
+table's detector.  In co, rect-rect is ``_convex_rect_rect``, and every
+other pairing, whose B is a ball, is sat's detector plus the margin,
+``_with_margin`` and ``_resolve_margin``: those two count alone, and the
+detector with its helpers counts among the helpers.  A last row gives the
+line and branch counts of ``contact.py``, whose shared rules both backends
+call.
 
 Standard library only; it parses the sources and imports nothing from them.
 """
@@ -33,9 +33,8 @@ import ast
 import sys
 from pathlib import Path
 
-BALLS = ("Circle", "Sphere")  # B types that co answers with sat's detector
-MARGIN = ("_with_margin", "_resolve_margin")  # what co adds to that detector
-BOX_BOX = "_convex_rect_rect"  # co's solver for every other pairing
+MARGIN = ("_with_margin", "_resolve_margin")  # what co adds to sat's detector
+BOX_BOX = ("rect-rect", "_convex_rect_rect")  # the pairing co solves itself
 
 BRANCHES = (ast.If, ast.For, ast.AsyncFor, ast.While, ast.comprehension,
             ast.Try, ast.BoolOp, ast.IfExp) + ((ast.TryStar,)
@@ -91,26 +90,25 @@ def reached(roots: list, functions: dict, scopes: dict) -> list:
 
 
 def pairings(tree: ast.Module) -> list:
-    """(pairing name, detector name, whether B is a ball) of every entry of
-    sat's ``PAIRINGS`` table, by pairing name."""
+    """(pairing name, detector name) of every entry of sat's ``PAIRINGS``
+    table, by pairing name."""
     for node in tree.body:
         if (isinstance(node, ast.Assign) and len(node.targets) == 1
                 and getattr(node.targets[0], "id", None) == "PAIRINGS"):
-            return sorted((value.elts[0].value, value.elts[1].id,
-                           key.elts[1].id in BALLS)
-                          for key, value in zip(node.value.keys, node.value.values))
+            return sorted((entry.elts[0].value, entry.elts[1].id)
+                          for entry in node.value.values)
     raise SystemExit("sat.py: no PAIRINGS table")
 
 
-def pairing_row(module: str, detector: str, ball: bool) -> tuple:
+def pairing_row(module: str, pairing: str, detector: str) -> tuple:
     """The row label of a pairing in ``module``, the backend's own functions
     of it there, and the (module, function) roots of its helpers."""
     if module == "sat.py":
         return detector, [detector], [(module, detector)]
-    if ball:
-        return (f"{detector} + margin", list(MARGIN),
-                [("sat.py", detector)] + [(module, name) for name in MARGIN])
-    return BOX_BOX, [BOX_BOX], [(module, BOX_BOX)]
+    if pairing == BOX_BOX[0]:
+        return BOX_BOX[1], [BOX_BOX[1]], [(module, BOX_BOX[1])]
+    return (f"{detector} + margin", list(MARGIN),
+            [("sat.py", detector)] + [(module, name) for name in MARGIN])
 
 
 def report(src: Path) -> str:
@@ -124,8 +122,8 @@ def report(src: Path) -> str:
                     f"{branch_count(ast.parse(text)):>10}")
         if module == "contact.py":
             break
-        for pairing, detector, ball in table:
-            label, own, roots = pairing_row(module, detector, ball)
+        for pairing, detector in table:
+            label, own, roots = pairing_row(module, pairing, detector)
             own = [functions[module][name] for name in own]
             group = [functions[m][f] for m, f in reached(roots, functions, scopes)]
             rows.append(
