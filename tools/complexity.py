@@ -34,7 +34,7 @@ import sys
 from pathlib import Path
 
 MARGIN = ("_with_margin", "_resolve_margin")  # what co adds to sat's detector
-BOX_BOX = ("rect-rect", "_convex_rect_rect")  # the pairing co solves itself
+SOLVERS = {"rect-rect": "_convex_rect_rect"}  # the pairing co solves itself
 
 BRANCHES = (ast.If, ast.For, ast.AsyncFor, ast.While, ast.comprehension,
             ast.Try, ast.BoolOp, ast.IfExp) + ((ast.TryStar,)
@@ -105,8 +105,9 @@ def pairing_row(module: str, pairing: str, detector: str) -> tuple:
     of it there, and the (module, function) roots of its helpers."""
     if module == "sat.py":
         return detector, [detector], [(module, detector)]
-    if pairing == BOX_BOX[0]:
-        return BOX_BOX[1], [BOX_BOX[1]], [(module, BOX_BOX[1])]
+    solver = SOLVERS.get(pairing)
+    if solver is not None:
+        return solver, [solver], [(module, solver)]
     return (f"{detector} + margin", list(MARGIN),
             [("sat.py", detector)] + [(module, name) for name in MARGIN])
 
