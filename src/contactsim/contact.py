@@ -14,9 +14,9 @@ turned by +90 degrees in 2D, its ``tangent3`` in 3D.  ``ball_contact_2d``
 and ``ball_contact_3d`` first put B's anchor on B's ball by one rule.  sat's
 circle-circle and rect-rect work in the world frame and end in
 ``world_contact_2d``, which turns the points into A's frame instead.
-A record is never flipped: A and B are the bodies in the order of the
-pairing's entry in ``sat.PAIRINGS``, and a run resolves the contact in
-that order.
+A record keeps its detector's order: A and B are the bodies in the order
+of the pairing's entry in ``sat.PAIRINGS``, and a run resolves the contact
+in that order, with no swap of the two.
 """
 from __future__ import annotations
 
