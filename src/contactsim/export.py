@@ -16,12 +16,20 @@ bytes as in its previous row, so 0.0 and -0.0 stay distinct (``==`` would
 merge them); an int or a float subclass is formatted every time.  An event
 whose ``rho`` is ``-phi`` of a negative float ``phi`` prints ``rho`` as phi's
 text without the sign, which is ``repr(rho)``.
+
+CSV and JSON exports are streamed: each file is written as it is formatted,
+in chunks of at most ``CHUNK_ROWS`` (512) rows, a row being one body at one
+sample or one event, so an export's memory stays bounded whatever the run
+length.  A failed write leaves the bytes written before it in place: the
+file being written is partial (a CSV export's events file may be missing),
+and ``ContactSimError`` names the export's path.
 """
 from __future__ import annotations
 
 import json
 import math
 import struct
+from itertools import islice
 
 from .errors import ContactSimError
 from .geometry import BodyState, Circle, Rectangle
@@ -30,6 +38,10 @@ from .simulate import Trajectory
 SAMPLE_COLUMNS = ("t", "body_id", "x", "y", "z", "q0", "q1", "q2", "q3",
                   "vx", "vy", "vz", "wx", "wy", "wz")
 EVENT_COLUMNS = ("t", "pair", "phi", "rho", "Fn", "Ft", "saturated")
+
+# rows (samples x bodies, or events) formatted into one write: export time
+# reads flat from 256 to 2048 rows, while a chunk's memory grows with its size
+CHUNK_ROWS = 512
 
 # the bytes of 1, 3, 4 or 6 floats: reuse keys that tell 0.0 from -0.0
 _BITS_1 = struct.Struct("d").pack
@@ -72,42 +84,53 @@ def _event_row(event) -> dict:
 
 
 def export_trajectory(trajectory: Trajectory, fmt: str, path: str) -> None:
-    """Write a trajectory to ``path`` as csv (plus events sibling) or json."""
+    """Write a trajectory to ``path`` as csv (plus events sibling) or json.
+
+    Each file is written as it is formatted, in chunks of at most
+    ``CHUNK_ROWS`` rows, so memory stays bounded whatever the run length.
+    An ``OSError`` part way through leaves the files written so far, the
+    last one partial, and raises ``ContactSimError`` naming ``path``.
+    """
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
     try:
         if fmt == "csv":
-            _write_text(path, _samples_csv(trajectory.samples))
-            _write_text(path + ".events.csv", _events_csv(trajectory.events))
+            _write_chunks(path, _samples_csv(trajectory.samples))
+            _write_chunks(path + ".events.csv", _events_csv(trajectory.events))
         else:
-            samples = [
-                _sample_row(t, body_id, state)
-                for t, states in trajectory.samples
-                for body_id, state in enumerate(states)
-            ]
-            events = [_event_row(event) for event in trajectory.events]
-            with open(path, "w", encoding="utf-8") as handle:
-                json.dump({"samples": samples, "events": events}, handle)
-                handle.write("\n")
+            _write_chunks(path, _json_chunks(trajectory))
     except OSError as exc:
         raise ContactSimError(f"failed to write {path}: {exc}") from exc
 
 
-def _samples_csv(samples) -> str:
-    """Sample CSV text: the values of ``_sample_row``, in ``SAMPLE_COLUMNS`` order.
+def _write_chunks(path: str, chunks) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.writelines(chunks)
 
+
+def _samples_csv(samples):
+    """Yield the sample CSV text: the header, then chunks of at most
+    ``CHUNK_ROWS`` rows (one sample's rows at least).
+
+    A row holds the values of ``_sample_row`` in ``SAMPLE_COLUMNS`` order.
     Each body's rows come from its own ``_body_rows`` generator, and every
     sample's rows are joined behind its time field.  Every sample holds the
     same bodies, as a trajectory's samples do.
     """
-    lines = [",".join(SAMPLE_COLUMNS) + "\n"]
-    if samples and samples[0][1]:
-        bodies = [_body_rows(samples, body_id) for body_id in range(len(samples[0][1]))]
+    yield ",".join(SAMPLE_COLUMNS) + "\n"
+    if not (samples and samples[0][1]):
+        return
+    n_bodies = len(samples[0][1])
+    per_chunk = max(1, CHUNK_ROWS // n_bodies)
+    bodies = [_body_rows(samples, body_id) for body_id in range(n_bodies)]
+    rows = zip(samples, zip(*bodies))
+    for _ in range(0, len(samples), per_chunk):
+        lines = []
         append = lines.append
-        for (t, _), rows in zip(samples, zip(*bodies)):
+        for (t, _), sample_rows in islice(rows, per_chunk):
             prefix = f"{t!r},"
-            append(prefix + prefix.join(rows))
-    return "".join(lines)
+            append(prefix + prefix.join(sample_rows))
+        yield "".join(lines)
 
 
 def _body_rows(samples, body_id: int):
@@ -161,30 +184,52 @@ def _body_rows(samples, body_id: int):
         yield row
 
 
-def _events_csv(events) -> str:
-    """Event CSV text: the values of ``_event_row``, in ``EVENT_COLUMNS`` order.
+def _events_csv(events):
+    """Yield the event CSV text: the header, then chunks of at most
+    ``CHUNK_ROWS`` rows, each the values of ``_event_row`` in
+    ``EVENT_COLUMNS`` order.
 
     ``rho`` is usually ``-phi``; then its text is phi's without the sign.
     """
-    lines = [",".join(EVENT_COLUMNS) + "\n"]
-    append = lines.append
-    for e in events:
-        phi, rho = e.phi, e.rho
-        phi_text = repr(phi)
-        # phi < 0 excludes -0.0 and NaN; a nonzero float rho equal to -phi has
-        # -phi's bits, whose repr is phi's without the leading '-'
-        if phi < 0.0 and rho == -phi and float is type(phi) is type(rho):
-            rho_text = phi_text[1:]
-        else:
-            rho_text = repr(rho)
-        append(f"{e.t!r},{e.pair[0]}-{e.pair[1]},{phi_text},{rho_text},"
-               f"{e.f_normal!r},{e.f_tangent!r},{int(e.saturated)}\n")
-    return "".join(lines)
+    yield ",".join(EVENT_COLUMNS) + "\n"
+    for start in range(0, len(events), CHUNK_ROWS):
+        lines = []
+        append = lines.append
+        for e in events[start:start + CHUNK_ROWS]:
+            phi, rho = e.phi, e.rho
+            phi_text = repr(phi)
+            # phi < 0 excludes -0.0 and NaN; a nonzero float rho equal to -phi
+            # has -phi's bits, whose repr is phi's without the leading '-'
+            if phi < 0.0 and rho == -phi and float is type(phi) is type(rho):
+                rho_text = phi_text[1:]
+            else:
+                rho_text = repr(rho)
+            append(f"{e.t!r},{e.pair[0]}-{e.pair[1]},{phi_text},{rho_text},"
+                   f"{e.f_normal!r},{e.f_tangent!r},{int(e.saturated)}\n")
+        yield "".join(lines)
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
+def _json_chunks(trajectory: Trajectory):
+    """Yield the text of ``json.dump({"samples": [...], "events": [...]})``
+    plus a newline, the rows being those of ``_sample_row`` and
+    ``_event_row``, in chunks of at most ``CHUNK_ROWS`` rows."""
+    samples = (_sample_row(t, body_id, state)
+               for t, states in trajectory.samples
+               for body_id, state in enumerate(states))
+    yield '{"samples": ['
+    yield from _json_items(samples)
+    yield '], "events": ['
+    yield from _json_items(map(_event_row, trajectory.events))
+    yield "]}\n"
+
+
+def _json_items(rows):
+    """Yield the items of a JSON array of ``rows``, ``", "``-separated as
+    ``json.dump`` writes them, at most ``CHUNK_ROWS`` per chunk."""
+    separator = ""
+    while chunk := ", ".join(map(json.dumps, islice(rows, CHUNK_ROWS))):
+        yield separator + chunk
+        separator = ", "
 
 
 # ---------------------------------------------------------------------------

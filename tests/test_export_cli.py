@@ -1,10 +1,15 @@
+import io
 import json
 import math
+import os
+import tracemalloc
 
 import pytest
 
 from contactsim.cli import main
+from contactsim.errors import ContactSimError
 from contactsim.export import (
+    CHUNK_ROWS,
     EVENT_COLUMNS,
     SAMPLE_COLUMNS,
     _event_row,
@@ -149,6 +154,23 @@ class TestCsvBytes:
         assert text == _reference_samples_csv(trajectory)
         assert text.splitlines()[1].startswith("0,0,1,-2,0.0,1.0,")
 
+    def test_rows_across_chunk_boundaries(self, tmp_path):
+        # three bodies do not divide a chunk, so a chunk ends short of
+        # CHUNK_ROWS rows, and the events fill more than two chunks
+        floor = body2d((0.0, -1.0), 0.25, static=True)
+        samples = [(k * 0.5, (floor, _planar(0.001 * k, (0.5, -0.1 * k), 0.0),
+                              _planar(0.0, (0.25 * k, 0.0), 1.0 / (k + 1))))
+                   for k in range(CHUNK_ROWS)]
+        events = [ContactEvent(k * 0.5, (0, 1 + k % 2), -1.0 / (k + 1), 1.0 / (k + 1),
+                               float(k), -0.5 * k, k % 3 == 0)
+                  for k in range(2 * CHUNK_ROWS + 7)]
+        trajectory = Trajectory(tuple(samples), tuple(events), ())
+        out = tmp_path / "t.csv"
+        export_trajectory(trajectory, "csv", str(out))
+        assert out.read_bytes() == _reference_samples_csv(trajectory).encode()
+        events_path = tmp_path / "t.csv.events.csv"
+        assert events_path.read_bytes() == _reference_events_csv(trajectory).encode()
+
 
 class _Tagged(float):
     """A float subclass that prints its own way, as every field must."""
@@ -263,6 +285,47 @@ class TestJsonExport:
             assert row["t"] == event.t
             assert row["rho"] == event.rho
             assert row["Fn"] == event.f_normal
+
+    @pytest.mark.parametrize("run", ["short_run", "short_run_3d", None])
+    def test_bytes_equal_json_dump_of_the_rows(self, run, request, tmp_path):
+        trajectory = (request.getfixturevalue(run) if run
+                      else Trajectory((), (), ()))
+        out = tmp_path / "t.json"
+        export_trajectory(trajectory, "json", str(out))
+        reference = io.StringIO()
+        json.dump({"samples": [_sample_row(t, body_id, state)
+                               for t, states in trajectory.samples
+                               for body_id, state in enumerate(states)],
+                   "events": [_event_row(event) for event in trajectory.events]},
+                  reference)
+        assert out.read_bytes() == (reference.getvalue() + "\n").encode()
+
+
+class TestStreamedExport:
+    """An export is written in chunks, so its memory does not grow with the run."""
+
+    # files of 2.2 MB (CSV) and 1.6 MB (JSON, whose rows are longer and
+    # slower to trace); a writer that builds a file's whole text before
+    # writing it peaks at more than twice the file's size
+    @pytest.mark.parametrize("fmt, duration", [("csv", 12.0), ("json", 4.0)])
+    def test_peak_memory_is_bounded(self, fmt, duration, tmp_path):
+        trajectory = run_scenario("rect-circle", SimConfig(duration=duration))
+        out = tmp_path / f"t.{fmt}"
+        tracemalloc.start()
+        try:
+            export_trajectory(trajectory, fmt, str(out))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.stat().st_size > 1_500_000
+        assert peak < 1_000_000, f"{fmt} export peaked at {peak} bytes"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs a device whose writes fail")
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_failed_write_names_the_path(self, short_run, fmt):
+        with pytest.raises(ContactSimError, match="failed to write /dev/full"):
+            export_trajectory(short_run, fmt, "/dev/full")
 
 
 class TestSvgExport:
