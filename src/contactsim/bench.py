@@ -3,11 +3,15 @@
 Scenario rows time only the stepping loop (detection, resolution,
 integration) on a monotonic clock, with one discarded warm-up run before
 the measured repeats.  The micro section times raw detector calls, cold
-(no warm-start context), cycling over a fixed pose set per pairing.
+(no warm-start context), cycling over a fixed pose set per pairing, in
+``MICRO_BLOCKS`` blocks.  Each row and cell reports its median and
+interquartile range (inclusive quartiles; 0 for a single sample), since on
+a small host one block of calls varies by tens of percent from run to run.
 """
 from __future__ import annotations
 
 import math
+import os
 import platform
 import statistics
 import sys
@@ -20,6 +24,7 @@ from .scenarios import SCENARIO_NAMES
 from .simulate import Backend, SimConfig, run_scenario_timed
 
 PAIRINGS = tuple(name for name, _ in sat.PAIRINGS.values())
+MICRO_BLOCKS = 10
 
 
 def run_bench(scenarios: Optional[Sequence[str]] = None,
@@ -47,6 +52,7 @@ def run_bench(scenarios: Optional[Sequence[str]] = None,
             "python": sys.version.split()[0],
             "platform": platform.platform(),
             "machine": platform.machine(),
+            "cpu_count": os.cpu_count(),
             "note": "wall times from a monotonic clock; one warm-up run "
                     "discarded; stepping loop only (no I/O or setup)",
         },
@@ -67,11 +73,14 @@ def _bench_cell(name: str, backend: str, repeat: int) -> Dict:
         config = SimConfig(backend=Backend(backend))
         run_scenario_timed(name, config)  # warm-up, excluded from statistics
         times = [run_scenario_timed(name, config)[1] for _ in range(repeat)]
+        median, iqr = _median_iqr(times)
         return {
             "scenario": name,
             "backend": backend,
             "mean_s": statistics.fmean(times),
             "std_s": statistics.pstdev(times) if len(times) > 1 else 0.0,
+            "median_s": median,
+            "iqr_s": iqr,
             "repeat": repeat,
         }
     except Exception as exc:  # keep the report complete on per-cell failures
@@ -120,16 +129,31 @@ def _micro_cell(pairing: str, backend: str, calls: int) -> Dict:
     # warm-up pass over the pose cycle
     for case in cases:
         run(case)
-    t0 = time.perf_counter()
-    for k in range(calls):
-        run(cases[k % n_cases])
-    elapsed = time.perf_counter() - t0
+    # MICRO_BLOCKS blocks of calls, equal when they divide the count
+    bounds = [calls * block // MICRO_BLOCKS for block in range(MICRO_BLOCKS + 1)]
+    per_call = []
+    for start, stop in zip(bounds, bounds[1:]):
+        if stop > start:
+            t0 = time.perf_counter()
+            for k in range(start, stop):
+                run(cases[k % n_cases])
+            per_call.append((time.perf_counter() - t0) / (stop - start))
+    median, iqr = _median_iqr(per_call)
     return {
         "pairing": pairing,
         "backend": backend,
         "calls": calls,
-        "per_call_s": elapsed / calls,
+        "per_call_s": median,
+        "per_call_iqr_s": iqr,
     }
+
+
+def _median_iqr(values: List[float]):
+    """Median and interquartile range of one or more samples."""
+    if len(values) < 2:
+        return values[0], 0.0
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return median, q3 - q1
 
 
 def _co_sat_ratio(micro: List[Dict]) -> Optional[float]:

@@ -8,6 +8,7 @@ that the recovered depth is measured rather than saturated.
 """
 import filecmp
 import math
+import os
 import time
 from contextlib import contextmanager
 
@@ -223,17 +224,20 @@ def test_static_settling_sphere_on_cuboid():
 def test_bench_report_structure_and_micro_costs():
     with criterion("benchmark harness (all cells, micro costs, CO/SAT ratio)"):
         report = run_bench(repeat=10, micro_calls=100_000)
+        assert report["environment"]["cpu_count"] == os.cpu_count()
         rows = report["rows"]
         assert len(rows) == 10
         for row in rows:
             assert "error" not in row, row
             assert row["mean_s"] > 0.0
+            assert row["median_s"] > 0.0 and row["iqr_s"] >= 0.0
             assert row["repeat"] == 10
         micro = report["micro"]
         assert len(micro) == 8
         for cell in micro:
             assert cell["calls"] == 100_000
             assert cell["per_call_s"] > 0.0
+            assert cell["per_call_iqr_s"] >= 0.0
         ratio = report["sphere_cuboid_co_vs_sat_ratio"]
         assert ratio is not None and ratio > 0.0
         # informational, non-failing: the reference direction is CO <= SAT;
@@ -241,6 +245,16 @@ def test_bench_report_structure_and_micro_costs():
         direction = "matches" if ratio <= 1.0 else "does not match"
         print(f"[acceptance]   sphere-cuboid narrow-phase CO/SAT per-call "
               f"ratio = {ratio:.2f} ({direction} the reference direction)")
+
+
+def test_bench_spread_of_single_samples_and_short_blocks():
+    # one repeat has no spread; seven calls fill seven of the ten blocks
+    report = run_bench(["circle-circle"], ["sat"], repeat=1, micro_calls=7)
+    row, = report["rows"]
+    assert row["median_s"] == row["mean_s"] > 0.0 and row["iqr_s"] == 0.0
+    for cell in report["micro"]:
+        assert cell["calls"] == 7
+        assert cell["per_call_s"] > 0.0 and cell["per_call_iqr_s"] >= 0.0
 
 
 def test_determinism_byte_identical_csv(tmp_path):
