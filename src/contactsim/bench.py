@@ -16,7 +16,7 @@ import platform
 import statistics
 import sys
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import convex, sat
 from .geometry import Circle, Cuboid, Rectangle, Sphere, body2d, body3d
@@ -148,7 +148,7 @@ def _micro_cell(pairing: str, backend: str, calls: int) -> Dict:
     }
 
 
-def _median_iqr(values: List[float]):
+def _median_iqr(values: List[float]) -> Tuple[float, float]:
     """Median and interquartile range of one or more samples."""
     if len(values) < 2:
         return values[0], 0.0

@@ -19,8 +19,8 @@ text without the sign, which is ``repr(rho)``.
 
 CSV and JSON exports are streamed: each file is written as it is formatted,
 in chunks of at most ``CHUNK_ROWS`` (512) rows, a row being one body at one
-sample or one event, so an export's memory stays bounded whatever the run
-length.  A failed write leaves the bytes written before it in place: the
+sample or one event (a sample with more bodies is one chunk), so an export's
+memory stays bounded whatever the run length.  A failed write leaves the bytes written before it in place: the
 file being written is partial (a CSV export's events file may be missing),
 and ``ContactSimError`` names the export's path.
 """
@@ -110,7 +110,7 @@ def _write_chunks(path: str, chunks) -> None:
 
 def _samples_csv(samples):
     """Yield the sample CSV text: the header, then chunks of at most
-    ``CHUNK_ROWS`` rows (one sample's rows at least).
+    ``CHUNK_ROWS`` rows; a sample's rows are never split between chunks.
 
     A row holds the values of ``_sample_row`` in ``SAMPLE_COLUMNS`` order.
     Each body's rows come from its own ``_body_rows`` generator, and every
@@ -123,11 +123,11 @@ def _samples_csv(samples):
     n_bodies = len(samples[0][1])
     per_chunk = max(1, CHUNK_ROWS // n_bodies)
     bodies = [_body_rows(samples, body_id) for body_id in range(n_bodies)]
-    rows = zip(samples, zip(*bodies))
+    by_sample = zip(samples, zip(*bodies))
     for _ in range(0, len(samples), per_chunk):
         lines = []
         append = lines.append
-        for (t, _), sample_rows in islice(rows, per_chunk):
+        for (t, _), sample_rows in islice(by_sample, per_chunk):
             prefix = f"{t!r},"
             append(prefix + prefix.join(sample_rows))
         yield "".join(lines)

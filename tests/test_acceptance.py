@@ -248,13 +248,14 @@ def test_bench_report_structure_and_micro_costs():
 
 
 def test_bench_spread_of_single_samples_and_short_blocks():
-    # one repeat has no spread; seven calls fill seven of the ten blocks
-    report = run_bench(["circle-circle"], ["sat"], repeat=1, micro_calls=7)
-    row, = report["rows"]
-    assert row["median_s"] == row["mean_s"] > 0.0 and row["iqr_s"] == 0.0
-    for cell in report["micro"]:
-        assert cell["calls"] == 7
-        assert cell["per_call_s"] > 0.0 and cell["per_call_iqr_s"] >= 0.0
+    with criterion("benchmark spread (one repeat, fewer calls than blocks)"):
+        # one repeat has no spread; seven calls fill seven of the ten blocks
+        report = run_bench(["circle-circle"], ["sat"], repeat=1, micro_calls=7)
+        row, = report["rows"]
+        assert row["median_s"] == row["mean_s"] > 0.0 and row["iqr_s"] == 0.0
+        for cell in report["micro"]:
+            assert cell["calls"] == 7
+            assert cell["per_call_s"] > 0.0 and cell["per_call_iqr_s"] >= 0.0
 
 
 def test_determinism_byte_identical_csv(tmp_path):
