@@ -105,11 +105,15 @@ def detect_rect_rect(state_a: BodyState, rect_a: Rectangle,
                      state_b: BodyState, rect_b: Rectangle) -> ContactInfo:
     """Separating-axis query between two oriented rectangles.
 
-    Tests the four candidate axes (two edge normals per body).  On overlap
-    the minimum translation vector is the axis of least overlap, oriented
-    from A to B, and the single contact point is the deepest support vertex
-    of the body penetrating the other's face.  Support-vertex ties (an axis
-    orthogonal to the normal) resolve through the sign rule sgn(0) = +1.
+    One scan over the four candidate axes (two edge normals per body) finds
+    the axis of least overlap; the normal is that axis, oriented from A to
+    B.  On separation phi is the least overlap negated, which is the
+    largest axis gap and a lower bound on the distance, and the points are
+    A's vertex furthest along the normal and B's vertex furthest against
+    it.  On overlap the single contact point is the penetrating vertex: B's
+    when the axis is an edge normal of A, A's when it is one of B.
+    Support-vertex ties (an axis orthogonal to the normal) resolve through
+    the sign rule sgn(0) = +1.
     """
     theta = state_a.orientation
     ca, sa = math.cos(theta), math.sin(theta)
@@ -127,53 +131,32 @@ def detect_rect_rect(state_a: BodyState, rect_a: Rectangle,
     min_overlap = math.inf
     best_x, best_y = 1.0, 0.0
     best_owner = 0
-    max_gap = -math.inf
-    gap_x, gap_y = 1.0, 0.0
-
     for x, y, owner in ((a1x, a1y, 0), (a2x, a2y, 0), (b1x, b1y, 1), (b2x, b2y, 1)):
         rad_a = ea1 * abs(a1x * x + a1y * y) + ea2 * abs(a2x * x + a2y * y)
         rad_b = eb1 * abs(b1x * x + b1y * y) + eb2 * abs(b2x * x + b2y * y)
         overlap = rad_a + rad_b - abs(dx * x + dy * y)
-        if -overlap > max_gap:
-            max_gap = -overlap
-            gap_x, gap_y = x, y
         if overlap < min_overlap:
             min_overlap = overlap
             best_x, best_y = x, y
             best_owner = owner
 
-    if min_overlap <= 0.0:
-        # separated: the largest per-axis gap is a lower bound on distance
-        if dx * gap_x + dy * gap_y >= 0.0:
-            nx, ny = gap_x, gap_y
-        else:
-            nx, ny = -gap_x, -gap_y
-        # A's vertex furthest along n, B's vertex furthest against it
-        k1 = ea1 * (1.0 if a1x * nx + a1y * ny >= 0.0 else -1.0)
-        k2 = ea2 * (1.0 if a2x * nx + a2y * ny >= 0.0 else -1.0)
-        support_a = (a1x * k1 + a2x * k2, a1y * k1 + a2y * k2)
-        k1 = -eb1 * (1.0 if b1x * nx + b1y * ny >= 0.0 else -1.0)
-        k2 = -eb2 * (1.0 if b2x * nx + b2y * ny >= 0.0 else -1.0)
-        sbx, sby = b1x * k1 + b2x * k2, b1y * k1 + b2y * k2
-        return world_contact_2d(ca, sa, max_gap, 0.0, support_a,
-                                (dx + sbx, dy + sby), (sbx, sby), (nx, ny), True)
-
     if dx * best_x + dy * best_y >= 0.0:
         nx, ny = best_x, best_y
     else:
         nx, ny = -best_x, -best_y
+    k1 = ea1 * (1.0 if a1x * nx + a1y * ny >= 0.0 else -1.0)
+    k2 = ea2 * (1.0 if a2x * nx + a2y * ny >= 0.0 else -1.0)
+    sax, say = a1x * k1 + a2x * k2, a1y * k1 + a2y * k2
+    k1 = -eb1 * (1.0 if b1x * nx + b1y * ny >= 0.0 else -1.0)
+    k2 = -eb2 * (1.0 if b2x * nx + b2y * ny >= 0.0 else -1.0)
+    sbx, sby = b1x * k1 + b2x * k2, b1y * k1 + b2y * k2
+    if min_overlap <= 0.0:
+        return world_contact_2d(ca, sa, -min_overlap, 0.0, (sax, say),
+                                (dx + sbx, dy + sby), (sbx, sby), (nx, ny), True)
     if best_owner == 0:
-        # B's vertex penetrates A's face: deepest support of B against the normal
-        k1 = -eb1 * (1.0 if b1x * nx + b1y * ny >= 0.0 else -1.0)
-        k2 = -eb2 * (1.0 if b2x * nx + b2y * ny >= 0.0 else -1.0)
-        wx = pb[0] + (b1x * k1 + b2x * k2)
-        wy = pb[1] + (b1y * k1 + b2y * k2)
+        wx, wy = pb[0] + sbx, pb[1] + sby
     else:
-        # A's vertex penetrates B's face
-        k1 = ea1 * (1.0 if a1x * nx + a1y * ny >= 0.0 else -1.0)
-        k2 = ea2 * (1.0 if a2x * nx + a2y * ny >= 0.0 else -1.0)
-        wx = pa[0] + (a1x * k1 + a2x * k2)
-        wy = pa[1] + (a1y * k1 + a2y * k2)
+        wx, wy = pa[0] + sax, pa[1] + say
     contact = (wx - pa[0], wy - pa[1])
     return world_contact_2d(ca, sa, -min_overlap, min_overlap, contact, contact,
                             (wx - pb[0], wy - pb[1]), (nx, ny))

@@ -147,3 +147,15 @@ def test_reports_the_package(capsys):
     for name in ("sat.py", "convex.py", "contact.py", "detect_rect_rect",
                  "_convex_rect_rect"):
         assert name in out
+
+
+def test_readme_table_is_the_package_report():
+    readme = (_PATH.parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("At this commit it prints:\n\n```\n", 1)[1]
+    table = complexity.report(_PATH.parent.parent / "src" / "contactsim")
+    assert block.split("```", 1)[0] == table + "\n"
+    # the sentence under the table states the two backends' difference
+    rows = {row.split()[0]: row.split()[1:] for row in table.splitlines()[1:]}
+    lines, branches = (int(c) - int(s) for c, s in zip(rows["convex.py"], rows["sat.py"]))
+    assert (f"`convex.py` is still larger than `sat.py`, by {lines} lines and "
+            f"{branches} branches") in readme

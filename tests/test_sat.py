@@ -350,8 +350,20 @@ class TestDetectRectRect:
                 continue
             if info.colliding != colliding_oracle:
                 disagreements += 1
-            elif info.colliding:
+                continue
+            # phi is the least overlap negated: the oracle's largest gap
+            assert abs(info.phi - gap) < 1e-9
+            if info.colliding:
                 assert abs(info.rho - depth) < 1e-9
+                continue
+            # separated: A's and B's support vertices, a gap of phi apart
+            # along the normal, which points from A toward B
+            wa = np.add(pa, info.anchor_a)
+            wb = np.add(pb, info.anchor_b)
+            assert np.dot(info.normal, np.subtract(pb, pa)) >= 0.0
+            assert abs(np.dot(info.normal, wb - wa) - info.phi) < 1e-9
+            assert np.abs(verts_a - wa).max(axis=1).min() < 1e-12
+            assert np.abs(verts_b - wb).max(axis=1).min() < 1e-12
         assert disagreements == 0
 
     def test_swap_symmetry_sweep(self):
