@@ -35,12 +35,18 @@ def run_bench(scenarios: Optional[Sequence[str]] = None,
 
     Every (scenario, backend) cell appears either with timing statistics or
     with an explicit error entry; ``micro_calls`` of 0 skips the micro
-    section.
+    section.  A repeat below 1, a negative ``micro_calls`` or an unknown
+    backend raises ``ValueError`` before anything runs.
     """
     if repeat < 1:
         raise ValueError("repeat must be at least 1")
+    if micro_calls < 0:
+        raise ValueError("micro_calls must be at least 0")
     scenarios = tuple(scenarios) if scenarios else SCENARIO_NAMES
     backends = tuple(backends) if backends else ("sat", "co")
+    for name in backends:
+        if name not in ("sat", "co"):
+            raise ValueError(f"unknown backend {name!r}")
 
     rows: List[Dict] = []
     for name in scenarios:

@@ -117,10 +117,6 @@ def _cmd_bench(args) -> int:
         for name in scenarios:
             if name not in SCENARIO_NAMES:
                 raise UnknownScenario(f"unknown scenario {name!r}")
-    if backends:
-        for name in backends:
-            if name not in ("sat", "co"):
-                raise UnknownScenario(f"unknown backend {name!r}")
     report = run_bench(scenarios, backends, repeat=args.repeat,
                        micro_calls=args.micro_calls)
     text = json.dumps(report, indent=2)

@@ -677,6 +677,15 @@ class TestCli:
     def test_bench_unknown_scenario_is_usage_error(self):
         assert main(["bench", "--scenarios", "nope", "--repeat", "1"]) == 1
 
+    def test_bench_unknown_backend_is_usage_error(self, capsys):
+        assert main(["bench", "--backends", "sat,nope", "--repeat", "1"]) == 1
+        assert "unknown backend 'nope'" in capsys.readouterr().err
+
+    def test_bench_negative_micro_calls_is_usage_error(self, capsys):
+        assert main(["bench", "--scenarios", "circle-circle", "--backends",
+                     "sat", "--repeat", "1", "--micro-calls", "-3"]) == 1
+        assert "micro_calls" in capsys.readouterr().err
+
     def test_log_env_variable_accepted(self, monkeypatch, capsys):
         monkeypatch.setenv("CONTACTSIM_LOG", "debug")
         code = main(["simulate", "--scenario", "circle-circle", "--backend",
