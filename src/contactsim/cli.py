@@ -4,7 +4,7 @@ Exit codes: 0 on success, 1 on usage errors (bad flags, unknown scenario,
 a malformed or out-of-range config), 2 on runtime errors (solver
 non-convergence, unsupported pairings, numerical overflow, I/O failures).
 The CONTACTSIM_LOG environment variable (error|warn|info|debug) controls
-diagnostic verbosity.
+diagnostic verbosity; any other value is a usage error.
 """
 from __future__ import annotations
 
@@ -67,9 +67,10 @@ def _build_parser() -> _Parser:
 
 
 def _configure_logging() -> None:
-    level_name = os.environ.get("CONTACTSIM_LOG", "warn").lower()
-    logging.basicConfig(level=_LOG_LEVELS.get(level_name, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
+    level = _LOG_LEVELS.get(os.environ.get("CONTACTSIM_LOG", "warn").lower())
+    if level is None:
+        raise ValueError(f"CONTACTSIM_LOG must be one of {'|'.join(_LOG_LEVELS)}")
+    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
 # The --config document: the run options read here, and the scenario keys,
@@ -129,13 +130,13 @@ def _cmd_bench(args) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    _configure_logging()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
+        _configure_logging()
         if args.command == "simulate":
             return _cmd_simulate(args)
         return _cmd_bench(args)

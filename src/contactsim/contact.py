@@ -8,12 +8,12 @@ coordinates (c x + s y, -s x + c y); with ``rot`` A's world-from-body
 matrix, a 3D one has rot^T v.  ``body_frame_2d``
 and ``body_frame_3d`` put B's center into A's frame.  A detector's own rule
 turns it into the proximity, the depth, both points, both anchors and the
-normal, in A's frame.  ``local_contact_2d`` and ``local_contact_3d`` turn the
+normal, in A's frame; one rule, ``sat._box_ball_contact``, does so for both
+box-ball pairings.  ``local_contact_2d`` and ``local_contact_3d`` turn the
 anchors and the normal into the world frame and add the tangent: the normal
-turned by +90 degrees in 2D, its ``tangent3`` in 3D.  ``ball_contact_2d``
-and ``ball_contact_3d`` first put B's anchor on B's ball by one rule.  sat's
-circle-circle and rect-rect work in the world frame and end in
-``world_contact_2d``, which turns the points into A's frame instead.
+turned by +90 degrees in 2D, its ``tangent3`` in 3D.  sat's circle-circle
+and rect-rect work in the world frame and end in ``world_contact_2d``,
+which turns the points into A's frame instead.
 A record keeps its detector's order: A and B are the bodies in the order
 of the pairing's entry in ``sat.PAIRINGS``, and a run resolves the contact
 in that order, with no swap of the two.
@@ -23,8 +23,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .geometry import (EPS_DEGENERATE, Mat3, Vec, Vec2, Vec3, quat_to_matrix,
-                       tangent3)
+from .geometry import Mat3, Vec, Vec2, Vec3, quat_to_matrix, tangent3
 
 
 class ContactInfo(NamedTuple):
@@ -103,8 +102,7 @@ def local_contact_2d(c: float, s: float, phi: float, rho: float, p: Vec2,
 
 
 def local_contact_3d(rot: Mat3, phi: float, rho: float, p: Vec3, q: Vec3,
-                     u: Vec3, v: Vec3, n: Vec3, saturated: bool = False
-                     ) -> ContactInfo:
+                     u: Vec3, v: Vec3, n: Vec3) -> ContactInfo:
     """The ``ContactInfo`` of a 3D body-frame result, as ``local_contact_2d``
     with A's world-from-body matrix ``rot``."""
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rot
@@ -121,8 +119,7 @@ def local_contact_3d(rot: Mat3, phi: float, rho: float, p: Vec3, q: Vec3,
         (r00 * nx + r01 * ny + r02 * nz, r10 * nx + r11 * ny + r12 * nz,
          r20 * nx + r21 * ny + r22 * nz),
         (r00 * tx + r01 * ty + r02 * tz, r10 * tx + r11 * ty + r12 * tz,
-         r20 * tx + r21 * ty + r22 * tz),
-        saturated)
+         r20 * tx + r21 * ty + r22 * tz))
 
 
 def world_contact_2d(c: float, s: float, phi: float, rho: float, p: Vec2,
@@ -138,47 +135,3 @@ def world_contact_2d(c: float, s: float, phi: float, rho: float, p: Vec2,
                        (c * px + s * py, -s * px + c * py),
                        (c * qx + s * qy, -s * qx + c * qy),
                        p, v, n, (-ny, nx), False, phi_approx)
-
-
-def ball_contact_2d(c: float, s: float, phi: float, rho: float, p: Vec2,
-                    q: Vec2, dx: float, dy: float, d: float, r: float, n: Vec2,
-                    saturated: bool = False) -> ContactInfo:
-    """The ``ContactInfo`` of a 2D body-frame result whose B is a ball of
-    radius r centered at q, and whose A has the point and anchor p.
-
-    B's anchor is r along (dx, dy), the direction from q toward p, of
-    length d.  A d below ``EPS_DEGENERATE``, which the box detectors pass
-    for q on or in the box, puts it at -n r instead: the point of the ball
-    facing A.
-    """
-    if d >= EPS_DEGENERATE:
-        inv = 1.0 / d
-        mx = dx * inv * r
-        my = dy * inv * r
-    else:
-        nx, ny = n
-        mx = -nx * r
-        my = -ny * r
-    q0, q1 = q
-    return local_contact_2d(c, s, phi, rho, p, (q0 + mx, q1 + my), p, (mx, my), n,
-                            saturated)
-
-
-def ball_contact_3d(rot: Mat3, phi: float, rho: float, p: Vec3, q: Vec3,
-                    dx: float, dy: float, dz: float, d: float, r: float, n: Vec3,
-                    saturated: bool = False) -> ContactInfo:
-    """The ``ContactInfo`` of a 3D body-frame result whose B is a ball, as
-    ``ball_contact_2d`` with A's world-from-body matrix ``rot``."""
-    if d >= EPS_DEGENERATE:
-        inv = 1.0 / d
-        mx = dx * inv * r
-        my = dy * inv * r
-        mz = dz * inv * r
-    else:
-        nx, ny, nz = n
-        mx = -nx * r
-        my = -ny * r
-        mz = -nz * r
-    q0, q1, q2 = q
-    return local_contact_3d(rot, phi, rho, p, (q0 + mx, q1 + my, q2 + mz), p,
-                            (mx, my, mz), n, saturated)

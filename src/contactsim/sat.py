@@ -10,10 +10,12 @@ adds only the shrink margin.  The two box-ball pairings are one rule,
 the frame maps of ``contact``; a rectangle runs as a box with a zero third
 axis.  Its box point is the clamp of the ball center
 (``geometry.box_clamp``), and a center on or in the box takes
-``geometry.nearest_face``.  circle-circle and rectangle-rectangle work in
-the world frame and build their result with ``contact.world_contact_2d``.
-Signs follow sgn(0) = +1 (``1.0 if x >= 0.0 else -1.0``), which keeps the
-support tie-breaks of rectangle-rectangle total.
+``geometry.nearest_face``.  It also puts the ball's anchor on the ball, so
+both detectors end in ``contact.local_contact_2d`` or ``local_contact_3d``.
+circle-circle and rectangle-rectangle work in the world frame and build
+their result with ``contact.world_contact_2d``.  Signs follow sgn(0) = +1
+(``1.0 if x >= 0.0 else -1.0``), which keeps the support tie-breaks of
+rectangle-rectangle total.
 """
 from __future__ import annotations
 
@@ -21,10 +23,10 @@ import math
 
 from .contact import (
     ContactInfo,
-    ball_contact_2d,
-    ball_contact_3d,
     body_frame_2d,
     body_frame_3d,
+    local_contact_2d,
+    local_contact_3d,
     world_contact_2d,
 )
 from .geometry import (
@@ -44,34 +46,40 @@ def _box_ball_contact(ext: Vec, q0: float, q1: float, q2: float,
                       radius: float) -> tuple:
     """The box-ball rule in the box frame, for a box of half-extents ``ext``
     and a ball of ``radius`` centered at (q0, q1, q2); a 2D box runs as
-    q2 = 0.0.
+    q2 = 0.0.  Returns phi, rho, the box point, the ball point, the ball's
+    anchor from its center and the normal, each with three components.
 
-    The box point is the clamp of the center, and the normal the direction
-    from it to the center.  A center on or in the box must travel to the
-    nearest face plus its radius to get clear: its depth is the radius plus
-    that face's distance, and its point and normal are that face's.  Returns
-    phi, rho, the box point, its offset from the center and the offset's
-    length, and the normal, each point and vector with three components.
+    The box point is the clamp of the center, the normal runs from it to the
+    center, and the anchor is r along the offset from the center to it.  A
+    center on or in the box must travel to the nearest face plus its radius
+    to get clear: its depth is the radius plus that face's distance, its
+    point and normal are that face's, and its anchor is -n r, facing the box.
     """
     px, py, pz, dx, dy, dz, d = box_clamp(ext, q0, q1, q2)
     phi = d - radius
     if d < EPS_DEGENERATE:
         best, n = nearest_face((q0, q1, q2), ext)
         nx, ny, nz = n
-        return (phi, radius + best, (q0 + nx * best, q1 + ny * best, q2 + nz * best),
-                dx, dy, dz, d, n)
-    return (phi, 0.0 if phi >= 0.0 else -phi, (px, py, pz), dx, dy, dz, d,
-            ((q0 - px) / d, (q1 - py) / d, (q2 - pz) / d))
+        p = (q0 + nx * best, q1 + ny * best, q2 + nz * best)
+        rho = radius + best
+        mx, my, mz = -nx * radius, -ny * radius, -nz * radius
+    else:
+        p = (px, py, pz)
+        rho = 0.0 if phi >= 0.0 else -phi
+        n = ((q0 - px) / d, (q1 - py) / d, (q2 - pz) / d)
+        inv = 1.0 / d
+        mx, my, mz = dx * inv * radius, dy * inv * radius, dz * inv * radius
+    return phi, rho, p, (q0 + mx, q1 + my, q2 + mz), (mx, my, mz), n
 
 
 def detect_rect_circle(state_a: BodyState, rect: Rectangle,
                        state_b: BodyState, circle: Circle) -> ContactInfo:
     """Closest-point query between a rectangle (body A) and a circle (body B)."""
     c, s, q0, q1 = body_frame_2d(state_a, state_b)
-    phi, rho, (px, py, _), dx, dy, _, d, (nx, ny, _) = _box_ball_contact(
+    phi, rho, (px, py, _), (qx, qy, _), (mx, my, _), (nx, ny, _) = _box_ball_contact(
         (rect.half_length, rect.half_width), q0, q1, 0.0, circle.radius)
-    return ball_contact_2d(c, s, phi, rho, (px, py), (q0, q1), dx, dy, d,
-                           circle.radius, (nx, ny))
+    p = (px, py)
+    return local_contact_2d(c, s, phi, rho, p, (qx, qy), p, (mx, my), (nx, ny))
 
 
 def detect_circle_circle(state_a: BodyState, circle_a: Circle,
@@ -166,10 +174,9 @@ def detect_sphere_cuboid(state_a: BodyState, cuboid: Cuboid,
                          state_b: BodyState, sphere: Sphere) -> ContactInfo:
     """Closest-point query between a cuboid (body A) and a sphere (body B)."""
     rot, q0, q1, q2 = body_frame_3d(state_a, state_b)
-    phi, rho, p, dx, dy, dz, d, n = _box_ball_contact(cuboid.half_extents, q0,
-                                                      q1, q2, sphere.radius)
-    return ball_contact_3d(rot, phi, rho, p, (q0, q1, q2), dx, dy, dz, d,
-                           sphere.radius, n)
+    phi, rho, p, q, m, n = _box_ball_contact(cuboid.half_extents, q0, q1, q2,
+                                             sphere.radius)
+    return local_contact_3d(rot, phi, rho, p, q, p, m, n)
 
 
 # (shape type A, shape type B): pairing name, closed-form detector

@@ -327,7 +327,11 @@ def _integrate(states, wrenches, config: SimConfig, gravity: Vec,
     advances by the spin (0, omega) * q and is normalized (a zero quaternion
     becomes the identity); its norm is checked, because it is not a unit
     quaternion once the components overflow (OverflowError, naming the
-    body).
+    body).  A 3D inverse inertia is a world-frame tensor fixed over the run,
+    with no gyroscopic term omega x I omega, and ``kinetic_energy`` reads it
+    too: only an isotropic body, as is every moving 3D body of the registry,
+    rotates exactly.  A torque-free cuboid's world angular momentum goes from
+    (0.100, 0.043, 0.113) to (0.101, 0.034, 0.116) over 2 s.
     """
     dt = config.dt
     half_dt = dt * 0.5

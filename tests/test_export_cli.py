@@ -692,3 +692,14 @@ class TestCli:
                      "sat", "--duration", "0.1"])
         assert code == 0
         assert "samples" in capsys.readouterr().out
+
+    def test_log_env_variable_unknown_is_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("CONTACTSIM_LOG", "verbose")
+        code = main(["simulate", "--scenario", "circle-circle", "--backend",
+                     "sat", "--duration", "0.1"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "CONTACTSIM_LOG" in captured.err
+        assert "error|warn|info|debug" in captured.err
+        assert "Traceback" not in captured.err

@@ -212,21 +212,36 @@ class TestDetectRectCircle:
         c1, c2, radius = 2.0, 1.2, 0.5
         position = (0.3, -0.4)
         c, s = math.cos(theta), math.sin(theta)
-        checked = 0
+        # past each face by a shallow overlap, exactly the radius (touching)
+        # and one and a half radii (separated); a pair of them puts the
+        # center beyond a corner
+        past = np.array([0.25, 1.0, 1.5]) * radius
+        checked = colliding = touching = 0
         # the even counts keep the grid off the axes; the appended 0.0 puts
         # centers on them, where two opposite faces tie and nearest_face
         # gives the tie to the + face in 2D and 3D alike
-        for x in np.append(np.linspace(-1.95, 1.95, 26), 0.0):
-            for y in np.append(np.linspace(-1.15, 1.15, 12), 0.0):
+        for x in np.concatenate([np.linspace(-1.95, 1.95, 26), [0.0],
+                                 c1 + past, -c1 - past]):
+            for y in np.concatenate([np.linspace(-1.15, 1.15, 12), [0.0],
+                                     c2 + past, -c2 - past]):
                 center = (position[0] + c * x - s * y, position[1] + s * x + c * y)
                 flat = detect_rect_circle(body2d(position, theta), Rectangle(c1, c2),
                                           body2d(center), Circle(radius))
                 deep = detect_sphere_cuboid(
                     body3d(position + (0.0,), quat_from_angle_z(theta)),
                     Cuboid((c1, c2, 100.0)), body3d(center + (0.0,)), Sphere(radius))
-                assert flat.colliding and deep.colliding
+                # the 2D and 3D frame maps round apart, so a rotated
+                # touching pose may land on either side of phi = 0
+                assert flat.colliding == deep.colliding or (
+                    theta != 0.0 and abs(flat.phi) < 1e-12), (x, y)
                 assert math.isclose(flat.phi, deep.phi, abs_tol=1e-12)
                 assert math.isclose(flat.rho, deep.rho, abs_tol=1e-12)
+                # B's anchor is on the ball, facing A: -r n on either branch
+                for info in (flat, deep):
+                    assert math.isclose(math.hypot(*info.anchor_b), radius,
+                                        rel_tol=0.0, abs_tol=1e-12), (x, y)
+                    assert np.allclose(info.anchor_b, -radius * np.array(info.normal),
+                                       rtol=0.0, atol=1e-12), (x, y)
                 for name in ("p_tilde", "q_tilde", "anchor_a", "anchor_b",
                              "normal", "tangent"):
                     value = getattr(deep, name)
@@ -234,7 +249,10 @@ class TestDetectRectCircle:
                     assert np.allclose(getattr(flat, name), value[:2],
                                        rtol=0.0, atol=1e-12), name
                 checked += 1
-        assert checked > 300
+                colliding += flat.colliding
+                touching += abs(flat.phi) < 1e-12
+        assert colliding > 400 and checked - colliding > 100
+        assert touching == 2 * (27 + 13)  # both rims of each axis
 
     def test_rotated_pose_world_quantities(self):
         theta = 0.35
