@@ -208,7 +208,7 @@ class TestDetectRectCircle:
         assert info.normal == (1.0, 0.0)
 
     @pytest.mark.parametrize("theta", [0.0, 0.7, 0.9, 1.2, -2.3])
-    def test_center_inside_matches_sphere_cuboid(self, theta):
+    def test_matches_sphere_cuboid_inside_and_outside(self, theta):
         c1, c2, radius = 2.0, 1.2, 0.5
         position = (0.3, -0.4)
         c, s = math.cos(theta), math.sin(theta)
@@ -232,6 +232,8 @@ class TestDetectRectCircle:
                     Cuboid((c1, c2, 100.0)), body3d(center + (0.0,)), Sphere(radius))
                 # the 2D and 3D frame maps round apart, so a rotated
                 # touching pose may land on either side of phi = 0
+                if abs(x) < c1 and abs(y) < c2:
+                    assert flat.colliding and deep.colliding, (x, y)
                 assert flat.colliding == deep.colliding or (
                     theta != 0.0 and abs(flat.phi) < 1e-12), (x, y)
                 assert math.isclose(flat.phi, deep.phi, abs_tol=1e-12)
@@ -251,7 +253,14 @@ class TestDetectRectCircle:
                 checked += 1
                 colliding += flat.colliding
                 touching += abs(flat.phi) < 1e-12
-        assert colliding > 400 and checked - colliding > 100
+        assert checked == 33 * 19
+        if theta == 0.0:
+            # 27 x 13 inside, 2 x (27 + 13) shallow past a face, 4 shallow
+            # past a corner, and the 27 touching the +y face: -0.4 + 1.7
+            # rounds one ulp into the box there (phi = -2.2e-16)
+            assert colliding == 27 * 13 + 2 * (27 + 13) + 4 + 27
+        else:
+            assert colliding > 400 and checked - colliding > 100
         assert touching == 2 * (27 + 13)  # both rims of each axis
 
     def test_rotated_pose_world_quantities(self):
