@@ -19,7 +19,7 @@ from .bench import run_bench
 from .convex import SolverSettings
 from .errors import ContactSimError, UnknownScenario
 from .export import export_plot, export_trajectory
-from .scenarios import INTEGER, MARGIN, NUMBER, OVERRIDES, SCENARIO_NAMES, checked
+from .scenarios import MARGIN, NUMBER, OVERRIDES, SCENARIO_NAMES, checked
 from .simulate import Backend, SimConfig, run_scenario
 
 _LOG_LEVELS = {
@@ -77,7 +77,7 @@ def _configure_logging() -> None:
 # which pass on unchecked to build_scenario (it checks them against OVERRIDES).
 _DOCUMENT = {
     "dt": NUMBER,
-    "solver": {"tol": NUMBER, "max_iters": INTEGER, "shrink_margin": MARGIN},
+    "solver": {"shrink_margin": MARGIN},
     **dict.fromkeys(OVERRIDES),
 }
 

@@ -3,9 +3,10 @@
 The minimum-distance pair between the two convex sets is found from exact
 Euclidean projections (for two boxes, alternating clamps).
 Interpenetration is recovered through the fictitious-radius construction:
-the second body is shrunk by a margin ``b`` (radius reduction for
-circles/spheres, half-extent erosion for rectangles), so the solver keeps a
-positive surrogate separation while the true shapes overlap by up to ``b``.
+the second body is shrunk by a margin ``b``, the backend's one setting
+``SolverSettings.shrink_margin`` (radius reduction for circles/spheres,
+half-extent erosion for rectangles), so the solver keeps a positive
+surrogate separation while the true shapes overlap by up to ``b``.
 Deeper penetrations cannot be measured and are reported as saturated.
 
 A ball is a point core plus a radius, so the exact solution of a program
@@ -16,9 +17,10 @@ sat's table, ``sat.PAIRINGS``, and gives a ball pairing sat's detector plus
 the margin (``_with_margin``): while the shrunk ball stays clear of the
 first body the contact is sat's, and past a depth of ``b`` it saturates at
 ``b``.  The two backends differ only there.  Only box–box alternates the
-two box projections until the iterates stall, solving in the first body's
-frame by the convention of ``contact`` and starting from the solution of
-the pair's last solve, kept in its ``PairContext``.  In a run that is the
+two box projections until the iterates stall, within the fixed tolerance
+and budget ``_TOL`` and ``_MAX_ITERS``, solving in the first body's frame
+by the convention of ``contact`` and starting from the solution of the
+pair's last solve, kept in its ``PairContext``.  In a run that is the
 last step whose world-axis boxes overlapped, since a pair with disjoint
 boxes skips the narrow phase.
 
@@ -53,38 +55,28 @@ from .sat import PAIRINGS
 _ACTIVE_SET_EPS = 1e-7  # slack for deciding which eroded-box constraints bind
 
 
-def _positive_number(value) -> bool:
-    """Whether value is a positive finite int or float; a bool is neither."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and 0.0 < value < math.inf)
+# stopping test and budget of the box-box alternating projections
+_TOL = 1e-10
+_MAX_ITERS = 10_000
 
 
 @dataclass
 class SolverSettings:
-    """Tuning knobs of the co backend.
+    """The co backend's one setting, the paper's fictitious radius.
 
-    ``tol`` and ``max_iters`` are the stopping test and the budget of the
-    box-box alternating projections.  The ball pairings read neither: they
-    are sat's contact, solved by its clamp or center line, plus the margin.
     ``shrink_margin`` is the difference b between the true and fictitious
     radius (or half-extent), the depth past which a contact saturates;
     ``None`` selects the per-pair default of half the second body's radius
     or smallest half-extent.
     """
 
-    tol: float = 1e-10
-    max_iters: int = 10_000
     shrink_margin: Optional[float] = None
 
     def __post_init__(self):
-        if not _positive_number(self.tol):
-            raise ValueError(f"tol must be a positive finite number, got {self.tol!r}")
-        if not (isinstance(self.max_iters, int) and not isinstance(self.max_iters, bool)
-                and self.max_iters >= 1):
-            raise ValueError(f"max_iters must be an integer of at least 1, got "
-                             f"{self.max_iters!r}")
         margin = self.shrink_margin
-        if margin is not None and not _positive_number(margin):
+        if margin is not None and not (
+                isinstance(margin, (int, float)) and not isinstance(margin, bool)
+                and 0.0 < margin < math.inf):
             raise ValueError(f"shrink_margin must be a positive finite number, "
                              f"got {margin!r}")
 
@@ -113,7 +105,6 @@ def _alternating_projections(
     project_first: Callable[[Vec], Vec],
     project_second: Callable[[Vec], Vec],
     start: Vec,
-    settings: SolverSettings,
 ) -> tuple:
     """Alternate exact projections until the iterates or the distance stall.
 
@@ -125,23 +116,24 @@ def _alternating_projections(
     disjoint sets yield the unique minimum-distance pair, intersecting sets
     a common point at distance zero.  Two boxes with nearly parallel faces
     have a near-flat set of minimizers: the iterates keep creeping along the
-    faces (displacement above tol) long after the distance has converged, so
-    the box-box solve also stops once the pair distance stops improving.
+    faces (displacement above ``_TOL``) long after the distance has
+    converged, so the box-box solve also stops once the pair distance stops
+    improving.  ``NotConverged`` after ``_MAX_ITERS`` iterations.
     """
     p_prev: Optional[Vec] = None
     q_prev = start
     d_prev = math.inf
     displacement = math.inf
-    for iteration in range(1, settings.max_iters + 1):
+    for iteration in range(1, _MAX_ITERS + 1):
         p = project_first(q_prev)
         q = project_second(p)
         d = distance(p, q)
         if p_prev is not None:
             displacement = max(distance(p, p_prev), distance(q, q_prev))
-            if displacement < settings.tol or abs(d_prev - d) < settings.tol:
+            if displacement < _TOL or abs(d_prev - d) < _TOL:
                 return p, q, d, iteration
         p_prev, q_prev, d_prev = p, q, d
-    raise NotConverged(settings.max_iters, displacement)
+    raise NotConverged(_MAX_ITERS, displacement)
 
 
 def rho_from_surrogate(phi_star: float, b: float) -> tuple[float, bool]:
@@ -268,7 +260,6 @@ def _convex_rect_rect(state_a: BodyState, rect_a: Rectangle, state_b: BodyState,
         lambda y: _clamp_box(y, ext_a),
         project_b,
         start,
-        settings,
     )
     rho, saturated = rho_from_surrogate(phi_star, b)
 

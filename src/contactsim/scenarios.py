@@ -144,12 +144,6 @@ def _vector(value) -> tuple:
     raise ValueError(value)
 
 
-def _integer(value) -> int:
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ValueError(value)
-
-
 def _boolean(value) -> bool:
     if isinstance(value, bool):
         return value
@@ -157,7 +151,6 @@ def _boolean(value) -> bool:
 
 
 NUMBER = ("a finite number", _number)
-INTEGER = ("an integer", _integer)
 MARGIN = ("a finite number or null", lambda v: None if v is None else _number(v))
 _VECTOR = ("a list of finite numbers", _vector)
 _ANGLE = ("a finite number or a list of finite numbers",

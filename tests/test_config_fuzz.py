@@ -70,7 +70,8 @@ documents = mostly(mapping({
     "dt": field(numbers),
     "duration": field(numbers),
     "gravity": field(vectors),
-    # a budget beyond what five steps need would let a diverged run spin
+    # tol and max_iters are no longer solver keys (the box-box loop's
+    # stopping test and budget are constants): a document with either exits 1
     "solver": field(mapping({
         "tol": field(numbers), "max_iters": st.integers(-2, 30),
         "shrink_margin": field(st.one_of(st.none(), numbers)),

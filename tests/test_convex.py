@@ -167,7 +167,7 @@ class TestFarStartFejer:
     ball projection) from a far iterate it takes many steps and never
     lengthens the pair distance.  It ends at or above the box-ball
     distance, the clamp's distance to the center less the radius: the stop
-    once the distance improves by less than ``tol`` leaves up to 1.1e-8 on
+    once the distance improves by less than ``_TOL`` leaves up to 1.1e-8 on
     these draws, where the pair creeps slowly to its minimum.
     """
 
@@ -188,8 +188,7 @@ class TestFarStartFejer:
                 return q
 
             _, _, d, iterations = convex._alternating_projections(
-                lambda y: convex._clamp_box(y, ext), project_ball, far,
-                SolverSettings())
+                lambda y: convex._clamp_box(y, ext), project_ball, far)
             assert len(history) == iterations and history[-1] == d
             longest = max(longest, iterations)
             for before, after in zip(history, history[1:]):
@@ -568,23 +567,6 @@ class TestColdBallPairings:
                       body2d((0.76, 0.3)), Rectangle(0.4, 0.3), context=context)
         assert len(calls) == 1 and context.last_iterations > 0
 
-    def test_ball_pairings_read_no_budget(self):
-        # tol and max_iters bound the box-box solve only: a budget of one
-        # and an unreachable tolerance leave every ball contact as it was
-        tight = SolverSettings(tol=1e-300, max_iters=1)
-        cases = [
-            (body2d((0.0, 0.0)), Rectangle(1.0, 1.0), body2d((2.4, 0.9)), Circle(0.8)),
-            (body2d((0.0, 0.0), 0.3), Rectangle(1.0, 0.6), body2d((1.1, 0.2)),
-             Circle(0.5)),
-            (body2d((0.0, 0.0)), Circle(0.5), body2d((0.9, 0.1)), Circle(0.5)),
-            (body3d((0.0, 0.0, 0.0)), Cuboid((1.0, 1.0, 0.5)),
-             body3d((0.5, 0.2, 0.7)), Sphere(0.3)),
-        ]
-        for case in cases:
-            context = PairContext()
-            assert detect_convex(*case, tight, context) == detect_convex(*case)
-            assert context.last_iterations == 1
-
     @pytest.mark.parametrize("backend", ["sat", "co"])
     def test_exactly_touching_pairs_report_positive_zero_rho(self, backend):
         # dyadic sizes, so that phi is exactly 0.0; rho was once -phi = -0.0
@@ -613,7 +595,7 @@ class TestNotConvergedNamesThePose:
                           body2d(*pose_b), Rectangle(0.4, 0.3))
         exc = excinfo.value
         assert exc.iterations == 10_000
-        assert exc.displacement > SolverSettings().tol
+        assert exc.displacement > convex._TOL
         assert exc.pairing == "rect-rect"
         assert exc.pose_a == pose_a and exc.pose_b == pose_b
         message = str(exc)
@@ -621,12 +603,12 @@ class TestNotConvergedNamesThePose:
         for value in (*pose_a[0], pose_a[1], *pose_b[0], pose_b[1]):
             assert repr(value) in message
 
-    def test_budget_of_one(self):
+    def test_budget_of_one(self, monkeypatch):
         # the box-box stopping test compares two iterates, so one never passes
+        monkeypatch.setattr(convex, "_MAX_ITERS", 1)
         with pytest.raises(NotConverged) as excinfo:
             detect_convex(body2d((0.0, 0.0)), Rectangle(0.4, 0.6),
-                          body2d((0.76, 0.3)), Rectangle(0.4, 0.3),
-                          SolverSettings(max_iters=1))
+                          body2d((0.76, 0.3)), Rectangle(0.4, 0.3))
         assert excinfo.value.iterations == 1
         assert excinfo.value.t is None and "the run" not in str(excinfo.value)
 

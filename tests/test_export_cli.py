@@ -27,9 +27,10 @@ MALFORMED_CONFIGS = [
     ('[1, 2]', "document"),
     ('{"solver": [1, 2]}', "solver"),
     ('{"solver": {"bogus": 1}}', "bogus"),
-    ('{"solver": {"tol": "abc"}}', "solver.tol"),
-    ('{"solver": {"max_iters": 1.5}}', "solver.max_iters"),
-    ('{"solver": {"tol": Infinity}}', "solver.tol"),
+    ('{"solver": {"tol": "abc"}}',
+     "config: unknown key 'tol' in solver; expected one of shrink_margin"),
+    ('{"solver": {"max_iters": 1.5}}', "'max_iters'"),
+    ('{"solver": {"tol": Infinity}}', "'tol'"),
     ('{"material": 5}', "material"),
     ('{"material": {"bogus": 1}}', "bogus"),
     ('{"gravity": 5}', "gravity"),
@@ -410,15 +411,22 @@ class TestCli:
         assert math.isclose(ts[1] - ts[0], 0.002, abs_tol=1e-15)
 
     def test_runtime_error_exit_code(self, tmp_path, capsys):
-        # a box-box solve needs two iterations; the ball pairings read no
-        # budget
+        # a box settling on a static floor: the box-box solve exhausts its
+        # budget on a face-on pose the run reaches
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"solver": {"max_iters": 1}}))
+        config.write_text(json.dumps({"gravity": [0.0, -9.81], "bodies": [
+            {"shape": {"type": "rectangle", "half_length": 3.0, "half_width": 0.2},
+             "position": [0.0, -0.2], "orientation": 0.0, "velocity": [0.0, 0.0],
+             "static": True},
+            {"shape": {"type": "rectangle", "half_length": 0.3, "half_width": 0.25},
+             "position": [0.58, 0.23], "orientation": 0.05, "velocity": [0.0, 0.0],
+             "mass": 2.0}]}))
         code = main(["simulate", "--scenario", "rect-rect", "--backend",
                      "co", "--duration", "1.0", "--config", str(config)])
         assert code == 2
         err = capsys.readouterr().err
-        assert "in pair (0, 1) (co backend): solver did not converge after 1 " in err
+        assert ("the run stopped at t=0.099 in pair (0, 1) (co backend): solver "
+                "did not converge after 10000 iterations") in err
         assert "on rect-rect" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("name", SCENARIO_NAMES)

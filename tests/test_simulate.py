@@ -217,8 +217,6 @@ class TestConfigChecks:
             MaterialParams(**{name: value})
 
     @pytest.mark.parametrize("kwargs", [
-        {"tol": math.inf}, {"tol": math.nan}, {"tol": 0.0}, {"tol": "abc"},
-        {"max_iters": 1.5}, {"max_iters": 0}, {"max_iters": True},
         {"shrink_margin": math.inf}, {"shrink_margin": math.nan},
         {"shrink_margin": -0.1},
     ])
@@ -226,7 +224,7 @@ class TestConfigChecks:
         with pytest.raises(ValueError):
             SolverSettings(**kwargs)
 
-    @pytest.mark.parametrize("name", ["tol", "max_iters", "shrink_margin"])
+    @pytest.mark.parametrize("name", ["shrink_margin"])
     @pytest.mark.parametrize("value", [True, False])
     def test_solver_settings_reject_bools(self, name, value):
         # a bool is an int to isinstance, and True passes 0 < value < inf
