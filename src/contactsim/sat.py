@@ -49,26 +49,25 @@ def _box_ball_contact(ext: Vec, q0: float, q1: float, q2: float,
     q2 = 0.0.  Returns phi, rho, the box point, the ball point, the ball's
     anchor from its center and the normal, each with three components.
 
-    The box point is the clamp of the center, the normal runs from it to the
-    center, and the anchor is r along the offset from the center to it.  A
-    center on or in the box must travel to the nearest face plus its radius
-    to get clear: its depth is the radius plus that face's distance, its
-    point and normal are that face's, and its anchor is -n r, facing the box.
+    The box point is the clamp of the center, and the normal runs from it to
+    the center.  A center on or in the box must travel to the nearest face
+    plus its radius to get clear: its depth is the radius plus that face's
+    distance, and its point and normal are that face's.  Either way the
+    anchor is -n r, the point of the ball facing the box.
     """
-    px, py, pz, dx, dy, dz, d = box_clamp(ext, q0, q1, q2)
+    px, py, pz, _, _, _, d = box_clamp(ext, q0, q1, q2)
     phi = d - radius
     if d < EPS_DEGENERATE:
         best, n = nearest_face((q0, q1, q2), ext)
         nx, ny, nz = n
         p = (q0 + nx * best, q1 + ny * best, q2 + nz * best)
         rho = radius + best
-        mx, my, mz = -nx * radius, -ny * radius, -nz * radius
     else:
         p = (px, py, pz)
         rho = 0.0 if phi >= 0.0 else -phi
         n = ((q0 - px) / d, (q1 - py) / d, (q2 - pz) / d)
-        inv = 1.0 / d
-        mx, my, mz = dx * inv * radius, dy * inv * radius, dz * inv * radius
+    nx, ny, nz = n
+    mx, my, mz = -nx * radius, -ny * radius, -nz * radius
     return phi, rho, p, (q0 + mx, q1 + my, q2 + mz), (mx, my, mz), n
 
 

@@ -162,30 +162,39 @@ WORLDS = {"four-body": _four_body_world, "sphere-on-tilt": _sphere_on_tilted_cub
 GOLDEN_WORLDS = {
     # re-pinned when sat rect-circle took the clamp: 409 of its rect-circle
     # calls have the circle center beyond a corner, whose normal is now the
-    # direction from the corner to the center, not the rectangle's diagonal
+    # direction from the corner to the center, not the rectangle's diagonal;
+    # and again when the box-ball anchor became -n r outside the box too, in
+    # place of r times the offset over its length: the last bits of the
+    # ball anchors move the torques (positions by at most 1.7e-16, angles by
+    # 1.1e-16; 410 of 1456 events change f_normal, f_tangent, phi or rho)
     "four-body-sat": (
-        "d0c940a96f7f4da9e7e378a2ee5466e44bb0cc29fc9ea56727da270a6b137658",
-        "4c6847f8c1aaacdcb43517685aa518e301fda25ff3e0232350587584d8caa3f5",
+        "a534aa8f6db8d66196ac0944e61a994477faf823cd2410165789e44e9a39576f",
+        "769627b34591772b88e8b878f2f7d4d0bfc77594c2c6f41eb24740b84b678f26",
     ),
     # re-pinned with the ball cells of co: the last bits of rho and phi of
     # its unsaturated ball contacts (positions and angles move by at most
-    # 6.7e-16; no saturation flag flips)
+    # 6.7e-16; no saturation flag flips); and again with the -n r ball
+    # anchor, for the same reason as four-body-sat (positions by at most
+    # 2.2e-16, angles by 3.9e-16; 562 of 1318 events change)
     "four-body-co": (
-        "af70789e86eb8f1e54c2b34ede0aaf75bea290f538c2653dae3c588ca3ab32da",
-        "9b80b9b0fca977af9c0e816b7fb5729b890d6958987b27037f6f15babe5244db",
+        "c52f925200ca622b7b4df3655844659799b187a1e0a42d3121b8cf88a137cf5f",
+        "18224caef1d41ebc3a73685bcf0debe93a5e0c77a908a3b33bd5317b936f0174",
     ),
     # re-pinned with sphere-cuboid-sat, for the same division (positions
-    # move by at most 3.5e-18 m)
+    # move by at most 3.5e-18 m); and again with the -n r ball anchor
+    # (positions by at most 4.3e-19 m, angular velocities by 4.7e-15; 160
+    # of 381 events change f_tangent or f_normal)
     "sphere-on-tilt-sat": (
-        "506b27bff153ec1fc2327ed1b1313f3689f2f7fc5d7a42d6ba7f6e3e8d6eea90",
-        "ef965bd95d8f71e34deff8537a4b8e1f78f08b314b127718c68f3d56a24f86fa",
+        "e772a64b46e055773c58a67c1dc517620d640e03f3152f83bb944063bc811c17",
+        "8ce34a2aeb1575d3623f83161d1d699bbc9056f475d9a1fd172060ca8a0f6451",
     ),
     # re-pinned with the ball cells of co, for the same reason: its one
     # pair never saturates, so it exports the sat cell's bytes (positions
-    # and angles move by at most 8.7e-19)
+    # and angles move by at most 8.7e-19); and again with the -n r ball
+    # anchor, still the sat cell's bytes
     "sphere-on-tilt-co": (
-        "506b27bff153ec1fc2327ed1b1313f3689f2f7fc5d7a42d6ba7f6e3e8d6eea90",
-        "ef965bd95d8f71e34deff8537a4b8e1f78f08b314b127718c68f3d56a24f86fa",
+        "e772a64b46e055773c58a67c1dc517620d640e03f3152f83bb944063bc811c17",
+        "8ce34a2aeb1575d3623f83161d1d699bbc9056f475d9a1fd172060ca8a0f6451",
     ),
 }
 
@@ -338,9 +347,13 @@ def test_rect_rect_co_contact_bytes_under_zero_threshold(monkeypatch):
 # phi exactly -b; 28 more saturated calls change the last bits of the
 # normal and tangent, or of p_tilde and anchor_a; 66 keep every byte, and
 # no saturation flag flips; and again after an exactly touching pair (phi
-# 0.0) got rho 0.0 in place of -0.0 (1 touching call, no other field)
+# 0.0) got rho 0.0 in place of -0.0 (1 touching call, no other field); and
+# again after the ball anchor became -n r outside the box too, in place of
+# r times the offset over its length (92 calls, 36 rect-circle and 56
+# sphere-cuboid: 91 change the last bit of anchor_b, by at most 5.6e-17,
+# and 39 of q_tilde, by at most 1.1e-16; no other field)
 BALL_CO_DIGEST = \
-    "85ad9e1f8e1e871e57e41069deb4b72f3db74747e9fb909c8da8974759b78f7c"
+    "f8f39ad7bbb407b689a0055a97e8b67a1e296591f3f3ffb8ccc106f7037c7984"
 BALL_RECT, BALL_CIRCLE = Rectangle(0.5, 0.3), Circle(0.2)  # shrink margin 0.1
 BALL_CUBOID, BALL_SPHERE = Cuboid((0.5, 0.3, 0.4)), Sphere(0.2)
 BALL_KINDS = ("face", "edge", "corner", "inside", "touching", "concentric",
@@ -556,9 +569,13 @@ def test_circle_co_contact_bytes():
 # the normal, and with it of the tangent, in 22 sphere-cuboid calls, and a
 # zero normal component from -0.0 to 0.0 in 6 more; and again after an
 # exactly touching pair (phi 0.0) got rho 0.0 in place of -0.0 (23 touching
-# calls: 16 circle-circle, 6 rect-circle, 1 sphere-cuboid; no other field)
+# calls: 16 circle-circle, 6 rect-circle, 1 sphere-cuboid; no other field);
+# and again after the ball anchor became -n r outside the box too (70
+# calls, 37 rect-circle and 33 sphere-cuboid: all change the last bit of
+# anchor_b, by at most 5.6e-17, and 19 of q_tilde, by at most 1.1e-16; no
+# other field)
 SAT_CONTACT_DIGEST = \
-    "bf42a68106e353d6f2c4b40ed411861177e194fb37b33b021d83b8ddd7503af6"
+    "e36e4e80fb2e52d8f68d1cdb9c88b54cd3128a4f8c2bd6afcc4d4caa95153c4c"
 SAT_BALL_KINDS = ("separated", "touching", "shallow", "deep", "face", "edge",
                   "corner", "inside")
 SAT_CIRCLE_KINDS = ("separated", "touching", "shallow", "deep", "concentric")
