@@ -19,6 +19,7 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import convex, sat
+from .errors import UnknownScenario
 from .geometry import Circle, Cuboid, Rectangle, Sphere, body2d, body3d
 from .scenarios import SCENARIO_NAMES
 from .simulate import Backend, SimConfig, run_scenario_timed
@@ -36,7 +37,8 @@ def run_bench(scenarios: Optional[Sequence[str]] = None,
     Every (scenario, backend) cell appears either with timing statistics or
     with an explicit error entry; ``micro_calls`` of 0 skips the micro
     section.  A repeat below 1, a negative ``micro_calls`` or an unknown
-    backend raises ``ValueError`` before anything runs.
+    backend raises ``ValueError``, and an unknown scenario
+    ``UnknownScenario``, before anything runs.
     """
     if repeat < 1:
         raise ValueError("repeat must be at least 1")
@@ -47,6 +49,9 @@ def run_bench(scenarios: Optional[Sequence[str]] = None,
     for name in backends:
         if name not in ("sat", "co"):
             raise ValueError(f"unknown backend {name!r}")
+    for name in scenarios:
+        if name not in SCENARIO_NAMES:
+            raise UnknownScenario(f"unknown scenario {name!r}")
 
     rows: List[Dict] = []
     for name in scenarios:

@@ -6,8 +6,9 @@ import tracemalloc
 
 import pytest
 
+from contactsim import bench
 from contactsim.cli import main
-from contactsim.errors import ContactSimError
+from contactsim.errors import ContactSimError, UnknownScenario
 from contactsim.export import (
     CHUNK_ROWS,
     EVENT_COLUMNS,
@@ -684,6 +685,13 @@ class TestCli:
 
     def test_bench_unknown_scenario_is_usage_error(self):
         assert main(["bench", "--scenarios", "nope", "--repeat", "1"]) == 1
+
+    def test_run_bench_rejects_an_unknown_scenario(self, monkeypatch):
+        # raised before any cell runs, as for an unknown backend
+        monkeypatch.setattr(bench, "_bench_cell", None)
+        with pytest.raises(UnknownScenario, match="unknown scenario 'bogus'"):
+            bench.run_bench(["circle-circle", "bogus"], ["sat"], repeat=1,
+                            micro_calls=0)
 
     def test_bench_unknown_backend_is_usage_error(self, capsys):
         assert main(["bench", "--backends", "sat,nope", "--repeat", "1"]) == 1
