@@ -567,6 +567,25 @@ class TestColdBallPairings:
                       body2d((0.76, 0.3)), Rectangle(0.4, 0.3), context=context)
         assert len(calls) == 1 and context.last_iterations > 0
 
+    def test_ball_pairings_read_no_budget(self, monkeypatch):
+        # _TOL and _MAX_ITERS bound the box-box solve only: a budget of one
+        # and an unreachable tolerance leave every ball contact as it was
+        cases = [
+            (body2d((0.0, 0.0)), Rectangle(1.0, 1.0), body2d((2.4, 0.9)), Circle(0.8)),
+            (body2d((0.0, 0.0), 0.3), Rectangle(1.0, 0.6), body2d((1.1, 0.2)),
+             Circle(0.5)),
+            (body2d((0.0, 0.0)), Circle(0.5), body2d((0.9, 0.1)), Circle(0.5)),
+            (body3d((0.0, 0.0, 0.0)), Cuboid((1.0, 1.0, 0.5)),
+             body3d((0.5, 0.2, 0.7)), Sphere(0.3)),
+        ]
+        expected = [detect_convex(*case) for case in cases]
+        monkeypatch.setattr(convex, "_TOL", 1e-300)
+        monkeypatch.setattr(convex, "_MAX_ITERS", 1)
+        for case, info in zip(cases, expected):
+            context = PairContext()
+            assert detect_convex(*case, context=context) == info
+            assert context.last_iterations == 1
+
     @pytest.mark.parametrize("backend", ["sat", "co"])
     def test_exactly_touching_pairs_report_positive_zero_rho(self, backend):
         # dyadic sizes, so that phi is exactly 0.0; rho was once -phi = -0.0
@@ -611,6 +630,20 @@ class TestNotConvergedNamesThePose:
                           body2d((0.76, 0.3)), Rectangle(0.4, 0.3))
         assert excinfo.value.iterations == 1
         assert excinfo.value.t is None and "the run" not in str(excinfo.value)
+
+    def test_loop_keeps_its_tolerance_and_budget(self):
+        assert (convex._TOL, convex._MAX_ITERS) == (1e-10, 10_000)
+
+    def test_loop_reads_the_tolerance_when_called(self, monkeypatch):
+        # the cold pose above exhausts the budget at _TOL; a looser stopping
+        # test ends it after two iterations
+        pose_a = ((0.6148929585902956, 0.4010170418666701), -0.7933711212338372)
+        pose_b = ((0.13716740227539026, 0.9009474543484768), 3.9194136025085258)
+        monkeypatch.setattr(convex, "_TOL", 1e-8)
+        context = PairContext()
+        info = detect_convex(body2d(*pose_a), Rectangle(0.5, 0.5),
+                             body2d(*pose_b), Rectangle(0.4, 0.3), context=context)
+        assert context.last_iterations == 2 and info.colliding
 
     def test_a_run_adds_time_pair_and_backend(self):
         # a rectangle settling on a static floor: the box-box solve exhausts

@@ -32,6 +32,10 @@ MALFORMED_CONFIGS = [
      "config: unknown key 'tol' in solver; expected one of shrink_margin"),
     ('{"solver": {"max_iters": 1.5}}', "'max_iters'"),
     ('{"solver": {"tol": Infinity}}', "'tol'"),
+    # the old defaults, valid before tol and max_iters left the document
+    ('{"solver": {"tol": 1e-10}}', "unknown key 'tol' in solver"),
+    ('{"solver": {"max_iters": 10000}}', "unknown key 'max_iters' in solver"),
+    ('{"solver": {"shrink_margin": 0.1, "max_iters": 10000}}', "'max_iters'"),
     ('{"material": 5}', "material"),
     ('{"material": {"bogus": 1}}', "bogus"),
     ('{"gravity": 5}', "gravity"),
@@ -685,6 +689,12 @@ class TestCli:
 
     def test_bench_unknown_scenario_is_usage_error(self):
         assert main(["bench", "--scenarios", "nope", "--repeat", "1"]) == 1
+
+    def test_bench_unknown_scenario_among_known_is_usage_error(self, capsys):
+        assert main(["bench", "--scenarios", "circle-circle,nope", "--backends",
+                     "sat", "--repeat", "1", "--micro-calls", "0"]) == 1
+        captured = capsys.readouterr()
+        assert "unknown scenario 'nope'" in captured.err and captured.out == ""
 
     def test_run_bench_rejects_an_unknown_scenario(self, monkeypatch):
         # raised before any cell runs, as for an unknown backend

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -229,6 +230,15 @@ class TestConfigChecks:
     def test_solver_settings_reject_bools(self, name, value):
         # a bool is an int to isinstance, and True passes 0 < value < inf
         with pytest.raises(ValueError, match=name):
+            SolverSettings(**{name: value})
+
+    def test_solver_settings_has_one_field(self):
+        assert [f.name for f in dataclasses.fields(SolverSettings)] == ["shrink_margin"]
+
+    @pytest.mark.parametrize("name, value", [("tol", 1e-10), ("max_iters", 10_000)])
+    def test_solver_settings_take_no_loop_knobs(self, name, value):
+        # the box-box loop's stopping test and budget are constants of convex
+        with pytest.raises(TypeError, match=name):
             SolverSettings(**{name: value})
 
     @pytest.mark.parametrize("gravity", [(0.0, math.nan), (0.0, -math.inf)])
