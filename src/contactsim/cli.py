@@ -30,18 +30,9 @@ _LOG_LEVELS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse variant whose usage errors exit with status 1."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="contactsim",
-                     description="rigid-body collision dynamics simulator")
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="contactsim", description="rigid-body collision dynamics simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="run one scenario")
@@ -129,8 +120,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 1
+    except SystemExit as exc:  # 0 after --help, argparse's 2 on a usage error
+        return 1 if exc.code else 0
     try:
         _configure_logging()
         if args.command == "simulate":

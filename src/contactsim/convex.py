@@ -43,6 +43,7 @@ from .geometry import (
     Vec,
     Vec2,
     add,
+    check_positive,
     distance,
     rot2_apply,
     rot2_apply_t,
@@ -73,12 +74,8 @@ class SolverSettings:
     shrink_margin: Optional[float] = None
 
     def __post_init__(self):
-        margin = self.shrink_margin
-        if margin is not None and not (
-                isinstance(margin, (int, float)) and not isinstance(margin, bool)
-                and 0.0 < margin < math.inf):
-            raise ValueError(f"shrink_margin must be a positive finite number, "
-                             f"got {margin!r}")
+        if self.shrink_margin is not None:
+            self.shrink_margin = check_positive("shrink_margin", self.shrink_margin)
 
 
 @dataclass

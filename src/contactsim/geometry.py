@@ -8,6 +8,7 @@ world-from-body map is its transpose.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from typing import Tuple, Union
 
@@ -21,6 +22,8 @@ Mat3 = Tuple[Vec3, Vec3, Vec3]
 EPS_DEGENERATE = 1e-9
 # Depth gaps closer than this tie: the face that comes first wins.
 EPS_TIE = 1e-12
+# The largest finite float: a number above it has no finite float value.
+_FLOAT_MAX = sys.float_info.max
 
 
 # ---------------------------------------------------------------------------
@@ -122,10 +125,10 @@ def box_clamp(half_extents: Vec, x: float, y: float, z: float) -> tuple:
     """The point of a centered box nearest (x, y, z): its per-axis clamp
     (Ericson, Real-Time Collision Detection, 5.1.3).
 
-    Returns the box point, its offset from (x, y, z) and the offset's
-    length.  A 2D box (two half-extents) runs with a third half-extent of
-    0.0 and z = 0.0: every z term is then +0.0, which leaves each x and y
-    result bit for bit as 2D arithmetic gives it.
+    Returns the box point and its distance from (x, y, z).  A 2D box (two
+    half-extents) runs with a third half-extent of 0.0 and z = 0.0: every z
+    term is then +0.0, which leaves each x and y result bit for bit as 2D
+    arithmetic gives it.
     """
     c1, c2 = half_extents[0], half_extents[1]
     c3 = half_extents[2] if len(half_extents) == 3 else 0.0
@@ -135,7 +138,7 @@ def box_clamp(half_extents: Vec, x: float, y: float, z: float) -> tuple:
     dx = px - x
     dy = py - y
     dz = pz - z
-    return px, py, pz, dx, dy, dz, math.sqrt(dx * dx + dy * dy + dz * dz)
+    return px, py, pz, math.sqrt(dx * dx + dy * dy + dz * dz)
 
 
 def nearest_face(q: Vec, half_extents: Vec) -> Tuple[float, Vec3]:
@@ -180,9 +183,15 @@ def tangent3(nx: float, ny: float, nz: float) -> Vec3:
 # ---------------------------------------------------------------------------
 # shapes
 
-def _check_positive(name: str, value: float) -> None:
-    if not (value > 0.0 and math.isfinite(value)):
-        raise ValueError(f"{name} must be a positive finite number, got {value}")
+def check_positive(name: str, value, allow_zero: bool = False) -> float:
+    """``value`` as a float if it is a finite number above zero, or at least
+    zero with ``allow_zero``; otherwise a ValueError naming ``name``.  A bool
+    is no number here, though Python counts it as an int."""
+    if isinstance(value, float) or (isinstance(value, int) and not isinstance(value, bool)):
+        if (value >= 0.0 if allow_zero else value > 0.0) and value <= _FLOAT_MAX:
+            return float(value)
+    kind = "nonnegative" if allow_zero else "positive"
+    raise ValueError(f"{name} must be a {kind} finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -190,8 +199,7 @@ class Circle:
     radius: float
 
     def __post_init__(self):
-        _check_positive("radius", self.radius)
-        object.__setattr__(self, "radius", float(self.radius))
+        object.__setattr__(self, "radius", check_positive("radius", self.radius))
 
 
 @dataclass(frozen=True)
@@ -200,10 +208,8 @@ class Rectangle:
     half_width: float   # extent along the body a2 axis
 
     def __post_init__(self):
-        _check_positive("half_length", self.half_length)
-        _check_positive("half_width", self.half_width)
-        object.__setattr__(self, "half_length", float(self.half_length))
-        object.__setattr__(self, "half_width", float(self.half_width))
+        for name in ("half_length", "half_width"):
+            object.__setattr__(self, name, check_positive(name, getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -211,8 +217,7 @@ class Sphere:
     radius: float
 
     def __post_init__(self):
-        _check_positive("radius", self.radius)
-        object.__setattr__(self, "radius", float(self.radius))
+        object.__setattr__(self, "radius", check_positive("radius", self.radius))
 
 
 @dataclass(frozen=True)
@@ -222,9 +227,8 @@ class Cuboid:
     def __post_init__(self):
         if len(self.half_extents) != 3:
             raise ValueError("cuboid needs three half-extents")
-        for v in self.half_extents:
-            _check_positive("half_extent", v)
-        object.__setattr__(self, "half_extents", tuple(float(v) for v in self.half_extents))
+        object.__setattr__(self, "half_extents", tuple(
+            check_positive("half_extent", v) for v in self.half_extents))
 
 
 Shape = Union[Circle, Rectangle, Sphere, Cuboid]
@@ -263,9 +267,10 @@ class BodyState:
             raise ValueError("position must be a 2- or 3-vector")
         if len(velocity) != len(position):
             raise ValueError("velocity dimension must match position")
-        _check_positive("mass", self.mass)
+        check_positive("mass", self.mass)
         q, w, inertia = self.orientation, self.angular_velocity, self.inertia
-        try:  # a number where a tuple belongs, or the reverse, is a TypeError
+        try:  # a number where a tuple belongs, or the reverse, is a TypeError;
+            # a string where the 3x3 tuple belongs may be an IndexError
             if len(position) == 2:
                 shaped = True
                 entries = (*position, *velocity, q, w, inertia)
@@ -277,7 +282,7 @@ class BodyState:
                 entries = (*position, *velocity, *q, *w, *inertia[0],
                            *inertia[1], *inertia[2])
             finite = all(map(math.isfinite, entries))
-        except TypeError:
+        except (TypeError, IndexError):
             shaped = False
         if not shaped:
             raise ValueError(
@@ -290,7 +295,7 @@ class BodyState:
                 f"{velocity}, orientation {q}, angular velocity {w}, "
                 f"inertia {inertia}")
         if len(position) == 2:
-            _check_positive("inertia", inertia)
+            check_positive("inertia", inertia)
         elif abs(norm(q) - 1.0) > 1e-9:
             raise ValueError("quaternion must be normalized")
 
@@ -338,7 +343,7 @@ def body3d(position: Vec3, orientation: Quat = (1.0, 0.0, 0.0, 0.0),
            angular_velocity: Vec3 = (0.0, 0.0, 0.0), mass: float = 1.0,
            inertia: Union[float, Mat3] = 1.0, static: bool = False) -> BodyState:
     if isinstance(inertia, (int, float)):
-        i = float(inertia)
+        i = check_positive("inertia", inertia)
         inertia = ((i, 0.0, 0.0), (0.0, i, 0.0), (0.0, 0.0, i))
     return BodyState(tuple(position), tuple(orientation), tuple(velocity),
                      tuple(angular_velocity), mass, inertia, static)

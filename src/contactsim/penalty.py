@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
-from .geometry import Vec, Vec3, cross3
+from .geometry import Vec, Vec3, check_positive, cross3
 
 
 @dataclass(frozen=True)
@@ -35,18 +35,10 @@ class MaterialParams:
     v_scale: float = 0.01
 
     def __post_init__(self):
-        for name in ("stiffness", "damping", "friction", "v_scale"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if not self.stiffness > 0.0:
-            raise ValueError("stiffness must be positive")
-        if self.damping < 0.0:
-            raise ValueError("damping must be nonnegative")
-        if self.friction < 0.0:
-            raise ValueError("friction must be nonnegative")
-        if not self.v_scale > 0.0:
-            raise ValueError("v_scale must be positive")
+        for name, allow_zero in (("stiffness", False), ("damping", True),
+                                 ("friction", True), ("v_scale", False)):
+            object.__setattr__(self, name,
+                               check_positive(name, getattr(self, name), allow_zero))
 
 
 class ContactKinematics(NamedTuple):

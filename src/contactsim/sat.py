@@ -55,7 +55,7 @@ def _box_ball_contact(ext: Vec, q0: float, q1: float, q2: float,
     distance, and its point and normal are that face's.  Either way the
     anchor is -n r, the point of the ball facing the box.
     """
-    px, py, pz, _, _, _, d = box_clamp(ext, q0, q1, q2)
+    px, py, pz, d = box_clamp(ext, q0, q1, q2)
     phi = d - radius
     if d < EPS_DEGENERATE:
         best, n = nearest_face((q0, q1, q2), ext)

@@ -35,6 +35,7 @@ from .geometry import (
     Shape,
     Sphere,
     Vec,
+    check_positive,
     mat3_inverse,
     mat3_vec,
     quat_to_matrix,
@@ -81,12 +82,9 @@ class SimConfig:
     def __post_init__(self):
         if isinstance(self.backend, str):
             self.backend = Backend(self.backend)
-        if not (self.dt > 0.0 and math.isfinite(self.dt)):
-            raise ValueError(f"dt must be a positive finite number, got {self.dt}")
-        if self.duration is not None and not (self.duration > 0.0
-                                              and math.isfinite(self.duration)):
-            raise ValueError(f"duration must be a positive finite number, got "
-                             f"{self.duration}")
+        self.dt = check_positive("dt", self.dt)
+        if self.duration is not None:
+            self.duration = check_positive("duration", self.duration)
 
 
 class ContactEvent(NamedTuple):
@@ -405,8 +403,14 @@ def run_world(states, shapes, config: SimConfig, gravity: Vec
     inf, raises ContactSimError naming the first body and time to hold one;
     one whose values overflow on the way raises it naming the time and the
     pair or body.  A ``NotConverged`` gets the time, the pair and the
-    backend set.
+    backend set.  Gravity must have as many components as every body has
+    dimensions.
     """
+    states = tuple(states)
+    for body, state in enumerate(states):
+        if state.dim != len(gravity):
+            raise ValueError(f"gravity {tuple(gravity)} does not fit body {body}, "
+                             f"a {state.dim}D body")
     dt = config.dt
     duration = config.duration if config.duration is not None else 2.0
     steps = duration / dt
@@ -416,7 +420,6 @@ def run_world(states, shapes, config: SimConfig, gravity: Vec
     if n_steps > MAX_STEPS:
         raise ValueError(f"duration / dt asks for {steps:.6g} steps, more than "
                          f"the {MAX_STEPS} a run may take: {duration} / {dt}")
-    states = tuple(states)
     constants = _body_constants(states)
     plan = _step_plan(states, shapes, config)
     samples = [(0.0, states)]

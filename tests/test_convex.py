@@ -29,9 +29,10 @@ from contactsim.sat import (
     detect_rect_rect,
     detect_sphere_cuboid,
 )
-from contactsim.simulate import SimConfig, run_scenario
+from contactsim.simulate import SimConfig, run_scenario, run_world
 
 from oracles import ball_projection
+from test_golden_bytes import WORLDS
 
 SQRT2 = math.sqrt(2.0)
 
@@ -645,9 +646,33 @@ class TestNotConvergedNamesThePose:
                              body2d(*pose_b), Rectangle(0.4, 0.3), context=context)
         assert context.last_iterations == 2 and info.colliding
 
-    def test_a_run_adds_time_pair_and_backend(self):
-        # a rectangle settling on a static floor: the box-box solve exhausts
-        # its budget on a face-on pose the run reaches
+    def test_a_run_adds_time_pair_and_backend(self, monkeypatch):
+        # with a budget of one, the registry rect-rect run stops at its first
+        # box-box contact
+        monkeypatch.setattr(convex, "_MAX_ITERS", 1)
+        with pytest.raises(NotConverged) as excinfo:
+            run_scenario("rect-rect", SimConfig(backend="co"))
+        exc = excinfo.value
+        assert (exc.t, exc.pair, exc.backend) == (0.518, (0, 1), "co")
+        assert exc.iterations == 1 and exc.pairing == "rect-rect"
+        assert str(exc).startswith("the run stopped at t=0.518 in pair (0, 1) "
+                                   "(co backend): solver did not converge after "
+                                   "1 iterations")
+        assert "body B at (0.48199999999999954, 0.0)" in str(exc)
+
+
+# ROADMAP item 2: co's box-box solve must terminate on every pose a run
+# reaches.  Until it does, these runs stop where noted; once it does, strict
+# xfail fails them, and they become plain tests.
+_REACHED = pytest.mark.xfail(strict=True, raises=NotConverged,
+                             reason="co rect-rect exhausts its budget (ROADMAP item 2)")
+
+
+class TestReachedPosesConverge:
+    @_REACHED
+    def test_box_settling_on_a_floor(self):
+        # a rectangle settling on a static floor stops at t=0.099 on a
+        # face-on pose
         overrides = {"gravity": [0.0, -9.81], "bodies": [
             {"shape": {"type": "rectangle", "half_length": 3.0, "half_width": 0.2},
              "position": [0.0, -0.2], "orientation": 0.0, "velocity": [0.0, 0.0],
@@ -655,14 +680,18 @@ class TestNotConvergedNamesThePose:
             {"shape": {"type": "rectangle", "half_length": 0.3, "half_width": 0.25},
              "position": [0.58, 0.23], "orientation": 0.05, "velocity": [0.0, 0.0],
              "mass": 2.0}]}
-        with pytest.raises(NotConverged) as excinfo:
-            run_scenario("rect-rect", SimConfig(backend="co", duration=1.0),
-                         overrides)
-        exc = excinfo.value
-        assert (exc.t, exc.pair, exc.backend) == (0.099, (0, 1), "co")
-        assert exc.iterations == 10_000 and exc.pairing == "rect-rect"
-        assert exc.pose_a == ((0.0, -0.2), 0.0)
-        assert str(exc).startswith("the run stopped at t=0.099 in pair (0, 1) "
-                                   "(co backend): solver did not converge after "
-                                   "10000 iterations")
-        assert "body B at (0.58316" in str(exc)
+        try:
+            run_scenario("rect-rect", SimConfig(backend="co", duration=1.0), overrides)
+        except NotConverged as exc:
+            assert (exc.t, exc.pair, exc.iterations) == (0.099, (0, 1), 10_000)
+            raise
+
+    @_REACHED
+    def test_four_body_world(self):
+        # the square on the floor, pair (1, 2), stops at t=0.872
+        states, shapes, gravity = WORLDS["four-body"]()
+        try:
+            run_world(states, shapes, SimConfig(backend="co", duration=1.0), gravity)
+        except NotConverged as exc:
+            assert (exc.t, exc.pair, exc.iterations) == (0.872, (1, 2), 10_000)
+            raise

@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from contactsim import bench
+from contactsim import bench, convex
 from contactsim.cli import main
 from contactsim.errors import ContactSimError, UnknownScenario
 from contactsim.export import (
@@ -376,6 +376,16 @@ class TestCli:
     def test_missing_subcommand_is_usage_error(self):
         assert main([]) == 1
 
+    @pytest.mark.parametrize("argv, code", [
+        (["--help"], 0), (["simulate", "--help"], 0),
+        (["bench", "--repeat", "x"], 1), (["frobnicate"], 1),
+    ])
+    def test_help_exits_0_and_usage_errors_1(self, argv, code, capsys):
+        assert main(argv) == code
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: contactsim") == (code == 0)
+        assert ("usage: contactsim" in err and "error: " in err) == (code == 1)
+
     def test_summary_printed_without_out(self, capsys):
         code = main(["simulate", "--scenario", "circle-circle", "--backend",
                      "sat", "--duration", "0.2"])
@@ -415,23 +425,16 @@ class TestCli:
         ts = sorted({row["t"] for row in loaded["samples"]})
         assert math.isclose(ts[1] - ts[0], 0.002, abs_tol=1e-15)
 
-    def test_runtime_error_exit_code(self, tmp_path, capsys):
-        # a box settling on a static floor: the box-box solve exhausts its
-        # budget on a face-on pose the run reaches
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"gravity": [0.0, -9.81], "bodies": [
-            {"shape": {"type": "rectangle", "half_length": 3.0, "half_width": 0.2},
-             "position": [0.0, -0.2], "orientation": 0.0, "velocity": [0.0, 0.0],
-             "static": True},
-            {"shape": {"type": "rectangle", "half_length": 0.3, "half_width": 0.25},
-             "position": [0.58, 0.23], "orientation": 0.05, "velocity": [0.0, 0.0],
-             "mass": 2.0}]}))
-        code = main(["simulate", "--scenario", "rect-rect", "--backend",
-                     "co", "--duration", "1.0", "--config", str(config)])
+    def test_runtime_error_exit_code(self, monkeypatch, capsys):
+        # with a box-box budget of one, the registry rect-rect run stops at
+        # its first box-box contact
+        monkeypatch.setattr(convex, "_MAX_ITERS", 1)
+        code = main(["simulate", "--scenario", "rect-rect", "--backend", "co"])
         assert code == 2
         err = capsys.readouterr().err
-        assert ("the run stopped at t=0.099 in pair (0, 1) (co backend): solver "
-                "did not converge after 10000 iterations") in err
+        assert err.startswith("contactsim: the run stopped at t=0.518 in pair (0, 1) "
+                              "(co backend): solver did not converge after 1 "
+                              "iterations")
         assert "on rect-rect" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("name", SCENARIO_NAMES)

@@ -225,12 +225,41 @@ class TestConfigChecks:
         with pytest.raises(ValueError):
             SolverSettings(**kwargs)
 
-    @pytest.mark.parametrize("name", ["shrink_margin"])
-    @pytest.mark.parametrize("value", [True, False])
-    def test_solver_settings_reject_bools(self, name, value):
-        # a bool is an int to isinstance, and True passes 0 < value < inf
+    # every field that takes a positive (or, for damping and friction, a
+    # nonnegative) finite number, with a constructor that sets it
+    @pytest.mark.parametrize("name, build", [
+        ("radius", Circle),
+        ("half_length", lambda v: Rectangle(v, 1.0)),
+        ("half_width", lambda v: Rectangle(1.0, v)),
+        ("radius", Sphere),
+        ("half_extent", lambda v: Cuboid((1.0, v, 1.0))),
+        ("mass", lambda v: body2d((0.0, 0.0), mass=v)),
+        ("mass", lambda v: body3d((0.0, 0.0, 0.0), mass=v)),
+        ("inertia", lambda v: body2d((0.0, 0.0), inertia=v)),
+        ("inertia", lambda v: body3d((0.0, 0.0, 0.0), inertia=v)),
+        ("dt", lambda v: SimConfig(dt=v)),
+        ("duration", lambda v: SimConfig(duration=v)),
+        ("shrink_margin", lambda v: SolverSettings(shrink_margin=v)),
+        ("stiffness", lambda v: MaterialParams(stiffness=v)),
+        ("v_scale", lambda v: MaterialParams(v_scale=v)),
+        ("damping", lambda v: MaterialParams(damping=v)),
+        ("friction", lambda v: MaterialParams(friction=v)),
+    ], ids=["circle", "half_length", "half_width", "sphere", "cuboid", "mass2d",
+            "mass3d", "inertia2d", "inertia3d", "dt", "duration", "shrink_margin", "stiffness",
+            "v_scale", "damping", "friction"])
+    @pytest.mark.parametrize("value", [True, False, "1"])
+    def test_numbers_reject_bools_and_non_numbers(self, name, build, value):
+        # a bool is an int to isinstance, and True passes value > 0
         with pytest.raises(ValueError, match=name):
-            SolverSettings(**{name: value})
+            build(value)
+
+    def test_numbers_are_stored_as_floats(self):
+        config = SimConfig(dt=1, duration=2)
+        assert (config.dt, config.duration) == (1.0, 2.0)
+        assert type(config.dt) is float and type(config.duration) is float
+        assert type(MaterialParams(stiffness=10, friction=0).friction) is float
+        trajectory = run_scenario("circle-circle", SimConfig(dt=1, duration=2))
+        assert [repr(t) for t, _ in trajectory.samples] == ["0.0", "1.0", "2.0"]
 
     def test_solver_settings_has_one_field(self):
         assert [f.name for f in dataclasses.fields(SolverSettings)] == ["shrink_margin"]
@@ -262,6 +291,18 @@ class TestConfigChecks:
                 None, {"shape": {"type": "sphere", "radius": 0.5}}]})
         with pytest.raises(ValueError, match="gravity"):
             build_scenario("sphere-cuboid", {"gravity": [0.0, -9.81]})
+
+    @pytest.mark.parametrize("scenario, gravity", [
+        ("circle-circle", (0.0, 0.0, -9.81)), ("circle-circle", (-9.81,)),
+        ("sphere-cuboid", (0.0, -9.81)),
+    ])
+    def test_run_world_checks_the_gravity_dimension(self, scenario, gravity,
+                                                    monkeypatch):
+        # before the first step: a 3-vector would lose its z on 2D bodies
+        world = build_scenario(scenario)
+        monkeypatch.setattr(simulate, "collision_response", None)
+        with pytest.raises(ValueError, match=r"gravity .* does not fit body 0"):
+            run_world(world.bodies, world.shapes, SimConfig(duration=0.01), gravity)
 
     def test_scenario_override_duration_is_checked(self):
         with pytest.raises(ValueError, match="finite"):
